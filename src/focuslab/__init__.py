@@ -26,7 +26,7 @@ from .image import (
     make_texture,
     save_pgm,
 )
-from .metric import FocusCurve, FocusSample, MetricKind, resolution, sweep
+from .metric import Camera, FocusCurve, FocusSample, MetricKind, resolution, sweep
 from .optics import (
     BlurRadius,
     EdgeResponse,
@@ -39,6 +39,7 @@ from .optics import (
     edge_response,
     line_spread,
     make_pillbox_psf,
+    pillbox_size,
     theoretical_resolution,
 )
 from .search import AutofocusResult, SearchParams, TracePoint, autofocus
@@ -61,6 +62,7 @@ __all__ = [
     "EdgeResponse",
     "BlurRadius",
     "blur_radius",
+    "pillbox_size",
     "make_pillbox_psf",
     "convolve",
     "line_spread",
@@ -70,6 +72,7 @@ __all__ = [
     "MetricKind",
     "FocusSample",
     "FocusCurve",
+    "Camera",
     "resolution",
     "sweep",
     "SearchParams",

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec, add_noise
-from .metric import MetricKind, resolution, sweep
-from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig, blur_radius, convolve, make_pillbox_psf
+from .image import Image, NoiseSpec, WindowSpec
+from .metric import Camera, MetricKind, resolution, sweep
+from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig
 
 __all__ = [
     "StabilityRow",
@@ -105,12 +105,8 @@ def stability_study(
         raise ValueError("sizes must be nonempty")
     cx, cy = center
     windows = [WindowSpec(cx, cy, int(n)) for n in sizes]
-    for w in windows:
-        scene.region(w)  # reject window overflow before any heavy work
-
-    psf = make_pillbox_psf(blur_radius(cfg, lens).px, supersample)
-    blurred = convolve(scene, psf)
-    frames = [add_noise(blurred, noise.derived(r)) for r in range(repeats)]
+    camera = Camera(scene, cfg, windows, supersample)
+    frames = camera.frames(lens, [noise.derived(r) for r in range(repeats)])
 
     rows = []
     for window in windows:

@@ -191,7 +191,10 @@ def cmd_autofocus(args: argparse.Namespace) -> int:
             f"bad search flags (--z-min/--z-max/--coarse-steps/"
             f"--refine-iterations/--trials-per-eval): {exc}"
         ) from None
-    result = search.autofocus(scene, cfg, window, noise, params)
+    try:
+        result = search.autofocus(scene, cfg, window, noise, params)
+    except ValueError as exc:
+        raise CliError(f"search interval does not fit the scene (--z-min/--z-max): {exc}") from None
     if args.trace_out is not None:
         result.write_trace_csv(args.trace_out)
     if result.at_boundary:

@@ -7,7 +7,8 @@ so concurrent use needs no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +33,24 @@ class PgmFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """Rectangular 8-bit grayscale raster.
+    """Rectangular 8-bit grayscale raster, or a crop of one.
 
     ``pixels`` is a read-only (height, width) uint8 array, row-major with the
     top row first; x grows rightward, y grows downward.
+
+    A crop holds one box of a larger frame: ``origin`` is the frame position
+    (x, y) of its top-left pixel and ``frame_size`` the frame's (width,
+    height). Window coordinates always refer to the frame. A whole image has
+    origin (0, 0) and its own size as frame size. ``surround`` holds the
+    whole frame's pixels where they are known, so a blur can read the border
+    around a crop: an image's own pixels, the scene's for a crop cut by
+    ``crop``, and None for a crop computed from another one.
     """
 
     pixels: np.ndarray
+    origin: tuple[int, int] = (0, 0)
+    frame_size: tuple[int, int] | None = None
+    surround: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)
@@ -55,6 +67,15 @@ class Image:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
+        h, w = px.shape
+        x0, y0 = (int(v) for v in self.origin)
+        fw, fh = (w, h) if self.frame_size is None else (int(v) for v in self.frame_size)
+        if x0 < 0 or y0 < 0 or x0 + w > fw or y0 + h > fh:
+            raise ValueError(f"a {w}x{h} crop at ({x0}, {y0}) does not fit a {fw}x{fh} frame")
+        object.__setattr__(self, "origin", (x0, y0))
+        object.__setattr__(self, "frame_size", (fw, fh))
+        object.__setattr__(self, "surround", px if (fw, fh) == (w, h) else None)
+
     @property
     def width(self) -> int:
         return self.pixels.shape[1]
@@ -68,17 +89,35 @@ class Image:
         """Flat row-major view of the pixel data."""
         return self.pixels.reshape(-1)
 
+    def crop(self, x0: int, y0: int, x1: int, y1: int) -> Image:
+        """The frame box [x0, x1) x [y0, y1) as a crop that keeps the surround.
+
+        Raises ValueError if the surround is unknown or the box is empty or
+        leaves the frame.
+        """
+        if self.surround is None:
+            raise ValueError("only an image whose surround is known can be cropped")
+        fw, fh = self.frame_size
+        if not (0 <= x0 < x1 <= fw and 0 <= y0 < y1 <= fh):
+            raise ValueError(f"box [{x0}, {x1}) x [{y0}, {y1}) is empty or leaves the {fw}x{fh} frame")
+        out = Image(self.surround[y0:y1, x0:x1], (x0, y0), self.frame_size)
+        object.__setattr__(out, "surround", self.surround)
+        return out
+
     def region(self, window: WindowSpec) -> np.ndarray:
         """Read-only view of the window's n x n pixel block.
 
         Raises ValueError if the window does not lie entirely inside the image.
         """
-        x0, y0 = window.origin()
+        wx, wy = window.origin()
+        x0, y0 = wx - self.origin[0], wy - self.origin[1]
         if x0 < 0 or y0 < 0 or x0 + window.n > self.width or y0 + window.n > self.height:
+            where = f"{self.width}x{self.height} image"
+            if self.frame_size != (self.width, self.height):
+                where = f"{where} at {self.origin} in a {self.frame_size[0]}x{self.frame_size[1]} frame"
             raise ValueError(
                 f"{window.n}x{window.n} window centered at "
-                f"({window.center_x}, {window.center_y}) does not fit a "
-                f"{self.width}x{self.height} image"
+                f"({window.center_x}, {window.center_y}) does not fit a {where}"
             )
         return self.pixels[y0 : y0 + window.n, x0 : x0 + window.n]
 
@@ -125,8 +164,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"noise seed must be a nonnegative integer, got {self.seed}")
 
@@ -282,10 +321,16 @@ def add_noise(image: Image, noise: NoiseSpec) -> Image:
     """Perturb every sample by an independent Gaussian draw, round, clamp.
 
     ``sigma == 0`` returns the input image unchanged. The output is fully
-    determined by (image, sigma, seed).
+    determined by (image, sigma, seed). The frame's draws come in row-major
+    order, and only those through the image's last row are made: numpy's
+    normal stream is prefix-stable, so a crop receives exactly the draws its
+    pixels receive in the whole frame.
     """
     if noise.sigma == 0:
         return image
+    (x0, y0), frame_width = image.origin, image.frame_size[0]
+    rows = y0 + image.height
     rng = np.random.default_rng(noise.seed)
-    noisy = image.pixels.astype(np.float64) + rng.normal(0.0, noise.sigma, image.pixels.shape)
-    return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8))
+    draws = rng.normal(0.0, noise.sigma, (rows * frame_width,)).reshape(rows, frame_width)
+    noisy = image.pixels + draws[y0:, x0 : x0 + image.width]
+    return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), image.origin, image.frame_size)

@@ -4,7 +4,8 @@ The metric sums Roberts-cross diagonal differences over an n x n window:
 squared differences give a gradient-energy value, absolute differences a
 cheaper gradient-magnitude variant. Either one peaks when the image is
 sharpest, so sweeping lens displacement and plotting the value yields a
-measured focus curve.
+measured focus curve. ``Camera`` is the capture path every study shares:
+it captures only the zone its windows read.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise
-from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig, blur_radius, convolve, make_pillbox_psf
+from .optics import (
+    DEFAULT_SUPERSAMPLE,
+    LensState,
+    OpticalConfig,
+    PsfKernel,
+    blur_radius,
+    convolve,
+    make_pillbox_psf,
+)
 
-__all__ = ["MetricKind", "FocusSample", "FocusCurve", "resolution", "sweep"]
+__all__ = ["MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep"]
 
 
 class MetricKind(Enum):
@@ -45,6 +54,51 @@ def resolution(image: Image, window: WindowSpec, kind: MetricKind) -> int:
     if kind is MetricKind.ABSOLUTE:
         return int(np.sum(np.abs(d_main)) + np.sum(np.abs(d_anti)))
     raise TypeError(f"unknown metric kind {kind!r}")
+
+
+class Camera:
+    """Virtual camera for one study call that captures only the zone its windows read.
+
+    The zone is the bounding box of ``windows``, which must fit the scene.
+    Each capture blurs the zone plus a kernel-radius halo and draws noise
+    only through the zone's last row, and yields the same pixels as the
+    whole-frame ``optics.capture`` cropped to the zone (see ``optics``).
+    Kernels are cached by radius for the camera's life, so probes that
+    share a radius, such as the +-z halves of a sweep, build one kernel.
+    """
+
+    def __init__(
+        self,
+        scene: Image,
+        cfg: OpticalConfig,
+        windows: Sequence[WindowSpec],
+        supersample: int = DEFAULT_SUPERSAMPLE,
+    ):
+        boxes = []
+        for window in windows:
+            scene.region(window)  # reject window overflow before any heavy work
+            x0, y0 = window.origin()
+            boxes.append((x0, y0, x0 + window.n, y0 + window.n))
+        x0s, y0s, x1s, y1s = zip(*boxes)
+        self.zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
+        self.cfg = cfg
+        self.supersample = supersample
+        self._psfs: dict[float, PsfKernel] = {}
+
+    def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
+        """One noisy capture of the zone per noise spec, all sharing one blur."""
+        radius = blur_radius(self.cfg, lens).px
+        psf = self._psfs.get(radius)
+        if psf is None:
+            psf = self._psfs[radius] = make_pillbox_psf(radius, self.supersample)
+        blurred = convolve(self.zone, psf)
+        return [add_noise(blurred, noise) for noise in noises]
+
+    def measure(
+        self, lens: LensState, noises: Sequence[NoiseSpec], window: WindowSpec, kind: MetricKind
+    ) -> list[int]:
+        """The metric of ``window`` in each of ``frames(lens, noises)``."""
+        return [resolution(frame, window, kind) for frame in self.frames(lens, noises)]
 
 
 @dataclass(frozen=True)
@@ -125,16 +179,12 @@ def sweep(
         raise ValueError("z_values must be strictly increasing")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    scene.region(window)  # validate the window before any heavy work
+    camera = Camera(scene, cfg, [window], supersample)
 
     entries = []
     for zi, z in enumerate(zs):
-        psf = make_pillbox_psf(blur_radius(cfg, LensState(z)).px, supersample)
-        blurred = convolve(scene, psf)
-        values = [
-            resolution(add_noise(blurred, noise.derived(zi, t)), window, kind)
-            for t in range(trials)
-        ]
+        noises = [noise.derived(zi, t) for t in range(trials)]
+        values = camera.measure(LensState(z), noises, window, kind)
         entries.append(
             FocusSample(
                 z_mm=z,

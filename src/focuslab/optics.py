@@ -5,12 +5,32 @@ disc (pillbox) whose radius grows linearly with |z|. This module builds the
 discretized pillbox, convolves scenes with it, derives the 1-D line-spread
 and step-edge response, and evaluates the closed-form resolution-vs-z curve.
 ``capture`` chains the pieces with sensor noise into a virtual camera.
+
+Capture model. The focus metric reads only a window of each frame, so a
+capture need only produce that zone, and it produces the same bytes as a
+whole-frame capture cropped to it:
+
+- Window plus halo. ``convolve`` of a crop (``Image.crop``) gathers the box
+  plus a kernel-radius halo from the scene with clipped indices, which is
+  edge replication without padding the frame, and keeps only the box. A
+  whole image is the crop whose box is the frame.
+- Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
+  not half to even. Exact values are multiples of 1/``counts.sum()``, at
+  least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
+  so the byte does not depend on the FFT size: a crop rounds exactly like
+  the whole frame, exact .5 ties included.
+- Noise prefix. ``add_noise`` draws the frame's row-major noise stream only
+  through the crop's last row and keeps the crop's part; numpy's normal
+  stream is prefix-stable, so those are the whole frame's draws.
+- PSF cache. ``metric.Camera``, made once per study call, caches kernels
+  by radius, so the +-z halves of a sweep build each kernel once; nothing
+  is cached across calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +46,7 @@ __all__ = [
     "BlurRadius",
     "DEFAULT_SUPERSAMPLE",
     "blur_radius",
+    "pillbox_size",
     "make_pillbox_psf",
     "convolve",
     "line_spread",
@@ -37,6 +58,10 @@ __all__ = [
 DEFAULT_SUPERSAMPLE = 8
 
 _KERNEL_SUM_TOL = 1e-9
+
+# Added before flooring a blurred value: rounds to nearest with exact .5 ties
+# going down, the same way at every FFT size (see the module docstring).
+_ROUND_HALF_DOWN = 0.5 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,6 +84,10 @@ class OpticalConfig:
     d_max: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.a_mm > self.f_mm > 0:
             raise ValueError(
                 f"need a_mm > f_mm > 0, got a_mm={self.a_mm}, f_mm={self.f_mm}"
@@ -128,6 +157,11 @@ class PsfKernel:
         object.__setattr__(self, "weights", w)
 
 
+def pillbox_size(radius_px: float) -> int:
+    """Side of the square kernel ``make_pillbox_psf`` builds for this radius."""
+    return 1 if radius_px < 0.5 else 2 * math.ceil(radius_px) + 1
+
+
 def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -> PsfKernel:
     """Discretize a uniform disc of the given pixel radius onto a pixel grid.
 
@@ -140,11 +174,11 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
         raise ValueError(f"radius must be >= 0, got {radius_px}")
     if supersample < 1:
         raise ValueError(f"supersample must be >= 1, got {supersample}")
-    if radius_px < 0.5:
+    size = pillbox_size(radius_px)
+    if size == 1:
         return PsfKernel(size=1, weights=np.array([[1.0]]), radius_px=radius_px)
 
-    half = math.ceil(radius_px)
-    size = 2 * half + 1
+    half = size // 2
     centers = np.arange(size, dtype=np.float64) - half
     offsets = (np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5
     r_sq = radius_px * radius_px
@@ -163,19 +197,27 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
 def convolve(scene: Image, psf: PsfKernel) -> Image:
     """Blur a scene with a PSF kernel, replicating edge pixels at the border.
 
-    Accumulates in float, rounds to nearest, clamps to [0, 255]. Constant
-    images map to themselves exactly and the 1x1 identity kernel is a no-op.
+    Accumulates in float, rounds to nearest with exact .5 ties going down,
+    clamps to [0, 255]. Constant images map to themselves exactly and the
+    1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
+    the same pixels as the whole frame's blur cropped to its box; a crop
+    without its surround can only take the identity kernel.
     """
-    if psf.size > scene.width or psf.size > scene.height:
-        raise ValueError(
-            f"{psf.size}x{psf.size} kernel exceeds {scene.width}x{scene.height} image"
-        )
+    width, height = scene.frame_size
+    if psf.size > width or psf.size > height:
+        raise ValueError(f"{psf.size}x{psf.size} kernel exceeds {width}x{height} image")
     if psf.size == 1:
         return scene
+    if scene.surround is None:
+        raise ValueError("a crop can only be blurred with its surround: cut it with Image.crop")
     half = psf.size // 2
-    padded = np.pad(scene.pixels.astype(np.float64), half, mode="edge")
+    x0, y0 = scene.origin
+    rows = np.clip(np.arange(y0 - half, y0 + scene.height + half), 0, height - 1)
+    cols = np.clip(np.arange(x0 - half, x0 + scene.width + half), 0, width - 1)
+    padded = scene.surround[np.ix_(rows, cols)].astype(np.float64)
     blurred = fftconvolve(padded, psf.weights, mode="valid")
-    return Image(np.clip(np.rint(blurred), 0, 255).astype(np.uint8))
+    pixels = np.clip(np.floor(blurred + _ROUND_HALF_DOWN), 0, 255).astype(np.uint8)
+    return Image(pixels, scene.origin, scene.frame_size)
 
 
 def line_spread(psf: PsfKernel) -> np.ndarray:
@@ -276,7 +318,8 @@ def capture(
     """Virtual camera: defocus blur for the lens state, then sensor noise.
 
     Deterministic given all arguments; z = 0 with sigma = 0 returns the scene
-    unchanged.
+    unchanged. A crop of the scene captures the crop's box of the whole
+    frame's capture.
     """
     psf = make_pillbox_psf(blur_radius(cfg, lens).px, supersample)
     return add_noise(convolve(scene, psf), noise)

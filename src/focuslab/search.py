@@ -8,19 +8,20 @@ is robust even though the far-defocus tails are nearly flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec, add_noise
-from .metric import MetricKind, resolution
-from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig, blur_radius, convolve, make_pillbox_psf
+from .image import Image, NoiseSpec, WindowSpec
+from .metric import Camera, MetricKind
+from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig, blur_radius, pillbox_size
+from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
 __all__ = ["SearchParams", "TracePoint", "AutofocusResult", "autofocus"]
 
-_INV_PHI = (sqrt(5.0) - 1.0) / 2.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 TRACE_CSV_HEADER = "step,z_mm,d_mean,phase"
 
@@ -37,6 +38,8 @@ class SearchParams:
     metric: MetricKind = MetricKind.SQUARED
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.z_min) and math.isfinite(self.z_max)):
+            raise ValueError(f"z_min and z_max must be finite, got [{self.z_min}, {self.z_max}]")
         if not self.z_min < self.z_max:
             raise ValueError(f"need z_min < z_max, got [{self.z_min}, {self.z_max}]")
         if self.coarse_steps < 5:
@@ -97,19 +100,22 @@ def autofocus(
     steps on the bracket formed by the winner's neighbors. Every probe
     averages ``trials_per_eval`` captures, each with a noise seed derived
     from (probe index, trial index), so the whole search is deterministic.
+    Raises ValueError before the first probe if the blur at the far end of
+    [z_min, z_max] needs a kernel larger than the scene.
     """
-    scene.region(window)  # validate the window before any heavy work
+    camera = Camera(scene, cfg, [window], supersample)
+    reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
+    size = pillbox_size(reach)
+    if size > scene.width or size > scene.height:
+        raise ValueError(
+            f"z_min/z_max reach a blur radius of {reach:.1f}px, whose {size}x{size} "
+            f"kernel exceeds the {scene.width}x{scene.height} scene"
+        )
     trace: list[TracePoint] = []
 
     def probe(z: float, phase: str) -> float:
-        index = len(trace)
-        psf = make_pillbox_psf(blur_radius(cfg, LensState(z)).px, supersample)
-        blurred = convolve(scene, psf)
-        values = [
-            resolution(add_noise(blurred, noise.derived(index, t)), window, params.metric)
-            for t in range(params.trials_per_eval)
-        ]
-        mean = float(np.mean(values))
+        noises = [noise.derived(len(trace), t) for t in range(params.trials_per_eval)]
+        mean = float(np.mean(camera.measure(LensState(z), noises, window, params.metric)))
         trace.append(TracePoint(z_mm=z, d_mean=mean, phase=phase))
         return mean
 

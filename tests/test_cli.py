@@ -104,6 +104,13 @@ class TestSweep:
         peak = max(rows, key=lambda r: float(r[1]))
         assert float(peak[0]) == 0.0
 
+    def test_nan_sigma_fails(self, capsys, tmp_path, texture_pgm):
+        out = tmp_path / "curve.csv"
+        code, _, err = run(capsys, "sweep", "--in", str(texture_pgm), "--sigma", "nan",
+                           "--out", str(out))
+        assert code != 0 and "sigma" in err
+        assert not out.exists()
+
     def test_empty_range_fails(self, capsys, texture_pgm):
         code, _, err = run(capsys, "sweep", "--in", str(texture_pgm), "--z-count", "0")
         assert code != 0 and "--z-count" in err
@@ -146,6 +153,15 @@ class TestAutofocus:
         code, _, err = run(capsys, "autofocus", "--in", str(texture_pgm),
                            "--z-min", "1", "--z-max", "-1")
         assert code != 0 and "--z-min" in err
+
+    def test_defaults_on_the_default_texture_fail_before_probing(self, capsys, tmp_path):
+        scene = tmp_path / "texture.pgm"
+        assert run(capsys, "gen", "texture", "--out", str(scene))[0] == 0
+        trace = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "autofocus", "--in", str(scene), "--trace-out", str(trace))
+        assert code != 0 and out == ""
+        assert "--z-min/--z-max" in err and "exceeds the 256x256 scene" in err
+        assert not trace.exists()
 
 
 class TestStability:

@@ -218,6 +218,9 @@ class TestNoise:
             NoiseSpec(-1.0, 0)
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(1.0, -4)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseSpec(bad, 0)
 
     def test_derived_seeds_are_stable_and_distinct(self):
         spec = NoiseSpec(1.0, 10)

@@ -42,6 +42,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 OpticalConfig(**args)
 
+    def test_rejects_non_finite_fields(self):
+        base = dict(a_mm=100.0, f_mm=10.0, g=1.0, pixel_pitch_mm=0.01, d_max=1.0)
+        for name in base:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    OpticalConfig(**{**base, name: bad})
+
     def test_lens_state_must_be_finite(self):
         with pytest.raises(ValueError):
             LensState(float("nan"))

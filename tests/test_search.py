@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import focuslab.metric
 from focuslab import (
     Image,
     LensState,
@@ -37,6 +38,9 @@ class TestSearchParams:
             SearchParams(z_min=-1.0, z_max=1.0, refine_iterations=-1)
         with pytest.raises(ValueError, match="trials_per_eval"):
             SearchParams(z_min=-1.0, z_max=1.0, trials_per_eval=0)
+        for z_min, z_max in ((-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                SearchParams(z_min=z_min, z_max=z_max)
 
 
 class TestAutofocus:
@@ -126,6 +130,16 @@ class TestAutofocus:
         for seed in (1, 2, 3):
             result = autofocus(scene, CFG, window, NoiseSpec(2.0, seed), params)
             assert abs(result.z_star) <= 2.0 * tol
+
+    def test_interval_too_wide_for_the_scene_fails_before_probing(self, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(focuslab.metric, "make_pillbox_psf", no_probe)
+        scene = make_texture(64, 64, 27)
+        params = SearchParams(z_min=-1.0, z_max=3.0)  # R = 35.6 px: a 73x73 kernel
+        with pytest.raises(ValueError, match="z_min/z_max .* exceeds the 64x64 scene"):
+            autofocus(scene, CFG, WindowSpec(32, 32, 15), NoiseSpec(0.0), params)
 
     def test_trace_csv_layout(self):
         scene = make_texture(64, 64, 26)
