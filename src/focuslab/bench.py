@@ -18,7 +18,7 @@ import numpy as np
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec
 from .metric import Camera, MetricKind, resolution, sweep
-from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig
+from .optics import LensState, OpticalConfig
 
 __all__ = [
     "StabilityRow",
@@ -89,7 +89,6 @@ def stability_study(
     sizes: Sequence[int],
     noise: NoiseSpec,
     repeats: int,
-    supersample: int = DEFAULT_SUPERSAMPLE,
 ) -> StabilityReport:
     """Repeat noisy captures and measure metric scatter per window size.
 
@@ -105,7 +104,7 @@ def stability_study(
         raise ValueError("sizes must be nonempty")
     cx, cy = center
     windows = [WindowSpec(cx, cy, int(n)) for n in sizes]
-    camera = Camera(scene, cfg, windows, supersample)
+    camera = Camera(scene, cfg, windows)
     frames = camera.frames(lens, [noise.derived(r) for r in range(repeats)])
 
     rows = []
@@ -162,6 +161,8 @@ def compare_metrics(
     """
     if repeats_for_timing < 10:
         raise ValueError(f"repeats_for_timing must be >= 10, got {repeats_for_timing}")
+    if not sizes:
+        raise ValueError("sizes must be nonempty")
     timing_windows = [WindowSpec(window.center_x, window.center_y, int(n)) for n in sizes]
     for w in timing_windows:
         scene.region(w)

@@ -24,7 +24,19 @@ _DEF_D_MAX = 100.0
 
 
 class CliError(ValueError):
-    """Flag-level validation failure; the message names the offending flag."""
+    """Flag-level validation failure; the message names the flags involved."""
+
+
+_WINDOW = "window (--cx/--cy/--n)"
+_LENS = "lens (--z)"
+
+
+def _checked(flags: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError re-raised as a CliError naming ``flags``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"bad {flags} flags: {exc}") from None
 
 
 def _optics_flags(parser: argparse.ArgumentParser) -> None:
@@ -65,39 +77,32 @@ def _noise_flags(parser: argparse.ArgumentParser, default_sigma: float) -> None:
 
 
 def _optical_config(args: argparse.Namespace) -> optics.OpticalConfig:
-    if args.f_mm <= 0:
-        raise CliError("--f-mm must be positive")
-    if args.a_mm <= args.f_mm:
-        raise CliError("--a-mm must exceed --f-mm")
-    if args.g <= 0:
-        raise CliError("--g must be positive")
-    if args.pixel_pitch_mm <= 0:
-        raise CliError("--pixel-pitch-mm must be positive")
-    if args.d_max <= 0:
-        raise CliError("--d-max must be positive")
-    return optics.OpticalConfig(args.a_mm, args.f_mm, args.g, args.pixel_pitch_mm, args.d_max)
+    return _checked("optics (--a-mm/--f-mm/--g/--pixel-pitch-mm/--d-max)", optics.OpticalConfig,
+                    args.a_mm, args.f_mm, args.g, args.pixel_pitch_mm, args.d_max)
 
 
 def _noise_spec(args: argparse.Namespace) -> image.NoiseSpec:
-    if args.sigma < 0:
-        raise CliError("--sigma must be >= 0")
-    if args.seed < 0:
-        raise CliError("--seed must be >= 0")
-    return image.NoiseSpec(args.sigma, args.seed)
+    return _checked("noise (--sigma/--seed)", image.NoiseSpec, args.sigma, args.seed)
 
 
-def _window_spec(args: argparse.Namespace, img: image.Image, n: int | None = None) -> image.WindowSpec:
-    n = args.n if n is None else n
-    if n < 2:
-        raise CliError("--n must be >= 2")
+def _center(args: argparse.Namespace, img: image.Image) -> tuple[int, int]:
+    """The --cx/--cy window center, defaulting to the image center."""
     cx = img.width // 2 if args.cx is None else args.cx
     cy = img.height // 2 if args.cy is None else args.cy
-    window = image.WindowSpec(cx, cy, n)
-    try:
-        img.region(window)
-    except ValueError as exc:
-        raise CliError(f"window does not fit the image (--cx/--cy/--n): {exc}") from None
+    return cx, cy
+
+
+def _window_spec(args: argparse.Namespace, img: image.Image) -> image.WindowSpec:
+    window = _checked(_WINDOW, image.WindowSpec, *_center(args, img), args.n)
+    _checked(_WINDOW, img.region, window)
     return window
+
+
+def _sizes(args: argparse.Namespace) -> list[int]:
+    try:
+        return [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
 
 
 def _z_values(args: argparse.Namespace) -> list[float]:
@@ -121,22 +126,17 @@ def _write_or_stdout(writer, out_path: str | None) -> None:
 
 
 def cmd_gen_step(args: argparse.Namespace) -> int:
-    if not 0 <= args.edge_x <= args.width:
-        raise CliError(f"--edge-x must lie in [0, {args.width}], got {args.edge_x}")
-    if not 0 <= args.low <= 255:
-        raise CliError("--low must lie in [0, 255]")
-    if not 0 <= args.high <= 255:
-        raise CliError("--high must lie in [0, 255]")
-    img = image.make_step_edge(args.width, args.height, args.edge_x, args.low, args.high)
+    edge_x = args.width // 2 if args.edge_x is None else args.edge_x
+    img = _checked("step (--width/--height/--edge-x/--low/--high)", image.make_step_edge,
+                   args.width, args.height, edge_x, args.low, args.high)
     image.save_pgm(img, args.out)
     print(f"wrote {args.width}x{args.height} step edge to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_gen_texture(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise CliError("--seed must be >= 0")
-    img = image.make_texture(args.width, args.height, args.seed)
+    img = _checked("texture (--width/--height/--seed)", image.make_texture,
+                   args.width, args.height, args.seed)
     image.save_pgm(img, args.out)
     print(f"wrote {args.width}x{args.height} texture to {args.out}", file=sys.stderr)
     return 0
@@ -144,8 +144,9 @@ def cmd_gen_texture(args: argparse.Namespace) -> int:
 
 def cmd_blur(args: argparse.Namespace) -> int:
     cfg = _optical_config(args)
+    lens = _checked(_LENS, optics.LensState, args.z)
     scene = image.load_pgm(args.in_path)
-    out = optics.capture(scene, cfg, optics.LensState(args.z), image.NoiseSpec(0.0))
+    out = _checked(_LENS, optics.capture, scene, cfg, lens, image.NoiseSpec(0.0))
     image.save_pgm(out, args.out)
     print(f"blurred {args.in_path} at z={args.z}mm -> {args.out}", file=sys.stderr)
     return 0
@@ -162,12 +163,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _optical_config(args)
     noise = _noise_spec(args)
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
-    curve = metric.sweep(scene, cfg, window, _METRIC_KINDS[args.metric],
-                         _z_values(args), noise, args.trials)
+    curve = _checked("sweep (--z-min/--z-max/--trials)", metric.sweep, scene, cfg, window,
+                     _METRIC_KINDS[args.metric], _z_values(args), noise, args.trials)
     _write_or_stdout(curve.write_csv, args.out)
     return 0
 
@@ -177,24 +176,14 @@ def cmd_autofocus(args: argparse.Namespace) -> int:
     noise = _noise_spec(args)
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
-    try:
-        params = search.SearchParams(
-            z_min=args.z_min,
-            z_max=args.z_max,
-            coarse_steps=args.coarse_steps,
-            refine_iterations=args.refine_iterations,
-            trials_per_eval=args.trials_per_eval,
-            metric=_METRIC_KINDS[args.metric],
-        )
-    except ValueError as exc:
-        raise CliError(
-            f"bad search flags (--z-min/--z-max/--coarse-steps/"
-            f"--refine-iterations/--trials-per-eval): {exc}"
-        ) from None
-    try:
-        result = search.autofocus(scene, cfg, window, noise, params)
-    except ValueError as exc:
-        raise CliError(f"search interval does not fit the scene (--z-min/--z-max): {exc}") from None
+    params = _checked(
+        "search (--z-min/--z-max/--coarse-steps/--refine-iterations/--trials-per-eval)",
+        search.SearchParams, z_min=args.z_min, z_max=args.z_max,
+        coarse_steps=args.coarse_steps, refine_iterations=args.refine_iterations,
+        trials_per_eval=args.trials_per_eval, metric=_METRIC_KINDS[args.metric],
+    )
+    result = _checked("search interval (--z-min/--z-max)", search.autofocus,
+                      scene, cfg, window, noise, params)
     if args.trace_out is not None:
         result.write_trace_csv(args.trace_out)
     if result.at_boundary:
@@ -210,43 +199,23 @@ def cmd_autofocus(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     cfg = _optical_config(args)
     noise = _noise_spec(args)
-    if args.repeats < 3:
-        raise CliError("--repeats must be >= 3")
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
-    if not sizes or any(n < 2 for n in sizes):
-        raise CliError("--sizes entries must all be >= 2")
+    lens = _checked(_LENS, optics.LensState, args.z)
+    sizes = _sizes(args)
     scene = image.load_pgm(args.in_path)
-    cx = scene.width // 2 if args.cx is None else args.cx
-    cy = scene.height // 2 if args.cy is None else args.cy
-    try:
-        report = bench.stability_study(scene, cfg, optics.LensState(args.z),
-                                       (cx, cy), sizes, noise, args.repeats)
-    except ValueError as exc:
-        raise CliError(f"stability study rejected its inputs (--sizes/--cx/--cy): {exc}") from None
+    report = _checked("stability (--z/--sizes/--repeats/--cx/--cy)", bench.stability_study,
+                      scene, cfg, lens, _center(args, scene), sizes, noise, args.repeats)
     _write_or_stdout(report.write_csv, args.out)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _optical_config(args)
-    if args.timing_repeats < 10:
-        raise CliError("--timing-repeats must be >= 10")
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
-    if not sizes or any(n < 2 for n in sizes):
-        raise CliError("--sizes entries must all be >= 2")
+    sizes = _sizes(args)
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
-    try:
-        report = bench.compare_metrics(scene, cfg, window, _z_values(args),
-                                       args.timing_repeats, sizes)
-    except ValueError as exc:
-        raise CliError(f"comparison rejected its inputs (--sizes/--cx/--cy): {exc}") from None
+    report = _checked("comparison (--z-min/--z-max/--timing-repeats/--sizes/--cx/--cy)",
+                      bench.compare_metrics, scene, cfg, window, _z_values(args),
+                      args.timing_repeats, sizes)
     _write_or_stdout(report.write_csv, args.out)
     return 0
 
@@ -264,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_step = gen_sub.add_parser("step", help="vertical step-edge scene")
     gen_step.add_argument("--width", type=int, default=64)
     gen_step.add_argument("--height", type=int, default=64)
-    gen_step.add_argument("--edge-x", type=int, default=32,
+    gen_step.add_argument("--edge-x", type=int, default=None,
                           help="first column holding the high value (default: width/2)")
     gen_step.add_argument("--low", type=int, default=0)
     gen_step.add_argument("--high", type=int, default=255)

@@ -36,7 +36,8 @@ class Image:
     """Rectangular 8-bit grayscale raster, or a crop of one.
 
     ``pixels`` is a read-only (height, width) uint8 array, row-major with the
-    top row first; x grows rightward, y grows downward.
+    top row first; x grows rightward, y grows downward. Other real dtypes are
+    accepted only when every sample is an integer in [0, 255].
 
     A crop holds one box of a larger frame: ``origin`` is the frame position
     (x, y) of its top-left pixel and ``frame_size`` the frame's (width,
@@ -57,10 +58,10 @@ class Image:
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"image must be a non-empty 2-D raster, got shape {px.shape}")
         if px.dtype != np.uint8:
-            if not np.issubdtype(px.dtype, np.number):
-                raise ValueError(f"samples must be numeric, got dtype {px.dtype}")
-            if np.any(px < 0) or np.any(px > 255):
-                raise ValueError("samples must lie in [0, 255]")
+            if px.dtype.kind not in "iuf":
+                raise ValueError(f"samples must be real numbers, got dtype {px.dtype}")
+            if not np.all((px >= 0) & (px <= 255) & (px == np.floor(px))):
+                raise ValueError("samples must be integers in [0, 255]")
             px = px.astype(np.uint8)
         else:
             px = px.copy()
@@ -282,6 +283,8 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     """Deterministic high-contrast test scene; same arguments, same image."""
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, (height, width))
     signs = np.where(rng.random((height, width)) < 0.5, -1.0, 1.0)
@@ -324,13 +327,14 @@ def add_noise(image: Image, noise: NoiseSpec) -> Image:
     determined by (image, sigma, seed). The frame's draws come in row-major
     order, and only those through the image's last row are made: numpy's
     normal stream is prefix-stable, so a crop receives exactly the draws its
-    pixels receive in the whole frame.
+    pixels receive in the whole frame. Scaling standard normal draws by sigma
+    gives the bytes of ``rng.normal(0, sigma)``, which numpy computes that way.
     """
     if noise.sigma == 0:
         return image
     (x0, y0), frame_width = image.origin, image.frame_size[0]
     rows = y0 + image.height
     rng = np.random.default_rng(noise.seed)
-    draws = rng.normal(0.0, noise.sigma, (rows * frame_width,)).reshape(rows, frame_width)
+    draws = (rng.standard_normal(rows * frame_width) * noise.sigma).reshape(rows, frame_width)
     noisy = image.pixels + draws[y0:, x0 : x0 + image.width]
     return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), image.origin, image.frame_size)

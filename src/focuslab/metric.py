@@ -18,15 +18,7 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise
-from .optics import (
-    DEFAULT_SUPERSAMPLE,
-    LensState,
-    OpticalConfig,
-    PsfKernel,
-    blur_radius,
-    convolve,
-    make_pillbox_psf,
-)
+from .optics import LensState, OpticalConfig, PsfKernel, blur_radius, convolve, make_pillbox_psf
 
 __all__ = ["MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep"]
 
@@ -67,13 +59,7 @@ class Camera:
     share a radius, such as the +-z halves of a sweep, build one kernel.
     """
 
-    def __init__(
-        self,
-        scene: Image,
-        cfg: OpticalConfig,
-        windows: Sequence[WindowSpec],
-        supersample: int = DEFAULT_SUPERSAMPLE,
-    ):
+    def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
         boxes = []
         for window in windows:
             scene.region(window)  # reject window overflow before any heavy work
@@ -82,7 +68,6 @@ class Camera:
         x0s, y0s, x1s, y1s = zip(*boxes)
         self.zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self.cfg = cfg
-        self.supersample = supersample
         self._psfs: dict[float, PsfKernel] = {}
 
     def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
@@ -90,7 +75,7 @@ class Camera:
         radius = blur_radius(self.cfg, lens).px
         psf = self._psfs.get(radius)
         if psf is None:
-            psf = self._psfs[radius] = make_pillbox_psf(radius, self.supersample)
+            psf = self._psfs[radius] = make_pillbox_psf(radius)
         blurred = convolve(self.zone, psf)
         return [add_noise(blurred, noise) for noise in noises]
 
@@ -163,7 +148,6 @@ def sweep(
     z_values: Sequence[float],
     noise: NoiseSpec,
     trials: int,
-    supersample: int = DEFAULT_SUPERSAMPLE,
 ) -> FocusCurve:
     """Drive the virtual camera across lens displacements and record the metric.
 
@@ -179,7 +163,7 @@ def sweep(
         raise ValueError("z_values must be strictly increasing")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    camera = Camera(scene, cfg, [window], supersample)
+    camera = Camera(scene, cfg, [window])
 
     entries = []
     for zi, z in enumerate(zs):

@@ -266,12 +266,7 @@ class EdgeResponse:
         return int(at[best]), float(rises[best])
 
 
-def edge_response(
-    cfg: OpticalConfig,
-    lens: LensState,
-    half_span_px: int,
-    supersample: int = DEFAULT_SUPERSAMPLE,
-) -> EdgeResponse:
+def edge_response(cfg: OpticalConfig, lens: LensState, half_span_px: int) -> EdgeResponse:
     """Simulated luminance profile across a unit step for this lens state.
 
     Cumulative sum of the pillbox line-spread applied to a unit step,
@@ -284,7 +279,7 @@ def edge_response(
             f"half span {half_span_px}px too small: need >= 3x blur radius "
             f"({radius.px:.2f}px) and >= 1"
         )
-    psf = make_pillbox_psf(radius.px, supersample)
+    psf = make_pillbox_psf(radius.px)
     profile = line_spread(psf)
     half = psf.size // 2
 
@@ -308,18 +303,12 @@ def theoretical_resolution(cfg: OpticalConfig, lens: LensState) -> float:
     return min(cfg.d_max, unclamped)
 
 
-def capture(
-    scene: Image,
-    cfg: OpticalConfig,
-    lens: LensState,
-    noise: NoiseSpec,
-    supersample: int = DEFAULT_SUPERSAMPLE,
-) -> Image:
+def capture(scene: Image, cfg: OpticalConfig, lens: LensState, noise: NoiseSpec) -> Image:
     """Virtual camera: defocus blur for the lens state, then sensor noise.
 
     Deterministic given all arguments; z = 0 with sigma = 0 returns the scene
     unchanged. A crop of the scene captures the crop's box of the whole
     frame's capture.
     """
-    psf = make_pillbox_psf(blur_radius(cfg, lens).px, supersample)
+    psf = make_pillbox_psf(blur_radius(cfg, lens).px)
     return add_noise(convolve(scene, psf), noise)

@@ -16,7 +16,7 @@ import numpy as np
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec
 from .metric import Camera, MetricKind
-from .optics import DEFAULT_SUPERSAMPLE, LensState, OpticalConfig, blur_radius, pillbox_size
+from .optics import LensState, OpticalConfig, blur_radius, pillbox_size
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
 __all__ = ["SearchParams", "TracePoint", "AutofocusResult", "autofocus"]
@@ -89,7 +89,6 @@ def autofocus(
     window: WindowSpec,
     noise: NoiseSpec,
     params: SearchParams,
-    supersample: int = DEFAULT_SUPERSAMPLE,
 ) -> AutofocusResult:
     """Find the lens displacement that maximizes the focus metric.
 
@@ -103,7 +102,7 @@ def autofocus(
     Raises ValueError before the first probe if the blur at the far end of
     [z_min, z_max] needs a kernel larger than the scene.
     """
-    camera = Camera(scene, cfg, [window], supersample)
+    camera = Camera(scene, cfg, [window])
     reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
     size = pillbox_size(reach)
     if size > scene.width or size > scene.height:

@@ -25,6 +25,15 @@ def naive_resolution(window_samples, squared: bool) -> int:
     return total
 
 
+def naive_add_noise(pixels: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """Whole-frame sensor noise: add, round and clamp ``normal(0, sigma)`` draws.
+
+    One draw per pixel in row-major order from ``default_rng(seed)``.
+    """
+    draws = np.random.default_rng(seed).normal(0.0, sigma, pixels.shape)
+    return np.clip(np.rint(pixels + draws), 0, 255).astype(np.uint8)
+
+
 def naive_convolve(pixels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Direct spatial convolution with clamp-to-edge borders, float math.
 

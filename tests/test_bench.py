@@ -129,6 +129,10 @@ class TestCompareMetrics:
         for kind in MetricKind:
             assert by_cell[(kind, 201)] > by_cell[(kind, 5)]
 
+    def test_empty_sizes_rejected(self, texture_256):
+        with pytest.raises(ValueError, match="sizes must be nonempty"):
+            compare_metrics(texture_256, CFG, WindowSpec(128, 128, 31), [0.0], 10, sizes=())
+
     def test_too_few_timing_repeats_rejected(self, texture_256):
         with pytest.raises(ValueError, match="repeats_for_timing"):
             compare_metrics(texture_256, CFG, WindowSpec(128, 128, 31), [0.0], 9)

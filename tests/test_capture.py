@@ -121,9 +121,9 @@ def test_crop_validation():
 def test_sweep_builds_each_kernel_once(monkeypatch, texture_256):
     built = []
 
-    def counting(radius_px, supersample):
+    def counting(radius_px):
         built.append(radius_px)
-        return make_pillbox_psf(radius_px, supersample)
+        return make_pillbox_psf(radius_px)
 
     monkeypatch.setattr(focuslab.metric, "make_pillbox_psf", counting)
     zs = [k * 0.1 for k in range(-3, 4)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,14 @@ class TestGen:
         assert run(capsys, "gen", "texture", "--seed", "7", "--out", str(a))[0] == 0
         assert run(capsys, "gen", "texture", "--seed", "7", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_default_edge_sits_at_half_the_width(self, capsys, tmp_path):
+        out = tmp_path / "step.pgm"
+        code, _, _ = run(capsys, "gen", "step", "--width", "16", "--out", str(out))
+        assert code == 0
+        px = load_pgm(out).pixels
+        assert px.shape == (64, 16)
+        assert np.all(px[:, :8] == 0) and np.all(px[:, 8:] == 255)
 
     def test_bad_edge_names_the_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "step", "--width", "64", "--height", "64",
@@ -207,3 +217,46 @@ class TestMissingInput:
     def test_missing_scene_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run(capsys, "measure", "--in", str(tmp_path / "none.pgm"))
         assert code != 0 and "error" in err
+
+
+# Flags that, with the test scene, make each command succeed on its own.
+_VALID = {
+    "sweep": ["--z-min", "-0.2", "--z-max", "0.2", "--z-count", "3"],
+    "compare": ["--z-min", "-0.2", "--z-max", "0.2", "--z-count", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--f-mm", "-1"],
+    ["sweep", "--a-mm", "10"],
+    ["sweep", "--g", "nan"],
+    ["sweep", "--d-max", "inf"],
+    ["sweep", "--sigma", "-1"],
+    ["sweep", "--seed", "-3"],
+    ["sweep", "--trials", "0"],
+    ["stability", "--repeats", "2"],
+    ["stability", "--sizes", ","],
+    ["compare", "--timing-repeats", "3"],
+    ["compare", "--sizes", ","],
+    ["compare", "--sizes", "1,5"],
+    ["measure", "--n", "1"],
+    ["gen", "texture", "--seed", "-1"],
+    ["gen", "step", "--low", "300"],
+    ["gen", "step", "--width", "0"],
+])
+def test_rejected_flag_value_exits_1_naming_the_flag(capsys, tmp_path, texture_pgm, argv):
+    *base, flag, _ = argv
+    if base[0] != "gen":
+        base += ["--in", str(texture_pgm), *_VALID.get(base[0], [])]
+
+    def out_flag(path):
+        return [] if base[0] == "measure" else ["--out", str(path)]
+
+    # The command succeeds without the bad value, so the value alone fails it.
+    out = tmp_path / "out"
+    assert run(capsys, *base, *out_flag(tmp_path / "ok"))[0] == 0
+    code, stdout, err = run(capsys, *base, *argv[-2:], *out_flag(out))
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert re.search(rf"(?<![\w-]){flag}(?![\w-])", err), err
+    assert not out.exists()

@@ -15,6 +15,8 @@ from focuslab import (
     save_pgm,
 )
 
+from _oracles import naive_add_noise
+
 
 class TestImage:
     def test_rejects_out_of_range_samples(self):
@@ -22,6 +24,10 @@ class TestImage:
             Image(np.array([[0, 256]]))
         with pytest.raises(ValueError, match=r"\[0, 255\]"):
             Image(np.array([[-1, 0]]))
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            Image(np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            Image(np.array([[1.7, 2.0]]))
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -187,6 +193,10 @@ class TestTexture:
         assert make_texture(1, 1, 0).width == 1
         assert make_texture(1, 5, 0).height == 5
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            make_texture(8, 8, -1)
+
 
 class TestNoise:
     def test_sigma_zero_is_identity(self):
@@ -212,6 +222,15 @@ class TestNoise:
         for img in (dark, bright):
             out = add_noise(img, NoiseSpec(50.0, 3))
             assert out.pixels.min() >= 0 and out.pixels.max() <= 255
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 1000.0])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_matches_the_whole_frame_normal_oracle(self, sigma, seed):
+        img = make_texture(40, 24, 3)
+        expected = naive_add_noise(img.pixels, sigma, seed)
+        assert np.array_equal(add_noise(img, NoiseSpec(sigma, seed)).pixels, expected)
+        crop = add_noise(img.crop(5, 3, 17, 11), NoiseSpec(sigma, seed))
+        assert np.array_equal(crop.pixels, expected[3:11, 5:17])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
