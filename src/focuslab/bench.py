@@ -103,7 +103,7 @@ def stability_study(
     if not sizes:
         raise ValueError("sizes must be nonempty")
     cx, cy = center
-    windows = [WindowSpec(cx, cy, int(n)) for n in sizes]
+    windows = [WindowSpec(cx, cy, n) for n in sizes]
     camera = Camera(scene, cfg, windows)
     frames = camera.frames(lens, [noise.derived(r) for r in range(repeats)])
 
@@ -163,7 +163,7 @@ def compare_metrics(
         raise ValueError(f"repeats_for_timing must be >= 10, got {repeats_for_timing}")
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    timing_windows = [WindowSpec(window.center_x, window.center_y, int(n)) for n in sizes]
+    timing_windows = [WindowSpec(window.center_x, window.center_y, n) for n in sizes]
     for w in timing_windows:
         scene.region(w)
 

@@ -8,6 +8,7 @@ so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,6 +145,12 @@ class WindowSpec:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("center_x", "center_y", "n"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"window {name} must be an integer, got {value!r}") from None
         if self.n < 2:
             raise ValueError(f"window dimension must be >= 2, got {self.n}")
 

@@ -14,11 +14,17 @@ whole-frame capture cropped to it:
   plus a kernel-radius halo from the scene with clipped indices, which is
   edge replication without padding the frame, and keeps only the box. A
   whole image is the crop whose box is the frame.
+- One FFT. The box plus halo is blurred by one circular FFT at the patch's
+  shape rounded up to a 5-smooth length per axis; wrap-around reaches only
+  the halo's outputs, which are dropped.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
   so the byte does not depend on the FFT size: a crop rounds exactly like
   the whole frame, exact .5 ties included.
+- PSF build. ``make_pillbox_psf`` subsamples only the rim pixels the circle
+  crosses; pixels wholly inside or outside get their counts from their
+  nearest and farthest subsamples, the same counts a full subsample loop gives.
 - Noise prefix. ``add_noise`` draws the frame's row-major noise stream only
   through the crop's last row and keeps the crop's part; numpy's normal
   stream is prefix-stable, so those are the whole frame's draws.
@@ -34,7 +40,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .image import Image, NoiseSpec, add_noise
 
@@ -183,15 +188,31 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     offsets = (np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5
     r_sq = radius_px * radius_px
 
-    # One pass per subsample offset pair keeps memory at O(size^2).
-    counts = np.zeros((size, size), dtype=np.int64)
-    for dy in offsets:
-        y_sq = (centers + dy) ** 2
-        for dx in offsets:
-            x_sq = (centers + dx) ** 2
-            counts += y_sq[:, None] + x_sq[None, :] < r_sq
+    # sq[i, k]: squared offset of subsample k along an axis in pixel row or
+    # column i. Float addition rounds monotonically, so a pixel whose farthest
+    # subsample sum is inside the disc has every subsample inside, and one
+    # whose nearest is outside has none; only the rim needs counting.
+    sq = (centers[:, None] + offsets) ** 2
+    near, far = sq.min(axis=1), sq.max(axis=1)
+    far_sq = far[:, None] + far[None, :]
+    counts = np.where(far_sq < r_sq, supersample * supersample, 0)
+    rim_y, rim_x = np.nonzero((far_sq >= r_sq) & (near[:, None] + near[None, :] < r_sq))
+    inside = sq[rim_y][:, :, None] + sq[rim_x][:, None, :] < r_sq
+    counts[rim_y, rim_x] = inside.sum(axis=(1, 2))
     weights = counts / float(counts.sum())
     return PsfKernel(size=size, weights=weights, radius_px=radius_px)
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a length the FFT transforms quickly."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def convolve(scene: Image, psf: PsfKernel) -> Image:
@@ -215,7 +236,12 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     rows = np.clip(np.arange(y0 - half, y0 + scene.height + half), 0, height - 1)
     cols = np.clip(np.arange(x0 - half, x0 + scene.width + half), 0, width - 1)
     padded = scene.surround[np.ix_(rows, cols)].astype(np.float64)
-    blurred = fftconvolve(padded, psf.weights, mode="valid")
+    # Circular convolution at a length >= the patch's: wrap-around reaches
+    # only the first size - 1 outputs per axis, the halo's, which are dropped.
+    shape = tuple(_fast_len(d) for d in padded.shape)
+    spectrum = np.fft.rfft2(padded, s=shape) * np.fft.rfft2(psf.weights, s=shape)
+    k = psf.size - 1
+    blurred = np.fft.irfft2(spectrum, s=shape)[k : k + scene.height, k : k + scene.width]
     pixels = np.clip(np.floor(blurred + _ROUND_HALF_DOWN), 0, 255).astype(np.uint8)
     return Image(pixels, scene.origin, scene.frame_size)
 

@@ -82,6 +82,12 @@ class TestStabilityStudy:
                 texture_256, CFG, LensState(0.0), (2, 2), [5, 9], NoiseSpec(2.0), repeats=3
             )
 
+    def test_fractional_size_rejected(self, texture_256):
+        with pytest.raises(ValueError, match="must be an integer"):
+            stability_study(
+                texture_256, CFG, LensState(0.0), (128, 128), [5.7, 9], NoiseSpec(2.0), repeats=3
+            )
+
     def test_too_few_repeats_rejected(self, texture_256):
         with pytest.raises(ValueError, match="repeats"):
             stability_study(

@@ -28,6 +28,9 @@ from focuslab import (
     make_texture,
     sweep,
 )
+from focuslab.optics import DEFAULT_SUPERSAMPLE
+
+from _oracles import exact_blur, naive_pillbox_counts
 
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
 PX_PER_MM = blur_radius(CFG, LensState(1.0)).px
@@ -102,6 +105,21 @@ def test_exact_half_ties_round_down_at_every_frame_size():
     cropped = convolve(Image(large).crop(14, 10, 28, 24), psf).pixels
     for got in (whole_small, whole_large, cropped):
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("radius", (0.6, 1.0, 7.3, 49.5, 120.25, 237.0, 250.0))
+def test_blur_equals_exact_integer_rounding(texture_512, radius):
+    # The blurred byte is sum(counts * samples) / counts.sum() rounded half
+    # down; here that sum is exact, so any FFT round-off that flips a byte shows.
+    psf = make_pillbox_psf(radius)
+    counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+    box = (240, 240, 271, 271)
+    got = convolve(texture_512.crop(*box), psf).pixels
+    assert np.array_equal(got, exact_blur(texture_512.pixels, counts, box))
+    small = make_texture(120, 104, 7)
+    if psf.size <= small.height:
+        whole = convolve(small, psf).pixels
+        assert np.array_equal(whole, exact_blur(small.pixels, counts, (0, 0, 120, 104)))
 
 
 def test_crop_validation():

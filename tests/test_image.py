@@ -57,6 +57,13 @@ class TestWindowSpec:
         with pytest.raises(ValueError, match=">= 2"):
             WindowSpec(0, 0, 1)
 
+    def test_rejects_non_integer_fields(self):
+        for args in [(32.5, 32, 5), (32, 32, 5.5), (32, 32.0, 5)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                WindowSpec(*args)
+        window = WindowSpec(np.int64(10), np.int32(7), np.uint8(5))
+        assert window == WindowSpec(10, 7, 5) and type(window.n) is int
+
     def test_odd_window_is_centered(self):
         assert WindowSpec(10, 7, 5).origin() == (8, 5)
 

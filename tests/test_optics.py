@@ -23,7 +23,7 @@ from focuslab import (
     theoretical_resolution,
 )
 
-from _oracles import naive_convolve
+from _oracles import naive_convolve, naive_pillbox_counts
 
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
 
@@ -103,6 +103,16 @@ class TestPillboxPsf:
         for radius in (0.6, 1.5, 3.0, 7.7):
             w = make_pillbox_psf(radius).weights
             assert np.array_equal(w, np.rot90(w))
+
+    @pytest.mark.parametrize("supersample", (1, 2, 3, 8))
+    def test_weights_match_the_per_subsample_loop(self, supersample):
+        rng = np.random.default_rng(supersample)
+        radii = [0.5, 1.0, 1.5, 2.0, 237.0, 250.0]
+        radii += [*rng.uniform(0.5, 8.0, 12), *rng.uniform(0.5, 252.0, 12)]
+        for radius in radii:
+            counts = naive_pillbox_counts(radius, supersample)
+            weights = make_pillbox_psf(radius, supersample).weights
+            assert np.array_equal(weights, counts / counts.sum()), radius
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
