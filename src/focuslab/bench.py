@@ -4,7 +4,7 @@ The stability study repeats noisy captures and reports how far individual
 metric readings scatter around their mean for each window size: larger
 windows average the noise away, so the per-measurement deviation shrinks as
 the window grows. The benchmark times both metric kinds and records where
-each one peaks over a shared noiseless sweep.
+each one peaks in its own noiseless sweep over the same displacements.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec
+from .image import Image, NoiseSpec, WindowSpec, require_int
 from .metric import Camera, MetricKind, resolution, sweep
 from .optics import LensState, OpticalConfig
 
@@ -98,8 +98,7 @@ def stability_study(
     of them). The squared-difference metric is used throughout. With
     sigma = 0 the captures are identical and every deviation is exactly zero.
     """
-    if repeats < 3:
-        raise ValueError(f"repeats must be >= 3, got {repeats}")
+    repeats = require_int(repeats, "repeats", 3)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     cx, cy = center
@@ -125,7 +124,7 @@ class MetricTimingRow:
 
 @dataclass(frozen=True)
 class MetricBenchReport:
-    """Timing rows plus each kind's peak displacement over a shared sweep."""
+    """Timing rows plus each kind's peak displacement in its own sweep."""
 
     timings: tuple[MetricTimingRow, ...]
     argmax_z_mm: dict[MetricKind, float]
@@ -156,11 +155,10 @@ def compare_metrics(
 
     Timing runs sequentially (one kind and window size at a time) to avoid
     contention skew; wall times are reported, never asserted, since they are
-    host-dependent. The argmax entries come from a shared noiseless sweep
-    through ``window``.
+    host-dependent. Each kind's argmax comes from its own noiseless sweep
+    through ``window`` over ``z_values``.
     """
-    if repeats_for_timing < 10:
-        raise ValueError(f"repeats_for_timing must be >= 10, got {repeats_for_timing}")
+    repeats_for_timing = require_int(repeats_for_timing, "repeats_for_timing", 10)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     timing_windows = [WindowSpec(window.center_x, window.center_y, n) for n in sizes]

@@ -32,6 +32,17 @@ class PgmFormatError(ValueError):
     """A PGM file violates the binary-P5, maxval-255 contract."""
 
 
+def require_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int no less than ``minimum``; a ValueError naming ``what`` if not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Image:
     """Rectangular 8-bit grayscale raster, or a crop of one.
@@ -124,9 +135,10 @@ class Image:
         return self.pixels[y0 : y0 + window.n, x0 : x0 + window.n]
 
     def __eq__(self, other: object) -> bool:
+        """Same pixels at the same place in a frame of the same size."""
         if not isinstance(other, Image):
             return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
+        return (self.origin, self.frame_size) == (other.origin, other.frame_size) and bool(
             np.array_equal(self.pixels, other.pixels)
         )
 
@@ -145,14 +157,9 @@ class WindowSpec:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("center_x", "center_y", "n"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"window {name} must be an integer, got {value!r}") from None
-        if self.n < 2:
-            raise ValueError(f"window dimension must be >= 2, got {self.n}")
+        object.__setattr__(self, "center_x", require_int(self.center_x, "window center_x"))
+        object.__setattr__(self, "center_y", require_int(self.center_y, "window center_y"))
+        object.__setattr__(self, "n", require_int(self.n, "window n", 2))
 
     def origin(self) -> tuple[int, int]:
         """Top-left pixel (x0, y0) of the window."""
@@ -174,8 +181,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError(f"noise seed must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "seed", require_int(self.seed, "noise seed", 0))
 
     def derived(self, *path: int) -> NoiseSpec:
         """Child spec whose seed is a deterministic function of (seed, *path).

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec, add_noise
-from .optics import LensState, OpticalConfig, PsfKernel, blur_radius, convolve, make_pillbox_psf
+from .image import Image, NoiseSpec, WindowSpec, add_noise, require_int
+from .optics import LensState, OpticalConfig, blur_radius, convolve, make_pillbox_psf
 
 __all__ = ["MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep"]
+
+P = TypeVar("P")
 
 
 class MetricKind(Enum):
@@ -55,8 +57,9 @@ class Camera:
     Each capture blurs the zone plus a kernel-radius halo and draws noise
     only through the zone's last row, and yields the same pixels as the
     whole-frame ``optics.capture`` cropped to the zone (see ``optics``).
-    Kernels are cached by radius for the camera's life, so probes that
-    share a radius, such as the +-z halves of a sweep, build one kernel.
+    The blurred zone is cached by radius for the camera's life, so probes
+    that share a radius, such as the +-z halves of a sweep, build one kernel
+    and blur once.
     """
 
     def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
@@ -68,22 +71,28 @@ class Camera:
         x0s, y0s, x1s, y1s = zip(*boxes)
         self.zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self.cfg = cfg
-        self._psfs: dict[float, PsfKernel] = {}
+        self._blurred: dict[float, Image] = {}
 
     def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
         """One noisy capture of the zone per noise spec, all sharing one blur."""
         radius = blur_radius(self.cfg, lens).px
-        psf = self._psfs.get(radius)
-        if psf is None:
-            psf = self._psfs[radius] = make_pillbox_psf(radius)
-        blurred = convolve(self.zone, psf)
+        blurred = self._blurred.get(radius)
+        if blurred is None:
+            blurred = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
         return [add_noise(blurred, noise) for noise in noises]
 
-    def measure(
-        self, lens: LensState, noises: Sequence[NoiseSpec], window: WindowSpec, kind: MetricKind
-    ) -> list[int]:
-        """The metric of ``window`` in each of ``frames(lens, noises)``."""
-        return [resolution(frame, window, kind) for frame in self.frames(lens, noises)]
+    def probe(
+        self, z: float, noise: NoiseSpec, index: int, trials: int, window: WindowSpec,
+        kind: MetricKind,
+    ) -> FocusSample:
+        """Metric mean and population std of ``window`` over ``trials`` captures at z.
+
+        Trial t is noised with the spec ``noise`` derives from (index, t), so
+        the probe's noise depends on its index, not on what else was probed.
+        """
+        frames = self.frames(LensState(z), [noise.derived(index, t) for t in range(trials)])
+        values = [resolution(frame, window, kind) for frame in frames]
+        return FocusSample(z, float(np.mean(values)), float(np.std(values)), trials)
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,11 @@ class FocusSample:
 
 
 CSV_HEADER = "z_mm,d_mean,d_stddev,n_trials"
+
+
+def best_probe(probes: Iterable[P]) -> P:
+    """The first probe with the highest ``d_mean``; ties go to smaller |z|, then smaller z."""
+    return min(probes, key=lambda p: (-p.d_mean, abs(p.z_mm), p.z_mm))
 
 
 @dataclass(frozen=True)
@@ -128,8 +142,7 @@ class FocusCurve:
 
     def argmax_z(self) -> float:
         """Displacement with the highest mean metric; ties go to smaller |z|."""
-        best = max(self.entries, key=lambda s: (s.d_mean, -abs(s.z_mm), -s.z_mm))
-        return best.z_mm
+        return best_probe(self.entries).z_mm
 
     def write_csv(self, dest) -> None:
         """CSV export: header ``z_mm,d_mean,d_stddev,n_trials``, one row per z."""
@@ -151,30 +164,17 @@ def sweep(
 ) -> FocusCurve:
     """Drive the virtual camera across lens displacements and record the metric.
 
-    At each z the scene is captured ``trials`` times (the blur is computed
-    once since only the noise draw varies; each trial gets a seed derived
-    from (z index, trial index)) and the mean and population standard
-    deviation of the metric are recorded.
+    The probe at the i-th z captures the scene ``trials`` times with seeds
+    derived from (i, trial index), blurring once since only the noise draw
+    varies, and records the mean and population standard deviation of the
+    metric (``Camera.probe``).
     """
     zs = [float(z) for z in z_values]
     if not zs:
         raise ValueError("z_values must be nonempty")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z_values must be strictly increasing")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = require_int(trials, "trials", 1)
     camera = Camera(scene, cfg, [window])
-
-    entries = []
-    for zi, z in enumerate(zs):
-        noises = [noise.derived(zi, t) for t in range(trials)]
-        values = camera.measure(LensState(z), noises, window, kind)
-        entries.append(
-            FocusSample(
-                z_mm=z,
-                d_mean=float(np.mean(values)),
-                d_stddev=float(np.std(values)),
-                n_trials=trials,
-            )
-        )
-    return FocusCurve(tuple(entries))
+    samples = (camera.probe(z, noise, i, trials, window, kind) for i, z in enumerate(zs))
+    return FocusCurve(tuple(samples))

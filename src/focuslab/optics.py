@@ -28,9 +28,10 @@ whole-frame capture cropped to it:
 - Noise prefix. ``add_noise`` draws the frame's row-major noise stream only
   through the crop's last row and keeps the crop's part; numpy's normal
   stream is prefix-stable, so those are the whole frame's draws.
-- PSF cache. ``metric.Camera``, made once per study call, caches kernels
-  by radius, so the +-z halves of a sweep build each kernel once; nothing
-  is cached across calls.
+- Blur cache. ``metric.Camera``, made once per study call, caches the
+  blurred zone by radius, so the +-z halves of a sweep build each kernel
+  and blur the zone once; only the noise is drawn per capture. Nothing is
+  cached across calls.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .image import Image, NoiseSpec, add_noise
+from .image import Image, NoiseSpec, add_noise, require_int
 
 __all__ = [
     "OpticalConfig",
@@ -177,8 +178,7 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     """
     if radius_px < 0:
         raise ValueError(f"radius must be >= 0, got {radius_px}")
-    if supersample < 1:
-        raise ValueError(f"supersample must be >= 1, got {supersample}")
+    supersample = require_int(supersample, "supersample", 1)
     size = pillbox_size(radius_px)
     if size == 1:
         return PsfKernel(size=1, weights=np.array([[1.0]]), radius_px=radius_px)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec
-from .metric import Camera, MetricKind
+from .image import Image, NoiseSpec, WindowSpec, require_int
+from .metric import Camera, MetricKind, best_probe
 from .optics import LensState, OpticalConfig, blur_radius, pillbox_size
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
@@ -42,12 +42,9 @@ class SearchParams:
             raise ValueError(f"z_min and z_max must be finite, got [{self.z_min}, {self.z_max}]")
         if not self.z_min < self.z_max:
             raise ValueError(f"need z_min < z_max, got [{self.z_min}, {self.z_max}]")
-        if self.coarse_steps < 5:
-            raise ValueError(f"coarse_steps must be >= 5, got {self.coarse_steps}")
-        if self.refine_iterations < 0:
-            raise ValueError(f"refine_iterations must be >= 0, got {self.refine_iterations}")
-        if self.trials_per_eval < 1:
-            raise ValueError(f"trials_per_eval must be >= 1, got {self.trials_per_eval}")
+        counts = (("coarse_steps", 5), ("refine_iterations", 0), ("trials_per_eval", 1))
+        for name, minimum in counts:
+            object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
 
 
 @dataclass(frozen=True)
@@ -113,13 +110,12 @@ def autofocus(
     trace: list[TracePoint] = []
 
     def probe(z: float, phase: str) -> float:
-        noises = [noise.derived(len(trace), t) for t in range(params.trials_per_eval)]
-        mean = float(np.mean(camera.measure(LensState(z), noises, window, params.metric)))
-        trace.append(TracePoint(z_mm=z, d_mean=mean, phase=phase))
-        return mean
+        sample = camera.probe(z, noise, len(trace), params.trials_per_eval, window, params.metric)
+        trace.append(TracePoint(z_mm=z, d_mean=sample.d_mean, phase=phase))
+        return sample.d_mean
 
     def finish(at_boundary: bool) -> AutofocusResult:
-        best = min(trace, key=lambda p: (-p.d_mean, abs(p.z_mm), p.z_mm))
+        best = best_probe(trace)
         return AutofocusResult(
             z_star=best.z_mm,
             d_star=best.d_mean,
@@ -129,11 +125,9 @@ def autofocus(
         )
 
     coarse_z = np.linspace(params.z_min, params.z_max, params.coarse_steps)
-    coarse_d = [probe(float(z), "coarse") for z in coarse_z]
-    best_idx = min(
-        range(len(coarse_z)),
-        key=lambda i: (-coarse_d[i], abs(coarse_z[i]), coarse_z[i]),
-    )
+    for z in coarse_z:
+        probe(float(z), "coarse")
+    best_idx = trace.index(best_probe(trace))
     if best_idx == 0 or best_idx == len(coarse_z) - 1:
         return finish(at_boundary=True)
 

@@ -138,16 +138,23 @@ def test_crop_validation():
 
 def test_sweep_builds_each_kernel_once(monkeypatch, texture_256):
     built = []
+    blurred = []
 
     def counting(radius_px):
         built.append(radius_px)
         return make_pillbox_psf(radius_px)
 
+    def counting_blur(scene, psf):
+        blurred.append(psf.radius_px)
+        return convolve(scene, psf)
+
     monkeypatch.setattr(focuslab.metric, "make_pillbox_psf", counting)
+    monkeypatch.setattr(focuslab.metric, "convolve", counting_blur)
     zs = [k * 0.1 for k in range(-3, 4)]
     curve = sweep(texture_256, CFG, WindowSpec(128, 128, 31), MetricKind.SQUARED, zs,
                   NoiseSpec(0.0), trials=1)
     assert sorted(built) == sorted(set(built)) and len(built) == 4
+    assert len(blurred) == 4 and sorted(blurred) == sorted(built)
     means = curve.d_means()
     assert np.array_equal(means, means[::-1])
 

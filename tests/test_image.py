@@ -3,16 +3,23 @@ import pytest
 
 from focuslab import (
     Image,
+    LensState,
     MetricKind,
     NoiseSpec,
+    OpticalConfig,
     PgmFormatError,
+    SearchParams,
     WindowSpec,
     add_noise,
+    compare_metrics,
     load_pgm,
+    make_pillbox_psf,
     make_step_edge,
     make_texture,
     resolution,
     save_pgm,
+    stability_study,
+    sweep,
 )
 
 from _oracles import naive_add_noise
@@ -50,6 +57,17 @@ class TestImage:
         b = Image(np.arange(6, dtype=np.uint8).reshape(2, 3))
         c = Image(np.arange(6, dtype=np.uint8).reshape(3, 2))
         assert a == b and a != c
+
+    def test_equality_compares_the_place_in_the_frame(self):
+        scene = make_texture(64, 64, 1)
+        crop = scene.crop(0, 0, 4, 4)
+        whole = Image(scene.pixels[:4, :4])
+        assert crop == scene.crop(0, 0, 4, 4) and crop != whole
+        # The frame width sets the noise stream, so the two noise differently.
+        noise = NoiseSpec(2.0, 3)
+        assert not np.array_equal(add_noise(crop, noise).pixels, add_noise(whole, noise).pixels)
+        flat = Image(np.zeros((8, 8), dtype=np.uint8))
+        assert flat.crop(0, 0, 2, 2) != flat.crop(3, 3, 5, 5)
 
 
 class TestWindowSpec:
@@ -253,3 +271,26 @@ class TestNoise:
         assert spec.derived(3, 1) == spec.derived(3, 1)
         seeds = {spec.derived(i, j).seed for i in range(4) for j in range(4)}
         assert len(seeds) == 16
+
+
+_SCENE = make_texture(64, 64, 1)
+_CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
+_WINDOW = WindowSpec(32, 32, 9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NoiseSpec(1.0, 1.5),
+    lambda: NoiseSpec(1.0, float("nan")),
+    lambda: SearchParams(-1.0, 1.0, coarse_steps=7.5),
+    lambda: SearchParams(-1.0, 1.0, refine_iterations=2.5),
+    lambda: SearchParams(-1.0, 1.0, trials_per_eval=1.5),
+    lambda: sweep(_SCENE, _CFG, _WINDOW, MetricKind.SQUARED, [0.0], NoiseSpec(1.0), trials=1.5),
+    lambda: stability_study(_SCENE, _CFG, LensState(0.0), (32, 32), [5], NoiseSpec(1.0),
+                            repeats=3.5),
+    lambda: compare_metrics(_SCENE, _CFG, _WINDOW, [0.0], repeats_for_timing=10.5),
+    lambda: make_pillbox_psf(3.0, 2.5),
+], ids=["noise-seed", "noise-seed-nan", "coarse-steps", "refine-iterations", "trials-per-eval",
+        "sweep-trials", "stability-repeats", "compare-repeats", "psf-supersample"])
+def test_non_integer_counts_and_seeds_rejected(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()

@@ -14,6 +14,7 @@ from focuslab import (
     autofocus,
     blur_radius,
     make_texture,
+    sweep,
 )
 
 # Coarser sensor than the bench default keeps kernels small enough for a
@@ -102,6 +103,19 @@ class TestAutofocus:
         assert result.evaluations <= params.trials_per_eval * (
             params.coarse_steps + 2 * params.refine_iterations + 2
         )
+
+    def test_coarse_probes_equal_a_sweep_over_the_coarse_grid(self):
+        scene = make_texture(128, 128, 26)
+        window = WindowSpec(64, 64, 31)
+        params = SearchParams(z_min=-1.0, z_max=0.8, coarse_steps=7,
+                              refine_iterations=3, trials_per_eval=3)
+        noise = NoiseSpec(2.0, 17)
+        result = autofocus(scene, CFG, window, noise, params)
+        coarse = [p for p in result.trace if p.phase == "coarse"]
+        zs = np.linspace(params.z_min, params.z_max, params.coarse_steps)
+        curve = sweep(scene, CFG, window, params.metric, zs, noise, trials=3)
+        assert [p.z_mm for p in coarse] == curve.z_values().tolist()
+        assert [p.d_mean for p in coarse] == curve.d_means().tolist()
 
     def test_result_is_argmax_of_trace(self):
         scene = make_texture(128, 128, 24)
