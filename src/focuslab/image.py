@@ -2,7 +2,11 @@
 
 Images are immutable after construction and every function in this module is
 a pure function of its arguments (all randomness is behind explicit seeds),
-so concurrent use needs no locking.
+so concurrent use needs no locking. The one mutable part of an ``Image`` is
+a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
+a pure function of the pixels, replaced whole by one attribute store. A
+reader sees either the old entry or the new one, both correct, so it needs
+no lock either.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class Image:
     origin: tuple[int, int] = (0, 0)
     frame_size: tuple[int, int] | None = None
     surround: np.ndarray | None = field(default=None, init=False, repr=False)
+    # (FFT shape, zone spectrum) of the last blur; see ``optics.convolve``.
+    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)
@@ -269,6 +275,9 @@ def save_pgm(image: Image, path) -> None:
 
 def make_step_edge(width: int, height: int, edge_x: int, low: int, high: int) -> Image:
     """Vertical step scene: columns with x >= edge_x read ``high``, the rest ``low``."""
+    width, height = require_int(width, "width"), require_int(height, "height")
+    edge_x = require_int(edge_x, "edge_x")
+    low, high = require_int(low, "low"), require_int(high, "high")
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
     if not 0 <= edge_x <= width:
@@ -294,8 +303,10 @@ _TEXTURE_CLIP_PCT = 2.0
 
 def make_texture(width: int, height: int, seed: int) -> Image:
     """Deterministic high-contrast test scene; same arguments, same image."""
+    width, height = require_int(width, "width"), require_int(height, "height")
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
+    seed = require_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)

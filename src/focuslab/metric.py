@@ -38,31 +38,38 @@ def resolution(image: Image, window: WindowSpec, kind: MetricKind) -> int:
     With e the n x n window samples, every interior position contributes
     (e[i,j] - e[i+1,j+1]) and (e[i+1,j] - e[i,j+1]), squared or absolute
     according to ``kind``. Exact integer arithmetic; zero exactly when the
-    window is constant.
+    window is constant. A term is at most 255^2, so it fits int32; the sums
+    are taken in int64.
     """
-    e = image.region(window).astype(np.int64)
+    e = image.region(window).astype(np.int32)
     d_main = e[:-1, :-1] - e[1:, 1:]
     d_anti = e[1:, :-1] - e[:-1, 1:]
     if kind is MetricKind.SQUARED:
-        return int(np.sum(d_main * d_main) + np.sum(d_anti * d_anti))
-    if kind is MetricKind.ABSOLUTE:
-        return int(np.sum(np.abs(d_main)) + np.sum(np.abs(d_anti)))
-    raise TypeError(f"unknown metric kind {kind!r}")
+        terms = (d_main * d_main, d_anti * d_anti)
+    elif kind is MetricKind.ABSOLUTE:
+        terms = (np.abs(d_main), np.abs(d_anti))
+    else:
+        raise TypeError(f"unknown metric kind {kind!r}")
+    return int(terms[0].sum(dtype=np.int64) + terms[1].sum(dtype=np.int64))
 
 
 class Camera:
     """Virtual camera for one study call that captures only the zone its windows read.
 
     The zone is the bounding box of ``windows``, which must fit the scene.
-    Each capture blurs the zone plus a kernel-radius halo and draws noise
-    only through the zone's last row, and yields the same pixels as the
-    whole-frame ``optics.capture`` cropped to the zone (see ``optics``).
+    Each capture blurs the zone plus a halo and draws noise only through the
+    zone's last row, and yields the same pixels as the whole-frame
+    ``optics.capture`` cropped to the zone (see ``optics``).
     The blurred zone is cached by radius for the camera's life, so probes
     that share a radius, such as the +-z halves of a sweep, build one kernel
-    and blur once.
+    and blur once. Noiseless probes also cache the metric value by (radius,
+    window, kind): every such capture is the blurred zone itself, so a radius
+    is measured once however many probes and trials read it.
     """
 
     def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
+        if not windows:
+            raise ValueError("windows must be nonempty")
         boxes = []
         for window in windows:
             scene.region(window)  # reject window overflow before any heavy work
@@ -72,6 +79,7 @@ class Camera:
         self.zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self.cfg = cfg
         self._blurred: dict[float, Image] = {}
+        self._noiseless: dict[tuple[float, WindowSpec, MetricKind], int] = {}
 
     def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
         """One noisy capture of the zone per noise spec, all sharing one blur."""
@@ -90,8 +98,16 @@ class Camera:
         Trial t is noised with the spec ``noise`` derives from (index, t), so
         the probe's noise depends on its index, not on what else was probed.
         """
-        frames = self.frames(LensState(z), [noise.derived(index, t) for t in range(trials)])
-        values = [resolution(frame, window, kind) for frame in frames]
+        lens = LensState(z)
+        frames = self.frames(lens, [noise.derived(index, t) for t in range(trials)])
+        if noise.sigma == 0:
+            key = (blur_radius(self.cfg, lens).px, window, kind)
+            value = self._noiseless.get(key)
+            if value is None:
+                value = self._noiseless[key] = resolution(frames[0], window, kind)
+            values = [value] * trials
+        else:
+            values = [resolution(frame, window, kind) for frame in frames]
         return FocusSample(z, float(np.mean(values)), float(np.std(values)), trials)
 
 

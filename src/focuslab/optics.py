@@ -11,12 +11,18 @@ capture need only produce that zone, and it produces the same bytes as a
 whole-frame capture cropped to it:
 
 - Window plus halo. ``convolve`` of a crop (``Image.crop``) gathers the box
-  plus a kernel-radius halo from the scene with clipped indices, which is
-  edge replication without padding the frame, and keeps only the box. A
-  whole image is the crop whose box is the frame.
-- One FFT. The box plus halo is blurred by one circular FFT at the patch's
-  shape rounded up to a 5-smooth length per axis; wrap-around reaches only
-  the halo's outputs, which are dropped.
+  plus a halo from the scene with clipped indices, which is edge replication
+  without padding the frame, and keeps only the box. A whole image is the
+  crop whose box is the frame.
+- Halo from the FFT shape. Per axis the FFT length L is box plus kernel
+  side minus 1, rounded up to a 5-smooth length, and the halo fills it:
+  H = (L - n) // 2 >= the kernel half-width h. One circular FFT blurs the
+  patch; wrap-around reaches only the halo's outputs, and the box's are
+  [H + h, H + h + n).
+- Zone-transform memo. Every radius with the same L shares one zone
+  spectrum. ``convolve`` keeps the last (shape, spectrum) on the image it
+  blurs, in a private field outside ``==`` and ``repr``, so a blur at the
+  cached shape costs one kernel transform and one inverse.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -28,10 +34,12 @@ whole-frame capture cropped to it:
 - Noise prefix. ``add_noise`` draws the frame's row-major noise stream only
   through the crop's last row and keeps the crop's part; numpy's normal
   stream is prefix-stable, so those are the whole frame's draws.
-- Blur cache. ``metric.Camera``, made once per study call, caches the
-  blurred zone by radius, so the +-z halves of a sweep build each kernel
-  and blur the zone once; only the noise is drawn per capture. Nothing is
-  cached across calls.
+- Blur and metric cache. ``metric.Camera``, made once per study call,
+  caches the blurred zone by radius, so the +-z halves of a sweep build each
+  kernel and blur the zone once; only the noise is drawn per capture. At
+  sigma = 0 it also caches the metric value by (radius, window, kind). The
+  camera's caches end with the call; only the zone-transform memo outlives
+  it, on the image that was blurred (for a whole frame, the caller's scene).
 """
 
 from __future__ import annotations
@@ -176,8 +184,8 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     renormalized to unit sum. Radii below half a pixel collapse to the 1x1
     identity kernel.
     """
-    if radius_px < 0:
-        raise ValueError(f"radius must be >= 0, got {radius_px}")
+    if not (math.isfinite(radius_px) and radius_px >= 0):
+        raise ValueError(f"radius must be finite and >= 0, got {radius_px}")
     supersample = require_int(supersample, "supersample", 1)
     size = pillbox_size(radius_px)
     if size == 1:
@@ -215,6 +223,14 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
+def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
+    """The box plus hy rows and hx columns of surround on each side, edges replicated."""
+    (width, height), (x0, y0) = scene.frame_size, scene.origin
+    rows = np.clip(np.arange(y0 - hy, y0 + scene.height + hy), 0, height - 1)
+    cols = np.clip(np.arange(x0 - hx, x0 + scene.width + hx), 0, width - 1)
+    return scene.surround[np.ix_(rows, cols)].astype(np.float64)
+
+
 def convolve(scene: Image, psf: PsfKernel) -> Image:
     """Blur a scene with a PSF kernel, replicating edge pixels at the border.
 
@@ -222,7 +238,9 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     clamps to [0, 255]. Constant images map to themselves exactly and the
     1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
     the same pixels as the whole frame's blur cropped to its box; a crop
-    without its surround can only take the identity kernel.
+    without its surround can only take the identity kernel. The scene keeps
+    its last zone spectrum, so the next blur at the same FFT shape skips
+    that transform (see the module docstring).
     """
     width, height = scene.frame_size
     if psf.size > width or psf.size > height:
@@ -231,17 +249,19 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
         return scene
     if scene.surround is None:
         raise ValueError("a crop can only be blurred with its surround: cut it with Image.crop")
-    half = psf.size // 2
-    x0, y0 = scene.origin
-    rows = np.clip(np.arange(y0 - half, y0 + scene.height + half), 0, height - 1)
-    cols = np.clip(np.arange(x0 - half, x0 + scene.width + half), 0, width - 1)
-    padded = scene.surround[np.ix_(rows, cols)].astype(np.float64)
-    # Circular convolution at a length >= the patch's: wrap-around reaches
-    # only the first size - 1 outputs per axis, the halo's, which are dropped.
-    shape = tuple(_fast_len(d) for d in padded.shape)
-    spectrum = np.fft.rfft2(padded, s=shape) * np.fft.rfft2(psf.weights, s=shape)
-    k = psf.size - 1
-    blurred = np.fft.irfft2(spectrum, s=shape)[k : k + scene.height, k : k + scene.width]
+    # Circular convolution at a 5-smooth length >= box plus kernel per axis,
+    # with a halo H >= h that fills it; the box's outputs are [H + h, H + h + n).
+    shape = tuple(_fast_len(n + psf.size - 1) for n in (scene.height, scene.width))
+    hy, hx = (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
+    memo = scene._spectrum  # read once: another thread may replace it
+    if memo is None or memo[0] != shape:
+        memo = (shape, np.fft.rfft2(_halo_patch(scene, hy, hx), s=shape))
+        object.__setattr__(scene, "_spectrum", memo)
+    spectrum = memo[1] * np.fft.rfft2(psf.weights, s=shape)
+    h = psf.size // 2
+    blurred = np.fft.irfft2(spectrum, s=shape)[
+        hy + h : hy + h + scene.height, hx + h : hx + h + scene.width
+    ]
     pixels = np.clip(np.floor(blurred + _ROUND_HALF_DOWN), 0, 255).astype(np.uint8)
     return Image(pixels, scene.origin, scene.frame_size)
 

@@ -1,6 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from focuslab import OpticalConfig, make_texture
+
+# Every run draws the same examples and keeps no example database on disk.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+# Hypothesis still caches the constants it parses from source files; keep
+# that cache in the system temp directory rather than a .hypothesis/ here.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "focuslab-hypothesis")
 
 
 @pytest.fixture(scope="session")

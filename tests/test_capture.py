@@ -6,12 +6,16 @@ as the whole frame's blur and noise cropped to it, for any window, radius
 and seed.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focuslab.metric
+import focuslab.optics
 from focuslab import (
     Camera,
     Image,
@@ -26,9 +30,10 @@ from focuslab import (
     convolve,
     make_pillbox_psf,
     make_texture,
+    resolution,
     sweep,
 )
-from focuslab.optics import DEFAULT_SUPERSAMPLE
+from focuslab.optics import DEFAULT_SUPERSAMPLE, _fast_len, pillbox_size
 
 from _oracles import exact_blur, naive_pillbox_counts
 
@@ -185,3 +190,155 @@ def test_camera_frames_equal_the_whole_frame_capture(ws, radius, sigma, seed):
     whole = capture(SMALL, CFG, lens, noise)
     for w in ws:
         assert np.array_equal(frame.region(w), whole.region(w))
+
+
+def _zone_transforms(monkeypatch):
+    """Record the (rows, columns) halo of each zone transform; ``convolve``
+    gathers one halo patch per transform."""
+    halos = []
+    gather = focuslab.optics._halo_patch
+
+    def counting(scene, hy, hx):
+        halos.append((hy, hx))
+        return gather(scene, hy, hx)
+
+    monkeypatch.setattr(focuslab.optics, "_halo_patch", counting)
+    return halos
+
+
+def _fft_shape(n: int, radius: float) -> int:
+    return _fast_len(n + pillbox_size(radius) - 1)
+
+
+# A sweep's blurs in z order (radius falling; the +z half reuses them), then a
+# large radius that misses the memo, then a small one that returns to an
+# earlier FFT shape.
+MEMO_RADII = [31.5 * k / 16 for k in range(16, 0, -1)] + [120.25, 2.0]
+
+
+def test_memo_hits_misses_and_returns_equal_exact_blur(monkeypatch, texture_512):
+    transforms = _zone_transforms(monkeypatch)
+    box = (240, 240, 271, 271)
+    crop = texture_512.crop(*box)
+    for radius in MEMO_RADII:
+        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+        got = convolve(crop, make_pillbox_psf(radius)).pixels
+        assert np.array_equal(got, exact_blur(texture_512.pixels, counts, box)), radius
+    shapes = [_fft_shape(31, r) for r in MEMO_RADII]
+    changes = 1 + sum(a != b for a, b in zip(shapes, shapes[1:]))
+    assert shapes[-1] in shapes[:-2] and changes < len(MEMO_RADII)
+    assert len(transforms) == changes
+
+
+PERSISTENT = make_texture(120, 104, 7)
+
+
+def test_whole_frame_memo_survives_between_calls(monkeypatch):
+    # 3.0 and 3.4 px share the 120 x 128 FFT shape (halo 8 x 4), 9.0 px needs
+    # 125 x 144 (halo 10 x 12), and the identity kernel leaves the memo alone.
+    transforms = _zone_transforms(monkeypatch)
+    for radius in (3.0, 3.4, 9.0, 3.0, 0.0, 3.4):
+        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+        got = convolve(PERSISTENT, make_pillbox_psf(radius)).pixels
+        assert np.array_equal(got, exact_blur(PERSISTENT.pixels, counts, (0, 0, 120, 104))), radius
+    assert transforms == [(8, 4), (10, 12), (8, 4)]
+    # The memo is private: equality and repr do not see it.
+    assert PERSISTENT == make_texture(120, 104, 7)
+    assert repr(PERSISTENT) == repr(make_texture(120, 104, 7))
+
+
+def _sweep_zs(z_max: float, half_count: int = 16) -> list[float]:
+    """A sweep-256 style z list: the negative half is the exact negation of the positive."""
+    positive = [z_max * k / half_count for k in range(1, half_count + 1)]
+    return [-z for z in reversed(positive)] + [0.0] + positive
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("trials", (1, 3))
+def test_noiseless_sweep_transforms_once_per_shape_and_measures_once_per_radius(
+    monkeypatch, trials
+):
+    scene = make_texture(64, 64, 21)
+    window = WindowSpec(32, 32, 63)
+    zs = _sweep_zs(7.5 / PX_PER_MM)
+    transforms = _zone_transforms(monkeypatch)
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
+    noise_calls = _count_calls(monkeypatch, focuslab.metric, "add_noise")
+    curve = sweep(scene, CFG, window, MetricKind.SQUARED, zs, NoiseSpec(0.0), trials)
+
+    radii = {blur_radius(CFG, LensState(z)).px for z in zs}
+    shapes = {_fft_shape(63, r) for r in radii if pillbox_size(r) > 1}
+    assert len(zs) == 33 and len(radii) == 17 and 1 < len(shapes) < len(blurs)
+    assert len(transforms) == len(shapes)
+    assert len(metric_calls) == len(radii)
+    assert len(noise_calls) == trials * len(zs)  # sigma = 0 still passes through the noise layer
+    for entry in curve.entries:
+        psf = make_pillbox_psf(blur_radius(CFG, LensState(entry.z_mm)).px)
+        assert entry.d_mean == resolution(convolve(scene, psf), window, MetricKind.SQUARED)
+        assert entry.d_stddev == 0.0 and entry.n_trials == trials
+
+
+def test_noisy_sweep_measures_every_capture(monkeypatch):
+    scene = make_texture(64, 64, 21)
+    zs = _sweep_zs(7.5 / PX_PER_MM, half_count=3)
+    metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
+    sweep(scene, CFG, WindowSpec(32, 32, 63), MetricKind.SQUARED, zs, NoiseSpec(2.0, 5), 3)
+    assert len(metric_calls) == 3 * len(zs)
+
+
+def test_noiseless_probe_cache_is_keyed_by_radius_window_and_kind(texture_256):
+    windows = (WindowSpec(100, 100, 31), WindowSpec(150, 140, 9))
+    camera = Camera(texture_256, CFG, windows)
+    for z in (0.1, -0.1, 0.0, 0.2):
+        whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
+        for window in windows:
+            for kind in MetricKind:
+                sample = camera.probe(z, NoiseSpec(0.0), 0, 2, window, kind)
+                assert sample.d_mean == resolution(whole, window, kind), (z, window, kind)
+
+
+def test_threads_sharing_one_frame_and_its_memo_blur_correctly():
+    # Threads blurring one image race on its memo; whichever entry a thread
+    # reads, its blur must equal the exact one.
+    scene = make_texture(64, 48, 9)
+    radii = (1.0, 3.0, 6.0, 9.5)  # four FFT shapes, so the memo keeps changing
+    expected = {
+        r: exact_blur(scene.pixels, naive_pillbox_counts(r, DEFAULT_SUPERSAMPLE), (0, 0, 64, 48))
+        for r in radii
+    }
+    psfs = {r: make_pillbox_psf(r) for r in radii}
+    wrong = []
+
+    def work(offset):
+        for i in range(200):
+            r = radii[(i + offset) % len(radii)]
+            try:
+                if not np.array_equal(convolve(scene, psfs[r]).pixels, expected[r]):
+                    wrong.append(r)
+            except ValueError as exc:  # e.g. spectra of two shapes multiplied
+                wrong.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from focuslab import (
+    Camera,
     Image,
     LensState,
     MetricKind,
@@ -294,3 +297,27 @@ _WINDOW = WindowSpec(32, 32, 9)
 def test_non_integer_counts_and_seeds_rejected(build):
     with pytest.raises(ValueError, match="must be an integer"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_texture(8, 8, 1.5), "seed must be an integer"),
+    (lambda: make_texture(8.5, 8, 1), "width must be an integer"),
+    (lambda: make_step_edge(4.5, 2, 1, 0, 255), "width must be an integer"),
+    (lambda: make_pillbox_psf(float("inf")), "radius must be finite"),
+    (lambda: make_pillbox_psf(float("nan")), "radius must be finite"),
+    (lambda: Camera(_SCENE, _CFG, []), "windows must be nonempty"),
+], ids=["texture-seed", "texture-width", "step-width", "psf-inf", "psf-nan", "camera-no-windows"])
+def test_bad_arguments_rejected_with_their_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@settings(max_examples=80)
+@given(pixels=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+def test_pgm_round_trip_over_random_shapes_and_bytes(tmp_path_factory, pixels):
+    # Any raster byte, whitespace included, must survive the header's single separator.
+    path = tmp_path_factory.getbasetemp() / "round_trip.pgm"
+    save_pgm(Image(pixels), path)
+    loaded = load_pgm(path)
+    assert loaded.pixels.shape == pixels.shape
+    assert np.array_equal(loaded.pixels, pixels)

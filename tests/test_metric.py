@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from focuslab import (
     FocusCurve,
@@ -182,3 +185,34 @@ class TestSweep:
             sweep(texture_256, CFG, w, MetricKind.SQUARED, [0.2, 0.1], NoiseSpec(0.0), trials=1)
         with pytest.raises(ValueError, match="trials"):
             sweep(texture_256, CFG, w, MetricKind.SQUARED, [0.0], NoiseSpec(0.0), trials=0)
+
+
+@st.composite
+def framed_windows(draw):
+    """An image a little larger than an n x n window placed anywhere in it."""
+    n = draw(st.integers(2, 24))
+    h, w = draw(st.integers(n, n + 5)), draw(st.integers(n, n + 5))
+    samples = st.sampled_from([0, 255]) | st.integers(0, 255)
+    pixels = draw(arrays(np.uint8, (h, w), elements=samples))
+    half = (n - 1) // 2
+    cx, cy = draw(st.integers(half, w - n + half)), draw(st.integers(half, h - n + half))
+    return Image(pixels), WindowSpec(cx, cy, n)
+
+
+@settings(max_examples=150)
+@given(case=framed_windows())
+def test_resolution_equals_the_naive_oracle_on_random_windows(case):
+    img, window = case
+    block = img.region(window)
+    assert resolution(img, window, MetricKind.SQUARED) == naive_resolution(block, True)
+    assert resolution(img, window, MetricKind.ABSOLUTE) == naive_resolution(block, False)
+
+
+def test_sums_exceed_int32_at_the_largest_window():
+    # A 255 x 255 window of alternating 0/255 rows totals 2 * 254^2 * 255^2,
+    # about 8.4e9, past int32: the terms fit int32 but the sums must not.
+    n = 255
+    px = np.tile((np.arange(n) % 2 * 255)[:, None], (1, n))
+    img, w = window_image(px)
+    assert resolution(img, w, MetricKind.SQUARED) == 2 * (n - 1) ** 2 * 255**2
+    assert resolution(img, w, MetricKind.ABSOLUTE) == 2 * (n - 1) ** 2 * 255
