@@ -49,7 +49,7 @@ class StabilityRow:
 
     @classmethod
     def from_measurements(cls, n: int, measurements: Sequence[int]) -> StabilityRow:
-        values = tuple(int(d) for d in measurements)
+        values = tuple(require_int(d, "measurement", 0) for d in measurements)
         if not values:
             raise ValueError("a stability row needs at least one measurement")
         mean = float(np.mean(values))

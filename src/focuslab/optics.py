@@ -319,17 +319,16 @@ def edge_response(cfg: OpticalConfig, lens: LensState, half_span_px: int) -> Edg
     normalized so the profile ends exactly at 1. The span must cover at
     least three blur radii on each side of the edge.
     """
+    span = require_int(half_span_px, "half span", 1)
     radius = blur_radius(cfg, lens)
-    if half_span_px < 1 or half_span_px < 3.0 * radius.px:
+    if span < 3.0 * radius.px:
         raise ValueError(
-            f"half span {half_span_px}px too small: need >= 3x blur radius "
-            f"({radius.px:.2f}px) and >= 1"
+            f"half span {span}px too small: need >= 3x blur radius ({radius.px:.2f}px)"
         )
     psf = make_pillbox_psf(radius.px)
     profile = line_spread(psf)
     half = psf.size // 2
 
-    span = int(half_span_px)
     full = np.zeros(2 * span + 1, dtype=np.float64)
     full[span - half : span + half + 1] = profile
     values = np.cumsum(full)

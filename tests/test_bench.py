@@ -48,6 +48,11 @@ class TestStabilityRow:
         assert row.mean == 0.0
         assert row.deviations_pct == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("values", [[1.5, 2], [float("nan"), 2], [-1, 2]])
+    def test_non_integer_or_negative_reading_rejected(self, values):
+        with pytest.raises(ValueError, match="measurement"):
+            StabilityRow.from_measurements(5, values)
+
 
 class TestStabilityStudy:
     def test_noiseless_deviations_are_exactly_zero(self, texture_256):

@@ -226,6 +226,12 @@ class TestEdgeResponse:
         with pytest.raises(ValueError, match="span"):
             edge_response(CFG, LensState(1.0), half_span_px=10)  # R_px = 47.5
 
+    @pytest.mark.parametrize("half_span", [math.inf, math.nan, 14.3])
+    def test_non_integer_span_rejected_by_name(self, half_span):
+        # R_px = 4.75, so 14.3 clears the 3x-radius check; only the integer check stops it.
+        with pytest.raises(ValueError, match="half span"):
+            edge_response(CFG, LensState(0.1), half_span_px=half_span)
+
 
 class TestTheoreticalResolution:
     def test_matches_direct_substitution(self):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import focuslab.metric
 from focuslab import (
@@ -22,6 +24,10 @@ from focuslab import (
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.02, d_max=100.0)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# The largest |z| whose kernel still fits a 64 x 64 scene: R = 31 px, 63 x 63.
+Z_FIT_64 = 31.0 / blur_radius(CFG, LensState(1.0)).px
+SCENE_64 = make_texture(64, 64, 28)
 
 
 def plateau_halfwidth_mm(cfg) -> float:
@@ -167,3 +173,39 @@ class TestAutofocus:
         assert len(lines) == 1 + len(result.trace)
         phases = [line.split(",")[3] for line in lines[1:]]
         assert phases[:5] == ["coarse"] * 5 and set(phases[5:]) == {"refine"}
+
+
+@st.composite
+def intervals(draw):
+    ends = st.floats(-Z_FIT_64, Z_FIT_64)
+    a, b = draw(ends), draw(ends)
+    assume(a != b)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=100)
+@given(
+    interval=intervals(),
+    sigma=st.sampled_from([0.0, 2.0]),
+    seed=st.integers(0, 2**32),
+    trials=st.integers(1, 3),
+    coarse_steps=st.integers(5, 11),
+    refine_iterations=st.integers(0, 6),
+)
+def test_result_is_the_best_probe_of_its_trace(
+    interval, sigma, seed, trials, coarse_steps, refine_iterations
+):
+    params = SearchParams(*interval, coarse_steps, refine_iterations, trials)
+    result = autofocus(SCENE_64, CFG, WindowSpec(32, 32, 15), NoiseSpec(sigma, seed), params)
+    best = focuslab.metric.best_probe(result.trace)
+    assert (result.z_star, result.d_star) == (best.z_mm, best.d_mean)
+    assert result.evaluations == trials * len(result.trace)
+    coarse = result.trace[:coarse_steps]
+    assert [p.phase for p in coarse] == ["coarse"] * coarse_steps
+    winner = min(
+        range(coarse_steps),
+        key=lambda i: (-coarse[i].d_mean, abs(coarse[i].z_mm), coarse[i].z_mm, i),
+    )
+    assert result.at_boundary == (winner in (0, coarse_steps - 1))
+    refined = 0 if result.at_boundary else refine_iterations + 2
+    assert len(result.trace) == coarse_steps + refined
