@@ -6,7 +6,9 @@ so concurrent use needs no locking. The one mutable part of an ``Image`` is
 a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
 a pure function of the pixels, replaced whole by one attribute store. A
 reader sees either the old entry or the new one, both correct, so it needs
-no lock either.
+no lock either. ``metric.Camera`` relies on this when it runs ``add_noise``
+on worker threads: a capture reads its blurred input and writes only the new
+image it returns.
 """
 
 from __future__ import annotations
@@ -352,13 +354,14 @@ def add_noise(image: Image, noise: NoiseSpec) -> Image:
     order, and only those through the image's last row are made: numpy's
     normal stream is prefix-stable, so a crop receives exactly the draws its
     pixels receive in the whole frame. Scaling standard normal draws by sigma
-    gives the bytes of ``rng.normal(0, sigma)``, which numpy computes that way.
+    gives the bytes of ``rng.normal(0, sigma)``, which numpy computes that way;
+    only the crop's draws are scaled.
     """
     if noise.sigma == 0:
         return image
     (x0, y0), frame_width = image.origin, image.frame_size[0]
     rows = y0 + image.height
     rng = np.random.default_rng(noise.seed)
-    draws = (rng.standard_normal(rows * frame_width) * noise.sigma).reshape(rows, frame_width)
-    noisy = image.pixels + draws[y0:, x0 : x0 + image.width]
+    draws = rng.standard_normal(rows * frame_width).reshape(rows, frame_width)
+    noisy = image.pixels + draws[y0:, x0 : x0 + image.width] * noise.sigma
     return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), image.origin, image.frame_size)

@@ -10,6 +10,8 @@ it captures only the zone its windows read.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, TypeVar
@@ -65,6 +67,13 @@ class Camera:
     and blur once. Noiseless probes also cache the metric value by (radius,
     window, kind): every such capture is the blurred zone itself, so a radius
     is measured once however many probes and trials read it.
+
+    Noisy captures are drawn on one module-wide thread pool, one task per
+    capture, while the calling thread blurs and keeps both caches; a camera
+    serves one calling thread. Results are read in submission order, so no
+    value depends on the worker count or on which capture finishes first.
+    Workers never submit work to the pool, so callers waiting on their
+    captures cannot deadlock it, however many of them share it.
     """
 
     def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
@@ -81,13 +90,19 @@ class Camera:
         self._blurred: dict[float, Image] = {}
         self._noiseless: dict[tuple[float, WindowSpec, MetricKind], int] = {}
 
-    def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
-        """One noisy capture of the zone per noise spec, all sharing one blur."""
+    def _blur(self, lens: LensState) -> Image:
         radius = blur_radius(self.cfg, lens).px
         blurred = self._blurred.get(radius)
         if blurred is None:
             blurred = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
-        return [add_noise(blurred, noise) for noise in noises]
+        return blurred
+
+    def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
+        """One noisy capture of the zone per noise spec, all sharing one blur."""
+        blurred = self._blur(lens)
+        if not any(noise.sigma for noise in noises):
+            return [add_noise(blurred, noise) for noise in noises]
+        return _on_pool((add_noise, blurred, noise) for noise in noises)
 
     def probe(
         self, z: float, noise: NoiseSpec, index: int, trials: int, window: WindowSpec,
@@ -98,17 +113,106 @@ class Camera:
         Trial t is noised with the spec ``noise`` derives from (index, t), so
         the probe's noise depends on its index, not on what else was probed.
         """
+        return self.probes([z], noise, index, trials, window, kind)[0]
+
+    def probes(
+        self, zs: Sequence[float], noise: NoiseSpec, first_index: int, trials: int,
+        window: WindowSpec, kind: MetricKind,
+    ) -> list[FocusSample]:
+        """``probe`` at each z in turn, the i-th with index ``first_index + i``.
+
+        The calling thread blurs probe by probe and hands each noisy capture
+        to the pool as soon as its blur is ready, so later blurs overlap the
+        noise draws of earlier probes.
+        """
+        if noise.sigma == 0:
+            values = [
+                [self._noiseless_metric(z, noise, first_index + i, trials, window, kind)] * trials
+                for i, z in enumerate(zs)
+            ]
+        else:
+            def captures():
+                for i, z in enumerate(zs):
+                    blurred = self._blur(LensState(z))
+                    for t in range(trials):
+                        spec = noise.derived(first_index + i, t)
+                        yield _capture_metric, blurred, spec, window, kind
+
+            flat = _on_pool(captures())
+            values = [flat[i : i + trials] for i in range(0, len(flat), trials)]
+        return [
+            FocusSample(z, float(np.mean(v)), float(np.std(v)), trials) for z, v in zip(zs, values)
+        ]
+
+    def _noiseless_metric(
+        self, z: float, noise: NoiseSpec, index: int, trials: int, window: WindowSpec,
+        kind: MetricKind,
+    ) -> int:
         lens = LensState(z)
         frames = self.frames(lens, [noise.derived(index, t) for t in range(trials)])
-        if noise.sigma == 0:
-            key = (blur_radius(self.cfg, lens).px, window, kind)
-            value = self._noiseless.get(key)
-            if value is None:
-                value = self._noiseless[key] = resolution(frames[0], window, kind)
-            values = [value] * trials
-        else:
-            values = [resolution(frame, window, kind) for frame in frames]
-        return FocusSample(z, float(np.mean(values)), float(np.std(values)), trials)
+        key = (blur_radius(self.cfg, lens).px, window, kind)
+        value = self._noiseless.get(key)
+        if value is None:
+            value = self._noiseless[key] = resolution(frames[0], window, kind)
+        return value
+
+
+def _capture_metric(blurred: Image, noise: NoiseSpec, window: WindowSpec, kind: MetricKind) -> int:
+    """The metric of one noisy capture of a blurred zone: one pool task."""
+    return resolution(add_noise(blurred, noise), window, kind)
+
+
+# The capture pool: built on first use, so importing focuslab starts no
+# thread and does not load concurrent.futures.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _capture_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="focuslab-capture")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, whose copy of it has no threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _on_pool(calls: Iterable[tuple]) -> list:
+    """Run each ``(function, *args)`` of ``calls`` on the capture pool; their results in order.
+
+    Each call is submitted as soon as ``calls`` yields it, so work a generator
+    does between items overlaps the tasks already submitted. If ``calls`` or a
+    task raises, the tasks not yet started are cancelled and the running ones
+    awaited before the error propagates, so no capture outlives its call.
+    """
+    pool = _capture_pool()
+    futures = []
+    try:
+        for function, *args in calls:
+            futures.append(pool.submit(function, *args))
+        return [future.result() for future in futures]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.exception()
+        raise
 
 
 @dataclass(frozen=True)
@@ -183,7 +287,7 @@ def sweep(
     The probe at the i-th z captures the scene ``trials`` times with seeds
     derived from (i, trial index), blurring once since only the noise draw
     varies, and records the mean and population standard deviation of the
-    metric (``Camera.probe``).
+    metric (``Camera.probes``).
     """
     zs = [float(z) for z in z_values]
     if not zs:
@@ -192,5 +296,4 @@ def sweep(
         raise ValueError("z_values must be strictly increasing")
     trials = require_int(trials, "trials", 1)
     camera = Camera(scene, cfg, [window])
-    samples = (camera.probe(z, noise, i, trials, window, kind) for i, z in enumerate(zs))
-    return FocusCurve(tuple(samples))
+    return FocusCurve(tuple(camera.probes(zs, noise, 0, trials, window, kind)))

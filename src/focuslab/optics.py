@@ -40,6 +40,12 @@ whole-frame capture cropped to it:
   sigma = 0 it also caches the metric value by (radius, window, kind). The
   camera's caches end with the call; only the zone-transform memo outlives
   it, on the image that was blurred (for a whole frame, the caller's scene).
+- Parallel captures. The camera draws each noisy capture, and its metric,
+  as one task on a thread pool sized to the usable CPUs; numpy releases the
+  GIL while it draws. Each capture's stream depends only on its own seed
+  and the results are read in submission order, so the bytes do not depend
+  on the worker count or on which capture finishes first. Blurs, PSF builds
+  and the camera's caches stay on the calling thread.
 """
 
 from __future__ import annotations

@@ -109,10 +109,12 @@ def autofocus(
         )
     trace: list[TracePoint] = []
 
-    def probe(z: float, phase: str) -> float:
-        sample = camera.probe(z, noise, len(trace), params.trials_per_eval, window, params.metric)
-        trace.append(TracePoint(z_mm=z, d_mean=sample.d_mean, phase=phase))
-        return sample.d_mean
+    def probe(zs: list[float], phase: str) -> float:
+        """Probe each z in order, append them to the trace, return the last one's mean."""
+        trials = params.trials_per_eval
+        samples = camera.probes(zs, noise, len(trace), trials, window, params.metric)
+        trace.extend(TracePoint(z_mm=s.z_mm, d_mean=s.d_mean, phase=phase) for s in samples)
+        return samples[-1].d_mean
 
     def finish(at_boundary: bool) -> AutofocusResult:
         best = best_probe(trace)
@@ -125,8 +127,7 @@ def autofocus(
         )
 
     coarse_z = np.linspace(params.z_min, params.z_max, params.coarse_steps)
-    for z in coarse_z:
-        probe(float(z), "coarse")
+    probe([float(z) for z in coarse_z], "coarse")  # one call: its blurs overlap its captures
     best_idx = trace.index(best_probe(trace))
     if best_idx == 0 or best_idx == len(coarse_z) - 1:
         return finish(at_boundary=True)
@@ -135,17 +136,17 @@ def autofocus(
     hi = float(coarse_z[best_idx + 1])
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1 = probe(x1, "refine")
-    f2 = probe(x2, "refine")
+    f1 = probe([x1], "refine")
+    f2 = probe([x2], "refine")
     for _ in range(params.refine_iterations):
         if f1 < f2:
             lo = x1
             x1, f1 = x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = probe(x2, "refine")
+            f2 = probe([x2], "refine")
         else:
             hi = x2
             x2, f2 = x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = probe(x1, "refine")
+            f1 = probe([x1], "refine")
     return finish(at_boundary=False)

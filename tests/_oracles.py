@@ -2,11 +2,16 @@
 
 These stay deliberately naive (plain Python loops, no shared code with the
 package) so they can serve as oracles for the vectorized implementations.
+``naive_probe`` is the exception: it composes the package's whole-frame
+layers, each checked against its own oracle, into the serial reference for
+the camera's window-local, pooled captures.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from focuslab import LensState, capture, resolution
 
 
 def naive_resolution(window_samples, squared: bool) -> int:
@@ -102,3 +107,16 @@ def exact_blur(pixels: np.ndarray, counts: np.ndarray, box) -> np.ndarray:
                 total += int(counts[ky, kx]) * patch[sy : sy + y1 - y0, sx : sx + x1 - x0]
     t = int(counts.sum())
     return np.clip(-((t - 2 * total) // (2 * t)), 0, 255).astype(np.uint8)
+
+
+def naive_probe(scene, cfg, z, noise, path, trials, window, kind) -> list[int]:
+    """The metric of ``trials`` whole-frame captures at z, one after another.
+
+    Trial t is noised with ``noise.derived(*path, t)``; a probe's path is its
+    index, and a stability study's is empty.
+    """
+    lens = LensState(z)
+    return [
+        resolution(capture(scene, cfg, lens, noise.derived(*path, t)), window, kind)
+        for t in range(trials)
+    ]

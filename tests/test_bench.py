@@ -54,6 +54,12 @@ class TestStabilityRow:
             StabilityRow.from_measurements(5, values)
 
 
+    @pytest.mark.parametrize("n", [5.5, -3, 1])
+    def test_non_integer_or_too_small_window_size_rejected(self, n):
+        with pytest.raises(ValueError, match="window n"):
+            StabilityRow.from_measurements(n, [1, 2])
+
+
 class TestStabilityStudy:
     def test_noiseless_deviations_are_exactly_zero(self, texture_256):
         report = stability_study(

@@ -1,0 +1,132 @@
+"""Noisy captures drawn on the shared capture pool against serial whole-frame ones.
+
+``metric.Camera`` draws each noisy capture as one task on a module-wide
+thread pool. Results must not depend on the pool: every study equals the
+serial oracle, concurrent callers each get their own result, errors reach
+the caller, a forked child builds its own pool, and importing the package
+starts no thread.
+"""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import focuslab
+import focuslab.metric
+from focuslab import (
+    LensState,
+    MetricKind,
+    NoiseSpec,
+    OpticalConfig,
+    SearchParams,
+    WindowSpec,
+    autofocus,
+    make_texture,
+    stability_study,
+    sweep,
+)
+
+from _oracles import naive_probe
+
+# 0.4 blur px per 0.01 mm: kernels stay within a 96 px scene over +-1 mm.
+CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.02, d_max=100.0)
+SCENE = make_texture(96, 80, 31)
+WINDOW = WindowSpec(50, 40, 21)
+NOISE = NoiseSpec(2.0, 11)
+ZS = [-0.6, -0.25, -0.1, 0.0, 0.1, 0.3, 0.55]
+
+
+def _noisy_sweep(seed: int):
+    return sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, ZS, NoiseSpec(2.0, seed), 3)
+
+
+def _stability(noise: NoiseSpec = NOISE):
+    return stability_study(SCENE, CFG, LensState(0.15), (48, 40), [5, 9, 17], noise, repeats=4)
+
+
+def test_noisy_sweep_equals_the_serial_oracle():
+    curve = _noisy_sweep(11)
+    assert len(curve.entries) == len(ZS)
+    for i, (z, entry) in enumerate(zip(ZS, curve.entries)):
+        values = naive_probe(SCENE, CFG, z, NOISE, (i,), 3, WINDOW, MetricKind.SQUARED)
+        assert (entry.z_mm, entry.n_trials) == (z, 3)
+        assert (entry.d_mean, entry.d_stddev) == (float(np.mean(values)), float(np.std(values)))
+
+
+def test_autofocus_trace_equals_the_serial_oracle():
+    params = SearchParams(z_min=-1.0, z_max=0.8, coarse_steps=7, refine_iterations=4,
+                          trials_per_eval=3, metric=MetricKind.ABSOLUTE)
+    result = autofocus(SCENE, CFG, WINDOW, NOISE, params)
+    assert [p.phase for p in result.trace] == ["coarse"] * 7 + ["refine"] * 6
+    for i, point in enumerate(result.trace):
+        values = naive_probe(SCENE, CFG, point.z_mm, NOISE, (i,), 3, WINDOW, MetricKind.ABSOLUTE)
+        assert point.d_mean == float(np.mean(values)), i
+
+
+def test_stability_study_equals_the_serial_oracle():
+    report = _stability()
+    for row in report.rows:
+        window = WindowSpec(48, 40, row.n)
+        assert list(row.measurements) == naive_probe(
+            SCENE, CFG, 0.15, NOISE, (), 4, window, MetricKind.SQUARED
+        )
+
+
+def test_concurrent_callers_each_get_their_serial_result():
+    seeds = (3, 4, 5, 6)
+    expected = {seed: _noisy_sweep(seed) for seed in seeds}
+    got = {}
+    start = threading.Barrier(len(seeds))
+
+    def call(seed):
+        start.wait()
+        got[seed] = _noisy_sweep(seed)
+
+    threads = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_an_error_in_a_capture_task_reaches_the_caller(monkeypatch):
+    expected = _noisy_sweep(11)
+
+    def failing(image, window, kind):
+        raise ValueError("metric failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(focuslab.metric, "resolution", failing)
+        with pytest.raises(ValueError, match="metric failed"):
+            _noisy_sweep(11)
+    assert _noisy_sweep(11) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+# Forking a process that runs threads is the case under test.
+@pytest.mark.filterwarnings("ignore:.*use of fork\\(\\) may lead to deadlocks:DeprecationWarning")
+def test_a_forked_child_builds_its_own_pool():
+    parent = _stability()  # the parent's pool now has threads, which a child lacks
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(_stability).get(timeout=30)
+    assert child == parent
+
+
+def test_importing_the_package_starts_no_thread():
+    code = (
+        "import sys, threading, focuslab; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(focuslab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
