@@ -105,13 +105,12 @@ def stability_study(
     cx, cy = center
     windows = [WindowSpec(cx, cy, n) for n in sizes]
     camera = Camera(scene, cfg, windows)
-    frames = camera.frames(lens, [noise.derived(r) for r in range(repeats)])
-
-    rows = []
-    for window in windows:
-        values = [resolution(frame, window, MetricKind.SQUARED) for frame in frames]
-        rows.append(StabilityRow.from_measurements(window.n, values))
-    return StabilityReport(tuple(rows))
+    specs = [noise.derived(r) for r in range(repeats)]
+    (captures,) = camera.readings([lens.z_mm], [specs], windows, MetricKind.SQUARED)
+    per_window = zip(*captures)  # [repeat][window] -> [window][repeat]
+    return StabilityReport(
+        tuple(StabilityRow.from_measurements(w.n, v) for w, v in zip(windows, per_window))
+    )
 
 
 @dataclass(frozen=True)

@@ -61,19 +61,28 @@ class Camera:
     The zone is the bounding box of ``windows``, which must fit the scene.
     Each capture blurs the zone plus a halo and draws noise only through the
     zone's last row, and yields the same pixels as the whole-frame
-    ``optics.capture`` cropped to the zone (see ``optics``).
-    The blurred zone is cached by radius for the camera's life, so probes
-    that share a radius, such as the +-z halves of a sweep, build one kernel
-    and blur once. Noiseless probes also cache the metric value by (radius,
-    window, kind): every such capture is the blurred zone itself, so a radius
-    is measured once however many probes and trials read it.
+    ``optics.capture`` cropped to the zone (see ``optics``). ``readings`` is
+    the one capture route: sweeps, searches and stability studies all go
+    through it.
 
-    Noisy captures are drawn on one module-wide thread pool, one task per
-    capture, while the calling thread blurs and keeps both caches; a camera
-    serves one calling thread. Results are read in submission order, so no
-    value depends on the worker count or on which capture finishes first.
-    Workers never submit work to the pool, so callers waiting on their
-    captures cannot deadlock it, however many of them share it.
+    Caches. The blurred zone is cached by radius for the camera's life, so
+    captures that share a radius, such as the +-z halves of a sweep, build
+    one kernel and blur once; only the noise is drawn per capture. Noiseless
+    captures also cache the metric value by (radius, window, kind): every
+    such capture is the blurred zone itself, so a radius is measured once
+    however many probes and trials read it. The caches end with the camera;
+    only the zone-transform memo of ``optics.convolve`` outlives it.
+
+    Pool. Noisy captures are noised and measured on one module-wide thread
+    pool sized to the usable CPUs, one ``_read`` task per capture; numpy
+    releases the GIL while it draws. The calling thread blurs and hands each
+    capture to the pool as soon as its blur is ready, so later blurs overlap
+    earlier draws. A call whose captures are all noiseless stays on the
+    calling thread, where the metric cache lives; a camera serves one calling
+    thread. Results are read in submission order, so no value depends on the
+    worker count or on which capture finishes first. Workers never submit
+    work to the pool, so callers waiting on their captures cannot deadlock
+    it, however many of them share it.
     """
 
     def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
@@ -90,76 +99,64 @@ class Camera:
         self._blurred: dict[float, Image] = {}
         self._noiseless: dict[tuple[float, WindowSpec, MetricKind], int] = {}
 
-    def _blur(self, lens: LensState) -> Image:
-        radius = blur_radius(self.cfg, lens).px
-        blurred = self._blurred.get(radius)
-        if blurred is None:
-            blurred = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
-        return blurred
+    def readings(
+        self, zs: Sequence[float], specs: Sequence[Sequence[NoiseSpec]],
+        windows: Sequence[WindowSpec], kind: MetricKind,
+    ) -> list[list[list[int]]]:
+        """``[i][t][k]``: the metric of ``windows[k]`` in capture t at ``zs[i]``.
 
-    def frames(self, lens: LensState, noises: Sequence[NoiseSpec]) -> list[Image]:
-        """One noisy capture of the zone per noise spec, all sharing one blur."""
-        blurred = self._blur(lens)
-        if not any(noise.sigma for noise in noises):
-            return [add_noise(blurred, noise) for noise in noises]
-        return _on_pool((add_noise, blurred, noise) for noise in noises)
-
-    def probe(
-        self, z: float, noise: NoiseSpec, index: int, trials: int, window: WindowSpec,
-        kind: MetricKind,
-    ) -> FocusSample:
-        """Metric mean and population std of ``window`` over ``trials`` captures at z.
-
-        Trial t is noised with the spec ``noise`` derives from (index, t), so
-        the probe's noise depends on its index, not on what else was probed.
+        Capture t at ``zs[i]`` is noised with ``specs[i][t]``; the captures at
+        one z share one blur.
         """
-        return self.probes([z], noise, index, trials, window, kind)[0]
+        if len(zs) != len(specs):
+            raise ValueError(f"need one row of noise specs per z, got {len(specs)} for {len(zs)}")
+
+        def captures():
+            for z, row in zip(zs, specs):
+                radius = blur_radius(self.cfg, LensState(z)).px
+                blurred = self._blurred.get(radius)
+                if blurred is None:
+                    blurred = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
+                for spec in row:
+                    yield radius, blurred, spec
+
+        if any(spec.sigma for row in specs for spec in row):
+            flat = _on_pool((blurred, spec, windows, kind) for _, blurred, spec in captures())
+        else:  # every capture is its blurred zone: measure each (radius, window, kind) once
+            flat = []
+            cache = self._noiseless
+            for radius, blurred, spec in captures():
+                missing = [w for w in windows if (radius, w, kind) not in cache]
+                for window, value in zip(missing, _read(blurred, spec, missing, kind)):
+                    cache[radius, window, kind] = value
+                flat.append([cache[radius, window, kind] for window in windows])
+        values = iter(flat)
+        return [[next(values) for _ in row] for row in specs]
 
     def probes(
         self, zs: Sequence[float], noise: NoiseSpec, first_index: int, trials: int,
         window: WindowSpec, kind: MetricKind,
     ) -> list[FocusSample]:
-        """``probe`` at each z in turn, the i-th with index ``first_index + i``.
+        """Metric mean and population std of ``window`` over ``trials`` captures at each z.
 
-        The calling thread blurs probe by probe and hands each noisy capture
-        to the pool as soon as its blur is ready, so later blurs overlap the
-        noise draws of earlier probes.
+        Trial t at the i-th z is noised with the spec ``noise`` derives from
+        (``first_index + i``, t), so a probe's noise depends on its index, not
+        on what else was probed.
         """
-        if noise.sigma == 0:
-            values = [
-                [self._noiseless_metric(z, noise, first_index + i, trials, window, kind)] * trials
-                for i, z in enumerate(zs)
-            ]
-        else:
-            def captures():
-                for i, z in enumerate(zs):
-                    blurred = self._blur(LensState(z))
-                    for t in range(trials):
-                        spec = noise.derived(first_index + i, t)
-                        yield _capture_metric, blurred, spec, window, kind
-
-            flat = _on_pool(captures())
-            values = [flat[i : i + trials] for i in range(0, len(flat), trials)]
-        return [
-            FocusSample(z, float(np.mean(v)), float(np.std(v)), trials) for z, v in zip(zs, values)
-        ]
-
-    def _noiseless_metric(
-        self, z: float, noise: NoiseSpec, index: int, trials: int, window: WindowSpec,
-        kind: MetricKind,
-    ) -> int:
-        lens = LensState(z)
-        frames = self.frames(lens, [noise.derived(index, t) for t in range(trials)])
-        key = (blur_radius(self.cfg, lens).px, window, kind)
-        value = self._noiseless.get(key)
-        if value is None:
-            value = self._noiseless[key] = resolution(frames[0], window, kind)
-        return value
+        specs = [[noise.derived(first_index + i, t) for t in range(trials)] for i in range(len(zs))]
+        samples = []
+        for z, captures in zip(zs, self.readings(zs, specs, [window], kind)):
+            values = [capture[0] for capture in captures]
+            samples.append(FocusSample(z, float(np.mean(values)), float(np.std(values)), trials))
+        return samples
 
 
-def _capture_metric(blurred: Image, noise: NoiseSpec, window: WindowSpec, kind: MetricKind) -> int:
-    """The metric of one noisy capture of a blurred zone: one pool task."""
-    return resolution(add_noise(blurred, noise), window, kind)
+def _read(
+    blurred: Image, noise: NoiseSpec, windows: Sequence[WindowSpec], kind: MetricKind
+) -> list[int]:
+    """Noise one capture of a blurred zone and measure each window: the one pool task."""
+    capture = add_noise(blurred, noise)
+    return [resolution(capture, window, kind) for window in windows]
 
 
 # The capture pool: built on first use, so importing focuslab starts no
@@ -193,18 +190,19 @@ if hasattr(os, "register_at_fork"):
 
 
 def _on_pool(calls: Iterable[tuple]) -> list:
-    """Run each ``(function, *args)`` of ``calls`` on the capture pool; their results in order.
+    """Run ``_read(*args)`` on the capture pool for each ``args`` of ``calls``; results in order.
 
-    Each call is submitted as soon as ``calls`` yields it, so work a generator
-    does between items overlaps the tasks already submitted. If ``calls`` or a
-    task raises, the tasks not yet started are cancelled and the running ones
-    awaited before the error propagates, so no capture outlives its call.
+    Each task is submitted as soon as ``calls`` yields its arguments, so work
+    a generator does between items overlaps the tasks already submitted. If
+    ``calls`` or a task raises, the tasks not yet started are cancelled and
+    the running ones awaited before the error propagates, so no capture
+    outlives its call.
     """
     pool = _capture_pool()
     futures = []
     try:
-        for function, *args in calls:
-            futures.append(pool.submit(function, *args))
+        for args in calls:
+            futures.append(pool.submit(_read, *args))
         return [future.result() for future in futures]
     except BaseException:
         for future in futures:

@@ -34,18 +34,11 @@ whole-frame capture cropped to it:
 - Noise prefix. ``add_noise`` draws the frame's row-major noise stream only
   through the crop's last row and keeps the crop's part; numpy's normal
   stream is prefix-stable, so those are the whole frame's draws.
-- Blur and metric cache. ``metric.Camera``, made once per study call,
-  caches the blurred zone by radius, so the +-z halves of a sweep build each
-  kernel and blur the zone once; only the noise is drawn per capture. At
-  sigma = 0 it also caches the metric value by (radius, window, kind). The
-  camera's caches end with the call; only the zone-transform memo outlives
-  it, on the image that was blurred (for a whole frame, the caller's scene).
-- Parallel captures. The camera draws each noisy capture, and its metric,
-  as one task on a thread pool sized to the usable CPUs; numpy releases the
-  GIL while it draws. Each capture's stream depends only on its own seed
-  and the results are read in submission order, so the bytes do not depend
-  on the worker count or on which capture finishes first. Blurs, PSF builds
-  and the camera's caches stay on the calling thread.
+- Caches and parallel captures. ``metric.Camera``, made once per study
+  call, owns the blur and metric caches and the thread pool that noises
+  and measures noisy captures; its docstring describes them. Only the
+  zone-transform memo outlives the call, on the image that was blurred
+  (for a whole frame, the caller's scene).
 """
 
 from __future__ import annotations

@@ -42,6 +42,8 @@ class SearchParams:
             raise ValueError(f"z_min and z_max must be finite, got [{self.z_min}, {self.z_max}]")
         if not self.z_min < self.z_max:
             raise ValueError(f"need z_min < z_max, got [{self.z_min}, {self.z_max}]")
+        if not isinstance(self.metric, MetricKind):
+            raise ValueError(f"metric must be a MetricKind, got {self.metric!r}")
         counts = (("coarse_steps", 5), ("refine_iterations", 0), ("trials_per_eval", 1))
         for name, minimum in counts:
             object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))

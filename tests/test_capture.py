@@ -31,6 +31,7 @@ from focuslab import (
     make_pillbox_psf,
     make_texture,
     resolution,
+    stability_study,
     sweep,
 )
 from focuslab.optics import DEFAULT_SUPERSAMPLE, _fast_len, pillbox_size
@@ -179,17 +180,29 @@ def windows(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     ws=st.lists(windows(), min_size=1, max_size=3),
-    radius=st.floats(0.0, 23.0),
+    probes=st.lists(st.tuples(st.floats(0.0, 23.0), st.integers(1, 3)), min_size=1, max_size=2),
     sigma=st.sampled_from([0.0, 1.5]),
+    kind=st.sampled_from(MetricKind),
     seed=st.integers(0, 2**63),
 )
-def test_camera_frames_equal_the_whole_frame_capture(ws, radius, sigma, seed):
-    lens = LensState(radius / PX_PER_MM)
+def test_camera_readings_equal_the_whole_frame_capture(ws, probes, sigma, kind, seed):
+    zs = [radius / PX_PER_MM for radius, _ in probes]
     noise = NoiseSpec(sigma, seed)
-    (frame,) = Camera(SMALL, CFG, ws).frames(lens, [noise])
-    whole = capture(SMALL, CFG, lens, noise)
-    for w in ws:
-        assert np.array_equal(frame.region(w), whole.region(w))
+    specs = [[noise.derived(i, t) for t in range(n)] for i, (_, n) in enumerate(probes)]
+    readings = Camera(SMALL, CFG, ws).readings(zs, specs, ws, kind)
+    assert len(readings) == len(zs)
+    for z, row, captures in zip(zs, specs, readings):
+        assert len(captures) == len(row)
+        for spec, values in zip(row, captures):
+            whole = capture(SMALL, CFG, LensState(z), spec)
+            assert values == [resolution(whole, w, kind) for w in ws]
+
+
+def test_readings_need_one_row_of_specs_per_z():
+    windows = [WindowSpec(20, 20, 9)]
+    with pytest.raises(ValueError, match="per z"):
+        Camera(SMALL, CFG, windows).readings([0.0, 0.1], [[NoiseSpec(0.0)]], windows,
+                                             MetricKind.SQUARED)
 
 
 def _zone_transforms(monkeypatch):
@@ -298,6 +311,22 @@ def test_noisy_sweep_measures_every_capture(monkeypatch):
     assert len(metric_calls) == 3 * len(zs)
 
 
+def test_stability_reads_every_window_size_from_the_same_captures(monkeypatch):
+    scene = make_texture(64, 64, 21)
+    noise_calls = _count_calls(monkeypatch, focuslab.metric, "add_noise")
+    metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
+    report = stability_study(scene, CFG, LensState(0.02), (32, 32), [5, 9, 17, 31],
+                             NoiseSpec(2.0, 5), repeats=6)
+    assert [row.n for row in report.rows] == [5, 9, 17, 31]
+    assert len(noise_calls) == 6
+    assert len(metric_calls) == 4 * 6
+    sizes_read = {}  # capture -> the window sizes measured on it
+    for image, window, _ in metric_calls:
+        sizes_read.setdefault(id(image), []).append(window.n)
+    assert len(sizes_read) == 6
+    assert all(sorted(sizes) == [5, 9, 17, 31] for sizes in sizes_read.values())
+
+
 def test_noiseless_probe_cache_is_keyed_by_radius_window_and_kind(texture_256):
     windows = (WindowSpec(100, 100, 31), WindowSpec(150, 140, 9))
     camera = Camera(texture_256, CFG, windows)
@@ -305,7 +334,7 @@ def test_noiseless_probe_cache_is_keyed_by_radius_window_and_kind(texture_256):
         whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
         for window in windows:
             for kind in MetricKind:
-                sample = camera.probe(z, NoiseSpec(0.0), 0, 2, window, kind)
+                (sample,) = camera.probes([z], NoiseSpec(0.0), 0, 2, window, kind)
                 assert sample.d_mean == resolution(whole, window, kind), (z, window, kind)
 
 

@@ -1,10 +1,11 @@
-"""Noisy captures drawn on the shared capture pool against serial whole-frame ones.
+"""Noisy captures read on the shared capture pool against serial whole-frame ones.
 
-``metric.Camera`` draws each noisy capture as one task on a module-wide
-thread pool. Results must not depend on the pool: every study equals the
-serial oracle, concurrent callers each get their own result, errors reach
-the caller, a forked child builds its own pool, and importing the package
-starts no thread.
+``metric.Camera.readings`` noises and measures each noisy capture of a
+sweep, search or stability study as one task on a module-wide thread pool.
+Results must not depend on the pool: every study equals the serial oracle,
+concurrent callers each get their own result, errors reach the caller, a
+forked child builds its own pool, and importing the package starts no
+thread.
 """
 
 import multiprocessing

@@ -45,6 +45,8 @@ class TestSearchParams:
             SearchParams(z_min=-1.0, z_max=1.0, refine_iterations=-1)
         with pytest.raises(ValueError, match="trials_per_eval"):
             SearchParams(z_min=-1.0, z_max=1.0, trials_per_eval=0)
+        with pytest.raises(ValueError, match="metric"):
+            SearchParams(z_min=-1.0, z_max=1.0, metric="squared")
         for z_min, z_max in ((-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 SearchParams(z_min=z_min, z_max=z_max)
