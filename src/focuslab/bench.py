@@ -17,7 +17,7 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, require_int
-from .metric import Camera, MetricKind, resolution, sweep
+from .metric import Camera, MetricKind, best_probe, resolution, z_list
 from .optics import LensState, OpticalConfig
 
 __all__ = [
@@ -102,12 +102,10 @@ def stability_study(
     repeats = require_int(repeats, "repeats", 3)
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    cx, cy = center
-    windows = [WindowSpec(cx, cy, n) for n in sizes]
-    camera = Camera(scene, cfg, windows)
-    specs = [noise.derived(r) for r in range(repeats)]
-    (captures,) = camera.readings([lens.z_mm], [specs], windows, MetricKind.SQUARED)
-    per_window = zip(*captures)  # [repeat][window] -> [window][repeat]
+    windows = [WindowSpec(*center, n) for n in sizes]
+    captures = [(lens.z_mm, noise.derived(r)) for r in range(repeats)]
+    readings = Camera(scene, cfg, windows).readings(captures, MetricKind.SQUARED)
+    per_window = zip(*readings)  # [repeat][window] -> [window][repeat]
     return StabilityReport(
         tuple(StabilityRow.from_measurements(w.n, v) for w, v in zip(windows, per_window))
     )
@@ -155,8 +153,8 @@ def compare_metrics(
 
     Timing runs sequentially (one kind and window size at a time) to avoid
     contention skew; wall times are reported, never asserted, since they are
-    host-dependent. Each kind's argmax comes from its own noiseless sweep
-    through ``window`` over ``z_values``.
+    host-dependent. Each kind's argmax comes from a noiseless sweep through
+    ``window`` over ``z_values``; both read one camera, which blurs a radius once.
     """
     repeats_for_timing = require_int(repeats_for_timing, "repeats_for_timing", 10)
     if not sizes:
@@ -165,10 +163,9 @@ def compare_metrics(
     for w in timing_windows:
         scene.region(w)
 
-    argmax = {}
-    for kind in (MetricKind.SQUARED, MetricKind.ABSOLUTE):
-        curve = sweep(scene, cfg, window, kind, z_values, NoiseSpec(0.0), trials=1)
-        argmax[kind] = curve.argmax_z()
+    zs, camera = z_list(z_values), Camera(scene, cfg, [window])
+    argmax = {kind: best_probe(camera.probes(zs, NoiseSpec(0.0), 0, 1, kind)).z_mm
+              for kind in (MetricKind.SQUARED, MetricKind.ABSOLUTE)}
 
     timings = []
     for kind in (MetricKind.SQUARED, MetricKind.ABSOLUTE):

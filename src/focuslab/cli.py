@@ -21,6 +21,7 @@ _DEF_F_MM = 50.0
 _DEF_G = 2.0
 _DEF_PITCH_MM = 0.005
 _DEF_D_MAX = 100.0
+_DEF_N = 31  # metric window side, pixels
 
 
 class CliError(ValueError):
@@ -53,14 +54,18 @@ def _optics_flags(parser: argparse.ArgumentParser) -> None:
                        help=f"resolution ceiling near focus (default {_DEF_D_MAX})")
 
 
-def _window_flags(parser: argparse.ArgumentParser, default_n: int = 31) -> None:
+def _center_flags(container) -> None:
+    """Add --cx/--cy to a parser or argument group."""
+    for axis in "xy":
+        container.add_argument(f"--c{axis}", type=int, default=None,
+                               help=f"window center {axis} (default: image center)")
+
+
+def _window_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("window")
-    group.add_argument("--cx", type=int, default=None,
-                       help="window center x (default: image center)")
-    group.add_argument("--cy", type=int, default=None,
-                       help="window center y (default: image center)")
-    group.add_argument("--n", type=int, default=default_n,
-                       help=f"window dimension in pixels (default {default_n})")
+    _center_flags(group)
+    group.add_argument("--n", type=int, default=_DEF_N,
+                       help=f"window dimension in pixels (default {_DEF_N})")
 
 
 def _metric_flag(parser: argparse.ArgumentParser) -> None:
@@ -296,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated window sizes (default 5,9,17,31)")
     stability.add_argument("--repeats", type=int, default=10,
                            help="noisy captures per size (default 10)")
-    stability.add_argument("--cx", type=int, default=None, help="window center x (default: image center)")
-    stability.add_argument("--cy", type=int, default=None, help="window center y (default: image center)")
+    _center_flags(stability)
     stability.add_argument("--out", default=None, help="output CSV path (default stdout)")
     _noise_flags(stability, default_sigma=2.0)
     _optics_flags(stability)

@@ -10,6 +10,7 @@ it captures only the zone its windows read.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -58,18 +59,18 @@ def resolution(image: Image, window: WindowSpec, kind: MetricKind) -> int:
 class Camera:
     """Virtual camera for one study call that captures only the zone its windows read.
 
-    The zone is the bounding box of ``windows``, which must fit the scene.
-    Each capture blurs the zone plus a halo and draws noise only through the
-    zone's last row, and yields the same pixels as the whole-frame
-    ``optics.capture`` cropped to the zone (see ``optics``). ``readings`` is
-    the one capture route: sweeps, searches and stability studies all go
-    through it.
+    The windows are fixed at construction and every capture is read through
+    all of them; the zone is their bounding box, which must fit the scene.
+    A capture blurs the zone plus a halo, draws noise only through the zone's
+    last row, and yields the whole-frame ``optics.capture`` cropped to the
+    zone (see ``optics``). ``readings`` of a flat (z, noise) capture list is
+    the one capture route: sweeps, searches and both ``bench`` studies use it.
 
     Caches. The blurred zone is cached by radius for the camera's life, so
     captures that share a radius, such as the +-z halves of a sweep, build
     one kernel and blur once; only the noise is drawn per capture. Noiseless
-    captures also cache the metric value by (radius, window, kind): every
-    such capture is the blurred zone itself, so a radius is measured once
+    captures also cache their readings by (radius, kind): every such capture
+    is the blurred zone itself, so a radius is measured once per kind
     however many probes and trials read it. The caches end with the camera;
     only the zone-transform memo of ``optics.convolve`` outlives it.
 
@@ -86,10 +87,11 @@ class Camera:
     """
 
     def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
-        if not windows:
+        self.windows = tuple(windows)
+        if not self.windows:
             raise ValueError("windows must be nonempty")
         boxes = []
-        for window in windows:
+        for window in self.windows:
             scene.region(window)  # reject window overflow before any heavy work
             x0, y0 = window.origin()
             boxes.append((x0, y0, x0 + window.n, y0 + window.n))
@@ -97,57 +99,51 @@ class Camera:
         self.zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self.cfg = cfg
         self._blurred: dict[float, Image] = {}
-        self._noiseless: dict[tuple[float, WindowSpec, MetricKind], int] = {}
+        self._noiseless: dict[tuple[float, MetricKind], list[int]] = {}
 
     def readings(
-        self, zs: Sequence[float], specs: Sequence[Sequence[NoiseSpec]],
-        windows: Sequence[WindowSpec], kind: MetricKind,
-    ) -> list[list[list[int]]]:
-        """``[i][t][k]``: the metric of ``windows[k]`` in capture t at ``zs[i]``.
+        self, captures: Sequence[tuple[float, NoiseSpec]], kind: MetricKind
+    ) -> list[list[int]]:
+        """``[c][k]``: the metric of ``windows[k]`` in the capture ``captures[c] = (z, noise)``."""
 
-        Capture t at ``zs[i]`` is noised with ``specs[i][t]``; the captures at
-        one z share one blur.
-        """
-        if len(zs) != len(specs):
-            raise ValueError(f"need one row of noise specs per z, got {len(specs)} for {len(zs)}")
-
-        def captures():
-            for z, row in zip(zs, specs):
+        def blurred():
+            for z, spec in captures:
                 radius = blur_radius(self.cfg, LensState(z)).px
-                blurred = self._blurred.get(radius)
-                if blurred is None:
-                    blurred = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
-                for spec in row:
-                    yield radius, blurred, spec
+                zone = self._blurred.get(radius)
+                if zone is None:
+                    zone = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
+                yield radius, zone, spec
 
-        if any(spec.sigma for row in specs for spec in row):
-            flat = _on_pool((blurred, spec, windows, kind) for _, blurred, spec in captures())
-        else:  # every capture is its blurred zone: measure each (radius, window, kind) once
-            flat = []
-            cache = self._noiseless
-            for radius, blurred, spec in captures():
-                missing = [w for w in windows if (radius, w, kind) not in cache]
-                for window, value in zip(missing, _read(blurred, spec, missing, kind)):
-                    cache[radius, window, kind] = value
-                flat.append([cache[radius, window, kind] for window in windows])
-        values = iter(flat)
-        return [[next(values) for _ in row] for row in specs]
+        if any(spec.sigma for _, spec in captures):
+            return _on_pool((zone, spec, self.windows, kind) for _, zone, spec in blurred())
+        # All captures pass add_noise; each (radius, kind) is measured once and copied per capture.
+        values = []
+        for radius, zone, spec in blurred():
+            key = radius, kind
+            measured = _read(zone, spec, () if key in self._noiseless else self.windows, kind)
+            values.append(list(self._noiseless.setdefault(key, measured)))
+        return values
 
     def probes(
         self, zs: Sequence[float], noise: NoiseSpec, first_index: int, trials: int,
-        window: WindowSpec, kind: MetricKind,
+        kind: MetricKind,
     ) -> list[FocusSample]:
-        """Metric mean and population std of ``window`` over ``trials`` captures at each z.
+        """Metric mean and population std of the one window over ``trials`` captures at each z.
 
         Trial t at the i-th z is noised with the spec ``noise`` derives from
         (``first_index + i``, t), so a probe's noise depends on its index, not
         on what else was probed.
         """
-        specs = [[noise.derived(first_index + i, t) for t in range(trials)] for i in range(len(zs))]
+        trials = require_int(trials, "trials", 1)
+        if len(self.windows) != 1:
+            raise ValueError(f"probes need a camera with one window, got {len(self.windows)}")
+        captures = [(z, noise.derived(first_index + i, t))
+                    for i, z in enumerate(zs) for t in range(trials)]
+        values = [reading for (reading,) in self.readings(captures, kind)]
         samples = []
-        for z, captures in zip(zs, self.readings(zs, specs, [window], kind)):
-            values = [capture[0] for capture in captures]
-            samples.append(FocusSample(z, float(np.mean(values)), float(np.std(values)), trials))
+        for i, z in enumerate(zs):
+            run = values[i * trials:(i + 1) * trials]
+            samples.append(FocusSample(z, float(np.mean(run)), float(np.std(run)), trials))
         return samples
 
 
@@ -223,10 +219,12 @@ class FocusSample:
     n_trials: int
 
     def __post_init__(self) -> None:
+        for name in ("z_mm", "d_mean", "d_stddev"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.d_mean < 0 or self.d_stddev < 0:
             raise ValueError("metric statistics must be nonnegative")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        object.__setattr__(self, "n_trials", require_int(self.n_trials, "n_trials", 1))
 
 
 CSV_HEADER = "z_mm,d_mean,d_stddev,n_trials"
@@ -245,11 +243,7 @@ class FocusCurve:
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("focus curve needs at least one entry")
-        zs = [s.z_mm for s in entries]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise ValueError("curve z values must be strictly increasing")
+        z_list(s.z_mm for s in entries)
         object.__setattr__(self, "entries", entries)
 
     def z_values(self) -> np.ndarray:
@@ -287,11 +281,16 @@ def sweep(
     varies, and records the mean and population standard deviation of the
     metric (``Camera.probes``).
     """
+    zs = z_list(z_values)
+    camera = Camera(scene, cfg, [window])
+    return FocusCurve(tuple(camera.probes(zs, noise, 0, trials, kind)))
+
+
+def z_list(z_values: Iterable[float]) -> list[float]:
+    """``z_values`` as floats; a ValueError unless they are nonempty and strictly increasing."""
     zs = [float(z) for z in z_values]
     if not zs:
         raise ValueError("z_values must be nonempty")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z_values must be strictly increasing")
-    trials = require_int(trials, "trials", 1)
-    camera = Camera(scene, cfg, [window])
-    return FocusCurve(tuple(camera.probes(zs, noise, 0, trials, window, kind)))
+    return zs

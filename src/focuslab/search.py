@@ -113,8 +113,7 @@ def autofocus(
 
     def probe(zs: list[float], phase: str) -> float:
         """Probe each z in order, append them to the trace, return the last one's mean."""
-        trials = params.trials_per_eval
-        samples = camera.probes(zs, noise, len(trace), trials, window, params.metric)
+        samples = camera.probes(zs, noise, len(trace), params.trials_per_eval, params.metric)
         trace.extend(TracePoint(z_mm=s.z_mm, d_mean=s.d_mean, phase=phase) for s in samples)
         return samples[-1].d_mean
 

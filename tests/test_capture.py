@@ -27,6 +27,7 @@ from focuslab import (
     add_noise,
     blur_radius,
     capture,
+    compare_metrics,
     convolve,
     make_pillbox_psf,
     make_texture,
@@ -186,23 +187,17 @@ def windows(draw):
     seed=st.integers(0, 2**63),
 )
 def test_camera_readings_equal_the_whole_frame_capture(ws, probes, sigma, kind, seed):
-    zs = [radius / PX_PER_MM for radius, _ in probes]
     noise = NoiseSpec(sigma, seed)
-    specs = [[noise.derived(i, t) for t in range(n)] for i, (_, n) in enumerate(probes)]
-    readings = Camera(SMALL, CFG, ws).readings(zs, specs, ws, kind)
-    assert len(readings) == len(zs)
-    for z, row, captures in zip(zs, specs, readings):
-        assert len(captures) == len(row)
-        for spec, values in zip(row, captures):
-            whole = capture(SMALL, CFG, LensState(z), spec)
-            assert values == [resolution(whole, w, kind) for w in ws]
-
-
-def test_readings_need_one_row_of_specs_per_z():
-    windows = [WindowSpec(20, 20, 9)]
-    with pytest.raises(ValueError, match="per z"):
-        Camera(SMALL, CFG, windows).readings([0.0, 0.1], [[NoiseSpec(0.0)]], windows,
-                                             MetricKind.SQUARED)
+    captures = [
+        (radius / PX_PER_MM, noise.derived(i, t))
+        for i, (radius, n) in enumerate(probes)
+        for t in range(n)
+    ]
+    readings = Camera(SMALL, CFG, ws).readings(captures, kind)
+    assert len(readings) == len(captures)
+    for (z, spec), values in zip(captures, readings):
+        whole = capture(SMALL, CFG, LensState(z), spec)
+        assert values == [resolution(whole, w, kind) for w in ws]
 
 
 def _zone_transforms(monkeypatch):
@@ -327,15 +322,47 @@ def test_stability_reads_every_window_size_from_the_same_captures(monkeypatch):
     assert all(sorted(sizes) == [5, 9, 17, 31] for sizes in sizes_read.values())
 
 
-def test_noiseless_probe_cache_is_keyed_by_radius_window_and_kind(texture_256):
+def test_noiseless_readings_are_cached_by_radius_and_kind(monkeypatch, texture_256):
     windows = (WindowSpec(100, 100, 31), WindowSpec(150, 140, 9))
     camera = Camera(texture_256, CFG, windows)
+    metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
     for z in (0.1, -0.1, 0.0, 0.2):
         whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
-        for window in windows:
-            for kind in MetricKind:
-                (sample,) = camera.probes([z], NoiseSpec(0.0), 0, 2, window, kind)
-                assert sample.d_mean == resolution(whole, window, kind), (z, window, kind)
+        for kind in MetricKind:
+            expected = [resolution(whole, window, kind) for window in windows]
+            assert camera.readings([(z, NoiseSpec(0.0))] * 2, kind) == [expected] * 2, (z, kind)
+    assert len(metric_calls) == 3 * 2 * 2  # radii x kinds x windows
+
+
+@pytest.mark.parametrize("trials", (0, 2.5))
+def test_probes_reject_bad_trials_before_any_capture(monkeypatch, trials):
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    camera = Camera(SMALL, CFG, [WindowSpec(20, 20, 9)])
+    with pytest.raises(ValueError, match="trials"):
+        camera.probes([0.0, 0.1], NoiseSpec(1.0, 3), 0, trials, MetricKind.SQUARED)
+    assert blurs == []
+
+
+def test_probes_need_a_camera_with_one_window(monkeypatch):
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    camera = Camera(SMALL, CFG, [WindowSpec(20, 20, 9), WindowSpec(40, 20, 5)])
+    with pytest.raises(ValueError, match="one window"):
+        camera.probes([0.0], NoiseSpec(0.0), 0, 1, MetricKind.SQUARED)
+    assert blurs == []
+
+
+def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):
+    window = WindowSpec(128, 128, 31)
+    zs = [-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4]
+    argmax = {
+        kind: sweep(texture_256, CFG, window, kind, zs, NoiseSpec(0.0), trials=1).argmax_z()
+        for kind in MetricKind
+    }
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    report = compare_metrics(texture_256, CFG, window, zs, repeats_for_timing=10, sizes=(5,))
+    assert len({blur_radius(CFG, LensState(z)).px for z in zs}) == 5
+    assert len(blurs) == 5
+    assert report.argmax_z_mm == argmax
 
 
 def test_threads_sharing_one_frame_and_its_memo_blur_correctly():

@@ -112,6 +112,17 @@ class TestResolution:
         assert resolution(img, w, MetricKind.ABSOLUTE) == 2 * (n - 1) * (n - 1) * 255
 
 
+@pytest.mark.parametrize("fields, name", [
+    ((0.0, float("nan"), 0.0, 1), "d_mean"),
+    ((0.0, 1.0, float("inf"), 1), "d_stddev"),
+    ((float("nan"), 1.0, 0.0, 1), "z_mm"),
+    ((0.0, 1.0, 0.0, 2.5), "n_trials"),
+], ids=["nan-mean", "inf-stddev", "nan-z", "fractional-trials"])
+def test_focus_sample_rejects_bad_fields_by_name(fields, name):
+    with pytest.raises(ValueError, match=name):
+        FocusSample(*fields)
+
+
 class TestFocusCurve:
     def test_z_values_must_increase(self):
         s = [FocusSample(0.0, 1.0, 0.0, 1), FocusSample(0.0, 2.0, 0.0, 1)]
