@@ -54,17 +54,8 @@ class StabilityRow:
         if not values:
             raise ValueError("a stability row needs at least one measurement")
         mean = float(np.mean(values))
-        if mean == 0.0:
-            deviations = tuple(0.0 for _ in values)
-        else:
-            deviations = tuple(100.0 * (d - mean) / mean for d in values)
-        return cls(
-            n=n,
-            measurements=values,
-            mean=mean,
-            deviations_pct=deviations,
-            max_abs_deviation_pct=max(abs(p) for p in deviations),
-        )
+        deviations = tuple(100.0 * (d - mean) / mean if mean else 0.0 for d in values)
+        return cls(n, values, mean, deviations, max(abs(p) for p in deviations))
 
 
 @dataclass(frozen=True)

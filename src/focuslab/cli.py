@@ -50,8 +50,6 @@ def _optics_flags(parser: argparse.ArgumentParser) -> None:
                        help=f"light-gathering parameter (default {_DEF_G})")
     group.add_argument("--pixel-pitch-mm", type=float, default=_DEF_PITCH_MM,
                        help=f"sensor pixel size, mm (default {_DEF_PITCH_MM})")
-    group.add_argument("--d-max", type=float, default=_DEF_D_MAX,
-                       help=f"resolution ceiling near focus (default {_DEF_D_MAX})")
 
 
 def _center_flags(container) -> None:
@@ -82,8 +80,8 @@ def _noise_flags(parser: argparse.ArgumentParser, default_sigma: float) -> None:
 
 
 def _optical_config(args: argparse.Namespace) -> optics.OpticalConfig:
-    return _checked("optics (--a-mm/--f-mm/--g/--pixel-pitch-mm/--d-max)", optics.OpticalConfig,
-                    args.a_mm, args.f_mm, args.g, args.pixel_pitch_mm, args.d_max)
+    return _checked("optics (--a-mm/--f-mm/--g/--pixel-pitch-mm)", optics.OpticalConfig,
+                    args.a_mm, args.f_mm, args.g, args.pixel_pitch_mm, _DEF_D_MAX)
 
 
 def _noise_spec(args: argparse.Namespace) -> image.NoiseSpec:
@@ -111,23 +109,17 @@ def _sizes(args: argparse.Namespace) -> list[int]:
 
 
 def _z_values(args: argparse.Namespace) -> list[float]:
-    if args.z_count < 1:
-        raise CliError("--z-count must be >= 1")
+    """The --z-count grid over [--z-min, --z-max]; ``metric.z_list`` checks it."""
     if args.z_count == 1:
         if args.z_min != args.z_max:
             raise CliError("--z-count 1 requires --z-min == --z-max")
         return [args.z_min]
-    if args.z_min >= args.z_max:
-        raise CliError("--z-min must be below --z-max")
     step = (args.z_max - args.z_min) / (args.z_count - 1)
     return [args.z_min + i * step for i in range(args.z_count)]
 
 
 def _write_or_stdout(writer, out_path: str | None) -> None:
-    if out_path is None or out_path == "-":
-        writer(sys.stdout)
-    else:
-        writer(out_path)
+    writer(sys.stdout if out_path in (None, "-") else out_path)
 
 
 def cmd_gen_step(args: argparse.Namespace) -> int:
@@ -170,7 +162,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     noise = _noise_spec(args)
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
-    curve = _checked("sweep (--z-min/--z-max/--trials)", metric.sweep, scene, cfg, window,
+    curve = _checked("sweep (--z-min/--z-max/--z-count/--trials)", metric.sweep, scene, cfg, window,
                      _METRIC_KINDS[args.metric], _z_values(args), noise, args.trials)
     _write_or_stdout(curve.write_csv, args.out)
     return 0
@@ -218,7 +210,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sizes = _sizes(args)
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
-    report = _checked("comparison (--z-min/--z-max/--timing-repeats/--sizes/--cx/--cy)",
+    report = _checked("comparison (--z-min/--z-max/--z-count/--timing-repeats/--sizes/--cx/--cy)",
                       bench.compare_metrics, scene, cfg, window, _z_values(args),
                       args.timing_repeats, sizes)
     _write_or_stdout(report.write_csv, args.out)

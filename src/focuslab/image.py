@@ -113,14 +113,16 @@ class Image:
     def crop(self, x0: int, y0: int, x1: int, y1: int) -> Image:
         """The frame box [x0, x1) x [y0, y1) as a crop that keeps the surround.
 
-        Raises ValueError if the surround is unknown or the box is empty or
-        leaves the frame.
+        Raises ValueError if the surround is unknown or the box has a bound
+        that is not an integer, is empty, or leaves the frame.
         """
         if self.surround is None:
             raise ValueError("only an image whose surround is known can be cropped")
         fw, fh = self.frame_size
+        box = f"box [{x0}, {x1}) x [{y0}, {y1})"
+        x0, y0, x1, y1 = (require_int(v, f"{box} bound") for v in (x0, y0, x1, y1))
         if not (0 <= x0 < x1 <= fw and 0 <= y0 < y1 <= fh):
-            raise ValueError(f"box [{x0}, {x1}) x [{y0}, {y1}) is empty or leaves the {fw}x{fh} frame")
+            raise ValueError(f"{box} is empty or leaves the {fw}x{fh} frame")
         out = Image(self.surround[y0:y1, x0:x1], (x0, y0), self.frame_size)
         object.__setattr__(out, "surround", self.surround)
         return out

@@ -21,7 +21,8 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise, require_int
-from .optics import LensState, OpticalConfig, blur_radius, convolve, make_pillbox_psf
+from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
+from .optics import convolve, make_pillbox_psf
 
 __all__ = ["MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep"]
 
@@ -68,7 +69,8 @@ class Camera:
 
     Caches. The blurred zone is cached by radius for the camera's life, so
     captures that share a radius, such as the +-z halves of a sweep, build
-    one kernel and blur once; only the noise is drawn per capture. Noiseless
+    one kernel and blur once; only the noise is drawn per capture. A miss
+    checks that the kernel fits the frame before building it. Noiseless
     captures also cache their readings by (radius, kind): every such capture
     is the blurred zone itself, so a radius is measured once per kind
     however many probes and trials read it. The caches end with the camera;
@@ -111,6 +113,7 @@ class Camera:
                 radius = blur_radius(self.cfg, LensState(z)).px
                 zone = self._blurred.get(radius)
                 if zone is None:
+                    check_kernel_fits(radius, self.zone.frame_size, f"z={z} mm reaches")
                     zone = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
                 yield radius, zone, spec
 
@@ -140,11 +143,9 @@ class Camera:
         captures = [(z, noise.derived(first_index + i, t))
                     for i, z in enumerate(zs) for t in range(trials)]
         values = [reading for (reading,) in self.readings(captures, kind)]
-        samples = []
-        for i, z in enumerate(zs):
-            run = values[i * trials:(i + 1) * trials]
-            samples.append(FocusSample(z, float(np.mean(run)), float(np.std(run)), trials))
-        return samples
+        runs = [values[i * trials:(i + 1) * trials] for i in range(len(zs))]
+        return [FocusSample(z, float(np.mean(r)), float(np.std(r)), trials)
+                for z, r in zip(zs, runs)]
 
 
 def _read(
@@ -287,10 +288,13 @@ def sweep(
 
 
 def z_list(z_values: Iterable[float]) -> list[float]:
-    """``z_values`` as floats; a ValueError unless they are nonempty and strictly increasing."""
+    """``z_values`` as floats; a ValueError unless nonempty, finite and strictly increasing."""
     zs = [float(z) for z in z_values]
     if not zs:
         raise ValueError("z_values must be nonempty")
+    for z in zs:
+        if not math.isfinite(z):
+            raise ValueError(f"z_values must be finite, got {z}")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z_values must be strictly increasing")
     return zs

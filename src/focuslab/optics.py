@@ -28,6 +28,9 @@ whole-frame capture cropped to it:
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
   so the byte does not depend on the FFT size: a crop rounds exactly like
   the whole frame, exact .5 ties included.
+- Fit before build. Every capture route calls ``check_kernel_fits`` on a
+  blur radius before it builds that pillbox, so a kernel larger than the
+  frame is refused before it costs any memory.
 - PSF build. ``make_pillbox_psf`` subsamples only the rim pixels the circle
   crosses; pixels wholly inside or outside get their counts from their
   nearest and farthest subsamples, the same counts a full subsample loop gives.
@@ -60,6 +63,7 @@ __all__ = [
     "DEFAULT_SUPERSAMPLE",
     "blur_radius",
     "pillbox_size",
+    "check_kernel_fits",
     "make_pillbox_psf",
     "convolve",
     "line_spread",
@@ -87,7 +91,8 @@ class OpticalConfig:
        scalar in the blur-radius formula.
     pixel_pitch_mm: sensor pixel size.
     d_max: ceiling on the per-mm resolution value near perfect focus, set by
-       the capture device itself; supplied, not derived.
+       the capture device itself; supplied, not derived. Only
+       ``theoretical_resolution`` reads it, and the CLI fixes it at 100.
     """
 
     a_mm: float
@@ -105,12 +110,9 @@ class OpticalConfig:
             raise ValueError(
                 f"need a_mm > f_mm > 0, got a_mm={self.a_mm}, f_mm={self.f_mm}"
             )
-        if self.g <= 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.pixel_pitch_mm <= 0:
-            raise ValueError(f"pixel_pitch_mm must be positive, got {self.pixel_pitch_mm}")
-        if self.d_max <= 0:
-            raise ValueError(f"d_max must be positive, got {self.d_max}")
+        for name in ("g", "pixel_pitch_mm", "d_max"):
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,18 @@ class PsfKernel:
 def pillbox_size(radius_px: float) -> int:
     """Side of the square kernel ``make_pillbox_psf`` builds for this radius."""
     return 1 if radius_px < 0.5 else 2 * math.ceil(radius_px) + 1
+
+
+def check_kernel_fits(radius_px: float, frame_size: tuple[int, int], reach: str) -> None:
+    """A ValueError, before any kernel is built, if this radius's pillbox exceeds the frame.
+
+    ``reach`` opens the message with what reaches the radius, such as ``"z=2.0 mm reaches"``.
+    """
+    width, height = frame_size
+    size = pillbox_size(radius_px) if math.isfinite(radius_px) else math.inf
+    if size > width or size > height:
+        raise ValueError(f"{reach} a blur radius of {radius_px:.1f}px, whose {size}x{size} "
+                         f"kernel exceeds the {width}x{height} scene")
 
 
 def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -> PsfKernel:
@@ -354,5 +368,6 @@ def capture(scene: Image, cfg: OpticalConfig, lens: LensState, noise: NoiseSpec)
     unchanged. A crop of the scene captures the crop's box of the whole
     frame's capture.
     """
-    psf = make_pillbox_psf(blur_radius(cfg, lens).px)
-    return add_noise(convolve(scene, psf), noise)
+    radius = blur_radius(cfg, lens).px
+    check_kernel_fits(radius, scene.frame_size, f"z={lens.z_mm} mm reaches")
+    return add_noise(convolve(scene, make_pillbox_psf(radius)), noise)

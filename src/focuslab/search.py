@@ -16,7 +16,7 @@ import numpy as np
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, require_int
 from .metric import Camera, MetricKind, best_probe
-from .optics import LensState, OpticalConfig, blur_radius, pillbox_size
+from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
 __all__ = ["SearchParams", "TracePoint", "AutofocusResult", "autofocus"]
@@ -103,12 +103,7 @@ def autofocus(
     """
     camera = Camera(scene, cfg, [window])
     reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
-    size = pillbox_size(reach)
-    if size > scene.width or size > scene.height:
-        raise ValueError(
-            f"z_min/z_max reach a blur radius of {reach:.1f}px, whose {size}x{size} "
-            f"kernel exceeds the {scene.width}x{scene.height} scene"
-        )
+    check_kernel_fits(reach, scene.frame_size, "z_min/z_max reach")
     trace: list[TracePoint] = []
 
     def probe(zs: list[float], phase: str) -> float:

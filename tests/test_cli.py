@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import focuslab
 from focuslab import Image, load_pgm, make_step_edge, make_texture, save_pgm
 from focuslab.cli import main
 
@@ -230,7 +231,7 @@ _VALID = {
     ["sweep", "--f-mm", "-1"],
     ["sweep", "--a-mm", "10"],
     ["sweep", "--g", "nan"],
-    ["sweep", "--d-max", "inf"],
+    ["compare", "--z-max", "nan"],
     ["sweep", "--sigma", "-1"],
     ["sweep", "--seed", "-3"],
     ["sweep", "--trials", "0"],
@@ -260,3 +261,62 @@ def test_rejected_flag_value_exits_1_naming_the_flag(capsys, tmp_path, texture_p
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert re.search(rf"(?<![\w-]){flag}(?![\w-])", err), err
     assert not out.exists()
+
+
+def _one_error_line(code, stdout, err):
+    return code == 1 and stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--z-max", "inf"],
+    ["--z-min=-1e308", "--z-max", "1e308"],  # the grid step overflows to inf
+], ids=["inf", "overflow"])
+def test_non_finite_z_grid_fails_naming_finiteness(capsys, texture_pgm, bounds):
+    code, stdout, err = run(capsys, "sweep", "--in", str(texture_pgm), *bounds)
+    assert _one_error_line(code, stdout, err), err
+    assert "--z-max" in err and "z_values must be finite" in err
+
+
+# z = 1000 mm is a 47,500 px blur radius on the default camera.
+@pytest.mark.parametrize("argv, flag", [
+    (["blur", "--z", "1000"], "--z"),
+    (["sweep", "--z-min", "-1000", "--z-max", "1000", "--z-count", "3"], "--z-min"),
+    (["stability", "--z", "1000"], "--z"),
+    (["compare", "--z-min", "-1000", "--z-max", "1000", "--z-count", "3"], "--z-min"),
+], ids=["blur", "sweep", "stability", "compare"])
+def test_oversized_kernel_is_refused_before_it_is_built(
+    capsys, monkeypatch, tmp_path, texture_pgm, argv, flag
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a pillbox was built")
+
+    for module in (focuslab.metric, focuslab.optics):
+        monkeypatch.setattr(module, "make_pillbox_psf", no_build)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--in", str(texture_pgm), "--out", str(out))
+    assert _one_error_line(code, stdout, err), err
+    assert "kernel exceeds the 64x64 scene" in err
+    assert re.search(rf"(?<![\w-]){flag}(?![\w-])", err), err
+    assert not out.exists()
+
+
+def test_autofocus_whose_reach_overflows_fails_naming_the_interval(capsys, texture_pgm):
+    # The blur radius of |z| = 1e308 mm overflows to inf before any probe.
+    code, stdout, err = run(capsys, "autofocus", "--in", str(texture_pgm),
+                            "--z-min=-1e308", "--z-max", "1e308")
+    assert _one_error_line(code, stdout, err), err
+    assert "(--z-min/--z-max)" in err and "kernel exceeds the 64x64 scene" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["blur", "--z", "0", "--out", "unused.pgm"],
+    ["sweep"],
+    ["autofocus"],
+    ["stability"],
+    ["compare"],
+], ids=lambda argv: argv[0])
+def test_d_max_is_an_unknown_flag(capsys, texture_pgm, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(texture_pgm), "--d-max", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d-max 100" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import focuslab
 from focuslab import (
     Camera,
     Image,
@@ -306,10 +307,26 @@ def test_non_integer_counts_and_seeds_rejected(build):
     (lambda: make_pillbox_psf(float("inf")), "radius must be finite"),
     (lambda: make_pillbox_psf(float("nan")), "radius must be finite"),
     (lambda: Camera(_SCENE, _CFG, []), "windows must be nonempty"),
-], ids=["texture-seed", "texture-width", "step-width", "psf-inf", "psf-nan", "camera-no-windows"])
+    (lambda: _SCENE.crop(1.5, 0, 3, 3), r"box \[1\.5, 3\) x \[0, 3\) bound must be an integer"),
+], ids=["texture-seed", "texture-width", "step-width", "psf-inf", "psf-nan", "camera-no-windows",
+        "crop-bound"])
 def test_bad_arguments_rejected_with_their_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("study", [
+    lambda zs: sweep(_SCENE, _CFG, _WINDOW, MetricKind.SQUARED, zs, NoiseSpec(0.0), trials=1),
+    lambda zs: compare_metrics(_SCENE, _CFG, _WINDOW, zs, repeats_for_timing=10),
+], ids=["sweep", "compare"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_z_rejected_before_any_blur(monkeypatch, study, bad):
+    def no_blur(*args):
+        raise AssertionError("a capture was blurred")
+
+    monkeypatch.setattr(focuslab.metric, "convolve", no_blur)
+    with pytest.raises(ValueError, match="z_values must be finite"):
+        study([0.1, bad])
 
 
 @settings(max_examples=80)

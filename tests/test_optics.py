@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import focuslab
 from focuslab import (
     Image,
     LensState,
@@ -13,6 +14,7 @@ from focuslab import (
     WindowSpec,
     blur_radius,
     capture,
+    check_kernel_fits,
     convolve,
     edge_response,
     line_spread,
@@ -174,6 +176,26 @@ class TestConvolve:
             convolve(img, make_pillbox_psf(6.0))  # 13x13 kernel vs 8x8 image
 
 
+class TestKernelFit:
+    @pytest.mark.parametrize("radius, frame", [
+        (0.49, (1, 1)),  # the identity kernel fits any frame
+        (31.0, (64, 64)),  # 63x63
+        (20.0, (41, 64)),
+    ])
+    def test_a_kernel_no_wider_than_the_frame_fits(self, radius, frame):
+        check_kernel_fits(radius, frame, "z reaches")
+
+    @pytest.mark.parametrize("radius, frame", [
+        (31.01, (64, 64)),  # 65x65
+        (20.0, (64, 40)),  # 41 rows in 40
+        (1e300, (64, 64)),
+        (math.inf, (64, 64)),
+    ])
+    def test_a_wider_kernel_is_refused_by_its_reach(self, radius, frame):
+        with pytest.raises(ValueError, match=r"^z reaches a blur radius of .* exceeds the"):
+            check_kernel_fits(radius, frame, "z reaches")
+
+
 class TestLineSpread:
     def test_identity_kernel_profile(self):
         assert line_spread(make_pillbox_psf(0.0)).tolist() == [1.0]
@@ -276,3 +298,12 @@ class TestCapture:
         z = 8.0 / blur_radius(CFG, LensState(1.0)).px  # R_px = 8
         blurred = capture(scene, CFG, LensState(z), NoiseSpec(0.0))
         assert resolution(blurred, window, MetricKind.SQUARED) < sharp
+
+    def test_oversized_kernel_is_refused_before_it_is_built(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a pillbox was built")
+
+        monkeypatch.setattr(focuslab.optics, "make_pillbox_psf", no_build)
+        scene = make_texture(32, 32, 9)
+        with pytest.raises(ValueError, match="z=1.0 mm reaches .* exceeds the 32x32 scene"):
+            capture(scene, CFG, LensState(1.0), NoiseSpec(0.0))
