@@ -6,9 +6,9 @@ so concurrent use needs no locking. The one mutable part of an ``Image`` is
 a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
 a pure function of the pixels, replaced whole by one attribute store. A
 reader sees either the old entry or the new one, both correct, so it needs
-no lock either. ``metric.Camera`` relies on this when it runs ``add_noise``
-on worker threads: a capture reads its blurred input and writes only the new
-image it returns.
+no lock either. ``metric.Camera`` relies on this when it runs ``draw_noise``
+on worker threads: a draw reads only its spec and writes only the field it
+returns.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ __all__ = [
     "save_pgm",
     "make_step_edge",
     "make_texture",
+    "NoiseField",
+    "draw_noise",
     "add_noise",
 ]
 
@@ -348,22 +350,63 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     return Image(levels.astype(np.uint8))
 
 
-def add_noise(image: Image, noise: NoiseSpec) -> Image:
+@dataclass(frozen=True, eq=False)
+class NoiseField:
+    """Sensor noise drawn ahead for one place in a frame, for ``add_noise`` to apply.
+
+    ``values`` holds the sigma-scaled draws of the (height, width) box at
+    ``origin`` in a frame ``frame_width`` pixels wide; ``draw_noise`` makes it.
+    """
+
+    sigma: float
+    origin: tuple[int, int]
+    frame_width: int
+    values: np.ndarray
+
+
+def draw_noise(
+    noise: NoiseSpec, origin: tuple[int, int], frame_width: int, height: int, width: int
+) -> NoiseField:
+    """The sigma-scaled draws ``add_noise`` adds to the box at ``origin`` of a frame.
+
+    The frame's draws come in row-major order, and only those through the
+    box's last row are made: numpy's normal stream is prefix-stable, so a
+    crop receives exactly the draws its pixels receive in the whole frame.
+    Scaling standard normal draws by sigma gives the bytes of
+    ``rng.normal(0, sigma)``, which numpy computes that way; only the box's
+    draws are scaled. A sigma so large that a draw overflows scales it to
+    +-inf, which ``add_noise`` clamps like any other out-of-range value.
+    """
+    x0, y0 = origin
+    rows = y0 + height
+    rng = np.random.default_rng(noise.seed)
+    draws = rng.standard_normal(rows * frame_width).reshape(rows, frame_width)
+    with np.errstate(over="ignore"):
+        values = draws[y0:, x0 : x0 + width] * noise.sigma
+    return NoiseField(noise.sigma, (x0, y0), frame_width, values)
+
+
+def add_noise(image: Image, noise: NoiseSpec | NoiseField) -> Image:
     """Perturb every sample by an independent Gaussian draw, round, clamp.
 
-    ``sigma == 0`` returns the input image unchanged. The output is fully
-    determined by (image, sigma, seed). The frame's draws come in row-major
-    order, and only those through the image's last row are made: numpy's
-    normal stream is prefix-stable, so a crop receives exactly the draws its
-    pixels receive in the whole frame. Scaling standard normal draws by sigma
-    gives the bytes of ``rng.normal(0, sigma)``, which numpy computes that way;
-    only the crop's draws are scaled.
+    ``noise`` is a spec, drawn now, or a ``NoiseField`` drawn ahead for the
+    image's own place in its frame; either way the output is fully
+    determined by (image, sigma, seed), and equals the whole frame's noisy
+    capture cropped to the image (see ``draw_noise``). ``sigma == 0``
+    returns the input image unchanged.
     """
     if noise.sigma == 0:
         return image
-    (x0, y0), frame_width = image.origin, image.frame_size[0]
-    rows = y0 + image.height
-    rng = np.random.default_rng(noise.seed)
-    draws = rng.standard_normal(rows * frame_width).reshape(rows, frame_width)
-    noisy = image.pixels + draws[y0:, x0 : x0 + image.width] * noise.sigma
+    frame_width = image.frame_size[0]
+    if isinstance(noise, NoiseSpec):
+        noise = draw_noise(noise, image.origin, frame_width, image.height, image.width)
+    elif (noise.origin, noise.frame_width, noise.values.shape) != (
+        image.origin, frame_width, image.pixels.shape
+    ):
+        raise ValueError(
+            f"noise drawn for a {noise.values.shape[1]}x{noise.values.shape[0]} box at "
+            f"{noise.origin} of a {noise.frame_width} px wide frame does not fit a "
+            f"{image.width}x{image.height} image at {image.origin} of a {frame_width} px one"
+        )
+    noisy = image.pixels + noise.values
     return Image(np.clip(np.rint(noisy), 0, 255).astype(np.uint8), image.origin, image.frame_size)

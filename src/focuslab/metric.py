@@ -13,16 +13,20 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec, add_noise, require_int
+from .image import Image, NoiseField, NoiseSpec, WindowSpec, add_noise, draw_noise, require_int
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve, make_pillbox_psf
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = ["MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep"]
 
@@ -76,16 +80,21 @@ class Camera:
     however many probes and trials read it. The caches end with the camera;
     only the zone-transform memo of ``optics.convolve`` outlives it.
 
-    Pool. Noisy captures are noised and measured on one module-wide thread
-    pool sized to the usable CPUs, one ``_read`` task per capture; numpy
-    releases the GIL while it draws. The calling thread blurs and hands each
-    capture to the pool as soon as its blur is ready, so later blurs overlap
-    earlier draws. A call whose captures are all noiseless stays on the
-    calling thread, where the metric cache lives; a camera serves one calling
-    thread. Results are read in submission order, so no value depends on the
-    worker count or on which capture finishes first. Workers never submit
-    work to the pool, so callers waiting on their captures cannot deadlock
-    it, however many of them share it.
+    Pool. A noisy capture's noise is drawn on one module-wide thread pool
+    sized to the usable CPUs, one ``draw_noise`` task per capture; numpy
+    releases the GIL while it draws, and a draw depends only on its spec,
+    not on the blur. So ``readings`` queues the draws of all its noisy
+    captures before any blur, and ``draw_ahead`` queues those of probes a
+    search has still to make, before their z is known. The calling thread
+    blurs, then applies each draw and measures the capture in capture order,
+    so no value depends on the worker count or on which draw finishes first.
+    The draws in flight are keyed by spec and capped at ``workers * (y0 + h)
+    * W`` samples, at least one field per worker: the prefix each in-flight
+    draw allocates anyway, for a zone of h x w at row y0 of a frame W wide.
+    An error, or the end of ``draw_ahead``, cancels the queued draws and
+    awaits the running ones, so no draw outlives its call. A camera serves
+    one calling thread. Workers never submit work to the pool, so callers
+    waiting on their draws cannot deadlock it, however many share it.
     """
 
     def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
@@ -98,34 +107,41 @@ class Camera:
             x0, y0 = window.origin()
             boxes.append((x0, y0, x0 + window.n, y0 + window.n))
         x0s, y0s, x1s, y1s = zip(*boxes)
-        self.zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
+        self.zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self.cfg = cfg
         self._blurred: dict[float, Image] = {}
         self._noiseless: dict[tuple[float, MetricKind], list[int]] = {}
+        self._place = zone.origin, zone.frame_size[0], zone.height, zone.width
+        # Draws in queue order: a future once submitted, None while waiting for room.
+        self._draws: dict[NoiseSpec, Future | None] = {}
+        self._submitted = 0
+        workers = _usable_cpus()
+        prefix = (zone.origin[1] + zone.height) * zone.frame_size[0]
+        self._max_draws = max(workers, workers * prefix // (zone.height * zone.width))
 
     def readings(
         self, captures: Sequence[tuple[float, NoiseSpec]], kind: MetricKind
     ) -> list[list[int]]:
         """``[c][k]``: the metric of ``windows[k]`` in the capture ``captures[c] = (z, noise)``."""
-
-        def blurred():
+        try:
+            self._queue(spec for _, spec in captures)
+            values = []
             for z, spec in captures:
-                radius = blur_radius(self.cfg, LensState(z)).px
-                zone = self._blurred.get(radius)
-                if zone is None:
-                    check_kernel_fits(radius, self.zone.frame_size, f"z={z} mm reaches")
-                    zone = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
-                yield radius, zone, spec
-
-        if any(spec.sigma for _, spec in captures):
-            return _on_pool((zone, spec, self.windows, kind) for _, zone, spec in blurred())
-        # All captures pass add_noise; each (radius, kind) is measured once and copied per capture.
-        values = []
-        for radius, zone, spec in blurred():
-            key = radius, kind
-            measured = _read(zone, spec, () if key in self._noiseless else self.windows, kind)
-            values.append(list(self._noiseless.setdefault(key, measured)))
-        return values
+                radius, zone = self._blurred_zone(z)
+                if spec.sigma:
+                    capture = add_noise(zone, self._take(spec))
+                    values.append([resolution(capture, w, kind) for w in self.windows])
+                    self._top_up()
+                else:  # passes add_noise too, but each (radius, kind) is measured once
+                    capture = add_noise(zone, spec)
+                    key = radius, kind
+                    if key not in self._noiseless:
+                        self._noiseless[key] = [resolution(capture, w, kind) for w in self.windows]
+                    values.append(list(self._noiseless[key]))
+            return values
+        except BaseException:
+            self._drop()
+            raise
 
     def probes(
         self, zs: Sequence[float], noise: NoiseSpec, first_index: int, trials: int,
@@ -140,20 +156,85 @@ class Camera:
         trials = require_int(trials, "trials", 1)
         if len(self.windows) != 1:
             raise ValueError(f"probes need a camera with one window, got {len(self.windows)}")
-        captures = [(z, noise.derived(first_index + i, t))
-                    for i, z in enumerate(zs) for t in range(trials)]
+        specs = _probe_specs(noise, first_index, len(zs), trials)
+        captures = [(zs[c // trials], spec) for c, spec in enumerate(specs)]
         values = [reading for (reading,) in self.readings(captures, kind)]
         runs = [values[i * trials:(i + 1) * trials] for i in range(len(zs))]
         return [FocusSample(z, float(np.mean(r)), float(np.std(r)), trials)
                 for z, r in zip(zs, runs)]
 
+    @contextmanager
+    def draw_ahead(self, noise: NoiseSpec, first_index: int, count: int, trials: int):
+        """Queue the draws of ``count`` probes from ``first_index`` on, for ``probes`` to take.
 
-def _read(
-    blurred: Image, noise: NoiseSpec, windows: Sequence[WindowSpec], kind: MetricKind
-) -> list[int]:
-    """Noise one capture of a blurred zone and measure each window: the one pool task."""
-    capture = add_noise(blurred, noise)
-    return [resolution(capture, window, kind) for window in windows]
+        The draws are those ``probes`` would make for the same indices and
+        trials. Leaving the block cancels the queued draws no probe took and
+        awaits the running ones.
+        """
+        try:
+            if noise.sigma:
+                trials = require_int(trials, "trials", 1)
+                self._queue(_probe_specs(noise, first_index, count, trials))
+            yield
+        finally:
+            self._drop()
+
+    def _blurred_zone(self, z: float) -> tuple[float, Image]:
+        """The blur radius at z and the zone blurred by it, built on the radius's first use."""
+        radius = blur_radius(self.cfg, LensState(z)).px
+        zone = self._blurred.get(radius)
+        if zone is None:
+            check_kernel_fits(radius, self.zone.frame_size, f"z={z} mm reaches")
+            zone = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
+        return radius, zone
+
+    def _queue(self, specs: Iterable[NoiseSpec]) -> None:
+        """Queue a draw for each noisy spec not queued yet, then submit what the cap allows."""
+        for spec in specs:
+            if spec.sigma:
+                self._draws.setdefault(spec, None)
+        self._top_up()
+
+    def _top_up(self) -> None:
+        """Submit queued draws, in queue order, while fewer than the cap are submitted."""
+        if self._submitted == len(self._draws):
+            return
+        for spec, future in self._draws.items():
+            if self._submitted >= self._max_draws:
+                break
+            if future is None:
+                self._draws[spec] = _capture_pool().submit(draw_noise, spec, *self._place)
+                self._submitted += 1
+
+    def _take(self, spec: NoiseSpec) -> NoiseField:
+        """The zone's draws for ``spec``: from the queue, or drawn here if not submitted."""
+        future = self._draws.pop(spec, None)
+        if future is None:
+            return draw_noise(spec, *self._place)
+        self._submitted -= 1
+        return future.result()
+
+    def _drop(self) -> None:
+        """Cancel the queued draws and await the running ones."""
+        futures = [future for future in self._draws.values() if future is not None]
+        self._draws.clear()
+        self._submitted = 0
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.exception()
+
+
+def _probe_specs(noise: NoiseSpec, first_index: int, count: int, trials: int) -> list[NoiseSpec]:
+    """The noise of trial t at probe ``first_index + i``, for each (i, t) in order."""
+    return [noise.derived(first_index + i, t) for i in range(count) for t in range(trials)]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # The capture pool: built on first use, so importing focuslab starts no
@@ -168,11 +249,7 @@ def _capture_pool():
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
-            else:
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="focuslab-capture")
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="focuslab-capture")
         return _pool
 
 
@@ -184,30 +261,6 @@ def _forget_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _on_pool(calls: Iterable[tuple]) -> list:
-    """Run ``_read(*args)`` on the capture pool for each ``args`` of ``calls``; results in order.
-
-    Each task is submitted as soon as ``calls`` yields its arguments, so work
-    a generator does between items overlaps the tasks already submitted. If
-    ``calls`` or a task raises, the tasks not yet started are cancelled and
-    the running ones awaited before the error propagates, so no capture
-    outlives its call.
-    """
-    pool = _capture_pool()
-    futures = []
-    try:
-        for args in calls:
-            futures.append(pool.submit(_read, *args))
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        for future in futures:
-            if not future.cancelled():
-                future.exception()
-        raise
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,18 @@ whole-frame capture cropped to it:
 - Fit before build. Every capture route calls ``check_kernel_fits`` on a
   blur radius before it builds that pillbox, so a kernel larger than the
   frame is refused before it costs any memory.
-- PSF build. ``make_pillbox_psf`` subsamples only the rim pixels the circle
-  crosses; pixels wholly inside or outside get their counts from their
-  nearest and farthest subsamples, the same counts a full subsample loop gives.
-- Noise prefix. ``add_noise`` draws the frame's row-major noise stream only
-  through the crop's last row and keeps the crop's part; numpy's normal
-  stream is prefix-stable, so those are the whole frame's draws.
+- PSF build. ``make_pillbox_psf`` counts one quadrant of the kernel and
+  mirrors it, and subsamples only the rim pixels the circle crosses; pixels
+  wholly inside or outside get their counts from their nearest and farthest
+  subsamples, the same counts a full subsample loop gives.
+- Noise prefix. ``draw_noise`` draws the frame's row-major noise stream
+  only through the crop's last row and keeps the crop's part; numpy's
+  normal stream is prefix-stable, so those are the whole frame's draws.
+  ``add_noise`` applies them, drawn now or ahead.
 - Caches and parallel captures. ``metric.Camera``, made once per study
-  call, owns the blur and metric caches and the thread pool that noises
-  and measures noisy captures; its docstring describes them. Only the
+  call, owns the blur and metric caches and the noise draws it queues,
+  ahead of the blurs, on a thread pool; the calling thread applies each
+  draw and measures the capture. Its docstring describes them. Only the
   zone-transform memo outlives the call, on the image that was blurred
   (for a whole frame, the caller's scene).
 """
@@ -204,8 +207,12 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     if size == 1:
         return PsfKernel(size=1, weights=np.array([[1.0]]), radius_px=radius_px)
 
+    # Count the quadrant of pixels 0..half from the centre, then mirror it.
+    # Where the offsets are exact negatives of each other, as for supersample
+    # 8, that is the whole grid's count. Where round-off breaks that (as for
+    # 7), the whole grid can lose the 4-fold symmetry its mirror keeps.
     half = size // 2
-    centers = np.arange(size, dtype=np.float64) - half
+    centers = np.arange(half + 1, dtype=np.float64)
     offsets = (np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5
     r_sq = radius_px * radius_px
 
@@ -216,10 +223,12 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     sq = (centers[:, None] + offsets) ** 2
     near, far = sq.min(axis=1), sq.max(axis=1)
     far_sq = far[:, None] + far[None, :]
-    counts = np.where(far_sq < r_sq, supersample * supersample, 0)
+    quadrant = np.where(far_sq < r_sq, supersample * supersample, 0)
     rim_y, rim_x = np.nonzero((far_sq >= r_sq) & (near[:, None] + near[None, :] < r_sq))
     inside = sq[rim_y][:, :, None] + sq[rim_x][:, None, :] < r_sq
-    counts[rim_y, rim_x] = inside.sum(axis=(1, 2))
+    quadrant[rim_y, rim_x] = inside.sum(axis=(1, 2))
+    half_rows = np.concatenate((quadrant[:0:-1], quadrant))
+    counts = np.concatenate((half_rows[:, :0:-1], half_rows), axis=1)
     weights = counts / float(counts.sum())
     return PsfKernel(size=size, weights=weights, radius_px=radius_px)
 

@@ -98,6 +98,9 @@ def autofocus(
     steps on the bracket formed by the winner's neighbors. Every probe
     averages ``trials_per_eval`` captures, each with a noise seed derived
     from (probe index, trial index), so the whole search is deterministic.
+    The noise of every probe the search may make is drawn ahead on the
+    capture pool (``Camera.draw_ahead``); the draws it does not use end with
+    the call.
     Raises ValueError before the first probe if the blur at the far end of
     [z_min, z_max] needs a kernel larger than the scene.
     """
@@ -122,27 +125,32 @@ def autofocus(
             at_boundary=at_boundary,
         )
 
-    coarse_z = np.linspace(params.z_min, params.z_max, params.coarse_steps)
-    probe([float(z) for z in coarse_z], "coarse")  # one call: its blurs overlap its captures
-    best_idx = trace.index(best_probe(trace))
-    if best_idx == 0 or best_idx == len(coarse_z) - 1:
-        return finish(at_boundary=True)
+    # Every probe the search can make, coarse ones first: a probe's noise
+    # depends only on its index, so it is drawn before its z is known.
+    probes = params.coarse_steps + 2 + params.refine_iterations
+    with camera.draw_ahead(noise, 0, probes, params.trials_per_eval):
+        coarse_z = np.linspace(params.z_min, params.z_max, params.coarse_steps)
+        # One call: its blurs overlap the draws, queued ahead, of its captures.
+        probe([float(z) for z in coarse_z], "coarse")
+        best_idx = trace.index(best_probe(trace))
+        if best_idx == 0 or best_idx == len(coarse_z) - 1:
+            return finish(at_boundary=True)
 
-    lo = float(coarse_z[best_idx - 1])
-    hi = float(coarse_z[best_idx + 1])
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1 = probe([x1], "refine")
-    f2 = probe([x2], "refine")
-    for _ in range(params.refine_iterations):
-        if f1 < f2:
-            lo = x1
-            x1, f1 = x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = probe([x2], "refine")
-        else:
-            hi = x2
-            x2, f2 = x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = probe([x1], "refine")
-    return finish(at_boundary=False)
+        lo = float(coarse_z[best_idx - 1])
+        hi = float(coarse_z[best_idx + 1])
+        x1 = hi - _INV_PHI * (hi - lo)
+        x2 = lo + _INV_PHI * (hi - lo)
+        f1 = probe([x1], "refine")
+        f2 = probe([x2], "refine")
+        for _ in range(params.refine_iterations):
+            if f1 < f2:
+                lo = x1
+                x1, f1 = x2, f2
+                x2 = lo + _INV_PHI * (hi - lo)
+                f2 = probe([x2], "refine")
+            else:
+                hi = x2
+                x2, f2 = x1, f1
+                x1 = hi - _INV_PHI * (hi - lo)
+                f1 = probe([x1], "refine")
+        return finish(at_boundary=False)

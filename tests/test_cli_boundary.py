@@ -41,7 +41,8 @@ OPTICS = {
                          st.sampled_from([0.0, -0.005, NAN, INF])),
 }
 NOISE = {
-    "--sigma": (st.floats(0.0, 5.0), st.sampled_from([-1.0, NAN, INF])),
+    "--sigma": (st.one_of(st.floats(0.0, 5.0), st.just(1e308)),
+                st.sampled_from([-1.0, NAN, INF])),
     "--seed": (st.sampled_from([0, 7, 2**64]), st.just(-3)),
 }
 CENTER = {"--cx": ints(8, 40, -4, 0, 70), "--cy": ints(8, 40, -4, 0, 70)}

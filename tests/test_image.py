@@ -16,6 +16,7 @@ from focuslab import (
     WindowSpec,
     add_noise,
     compare_metrics,
+    draw_noise,
     load_pgm,
     make_pillbox_psf,
     make_step_edge,
@@ -260,6 +261,25 @@ class TestNoise:
         assert np.array_equal(add_noise(img, NoiseSpec(sigma, seed)).pixels, expected)
         crop = add_noise(img.crop(5, 3, 17, 11), NoiseSpec(sigma, seed))
         assert np.array_equal(crop.pixels, expected[3:11, 5:17])
+
+    def test_a_field_drawn_ahead_gives_the_bytes_of_its_spec(self):
+        img = make_texture(40, 24, 3)
+        crop = img.crop(5, 3, 17, 11)
+        spec = NoiseSpec(2.0, 9)
+        field = draw_noise(spec, crop.origin, 40, crop.height, crop.width)
+        assert field.sigma == 2.0 and field.values.shape == (8, 12)
+        assert add_noise(crop, field) == add_noise(crop, spec)
+        elsewhere = img.crop(6, 3, 18, 11)
+        with pytest.raises(ValueError, match="does not fit"):
+            add_noise(elsewhere, field)
+
+    def test_an_overflowing_sigma_saturates_without_a_warning(self):
+        # Draws scaled by 1e308 overflow to +-inf; the suite turns numpy's
+        # overflow warning into an error, so this fails if one is raised.
+        img = make_texture(16, 16, 1)
+        noisy = add_noise(img, NoiseSpec(1e308, 1))
+        draws = np.random.default_rng(1).standard_normal((16, 16))
+        assert np.array_equal(noisy.pixels, np.where(draws > 0, 255, 0))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="sigma"):

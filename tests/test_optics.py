@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import focuslab
 from focuslab import (
@@ -115,6 +117,28 @@ class TestPillboxPsf:
             counts = naive_pillbox_counts(radius, supersample)
             weights = make_pillbox_psf(radius, supersample).weights
             assert np.array_equal(weights, counts / counts.sum()), radius
+
+    @given(radius=st.floats(0.0, 40.0), supersample=st.integers(1, 8))
+    def test_quadrant_build_matches_the_per_subsample_loop(self, radius, supersample):
+        counts = naive_pillbox_counts(radius, supersample)
+        weights = make_pillbox_psf(radius, supersample).weights
+        if np.array_equal(counts, counts[::-1]) and np.array_equal(counts, counts[:, ::-1]):
+            assert np.array_equal(weights, counts / counts.sum())
+        # The build keeps the loop's quadrant 0..half from the centre, mirrored.
+        half = counts.shape[0] // 2
+        mirror = np.abs(np.arange(-half, half + 1))
+        mirrored = counts[half:, half:][mirror][:, mirror]
+        assert np.array_equal(weights, mirrored / mirrored.sum())
+
+    def test_a_loop_grid_broken_by_round_off_is_built_as_its_mirrored_quadrant(self):
+        # At supersample 7 the offsets are not exact negatives of each other, so
+        # the loop's grid at R = 10/7 px lacks the 4-fold symmetry a kernel needs.
+        radius = 10 / 7
+        counts = naive_pillbox_counts(radius, 7)
+        assert not np.array_equal(counts, counts[::-1])
+        mirrored = counts[2:, 2:][[2, 1, 0, 1, 2]][:, [2, 1, 0, 1, 2]]
+        weights = make_pillbox_psf(radius, 7).weights
+        assert np.array_equal(weights, mirrored / mirrored.sum())
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
-"""Noisy captures read on the shared capture pool against serial whole-frame ones.
+"""Noisy captures drawn on the shared capture pool against serial whole-frame ones.
 
-``metric.Camera.readings`` noises and measures each noisy capture of a
-sweep, search or stability study as one task on a module-wide thread pool.
-Results must not depend on the pool: every study equals the serial oracle,
-concurrent callers each get their own result, errors reach the caller, a
+``metric.Camera`` draws the noise of each noisy capture of a sweep, search
+or stability study as one task on a module-wide thread pool, queued ahead of
+the blur; the calling thread applies each draw and measures the capture in
+capture order. Results must not depend on the pool: every study equals the
+serial oracle, concurrent callers each get their own result, errors reach
+the caller, no draw outlives its call or exceeds the camera's bound, a
 forked child builds its own pool, and importing the package starts no
 thread.
 """
@@ -13,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ import focuslab.metric
 from focuslab import (
     LensState,
     MetricKind,
+    NoiseField,
     NoiseSpec,
     OpticalConfig,
     SearchParams,
@@ -109,6 +113,93 @@ def test_an_error_in_a_capture_task_reaches_the_caller(monkeypatch):
         with pytest.raises(ValueError, match="metric failed"):
             _noisy_sweep(11)
     assert _noisy_sweep(11) == expected
+
+
+def test_a_draw_that_raises_reaches_the_caller(monkeypatch):
+    expected = _noisy_sweep(11)
+
+    def failing(*args):
+        raise ValueError("draw failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(focuslab.metric, "draw_noise", failing)
+        with pytest.raises(ValueError, match="draw failed"):
+            _noisy_sweep(11)
+    assert _noisy_sweep(11) == expected
+
+
+class _DrawLog:
+    """Wraps the camera's ``draw_noise`` and ``add_noise`` bindings to follow each draw.
+
+    ``held`` is the most draws that were started and not yet applied at once.
+    ``draw_s`` slows each draw, so that draws are still queued when a call
+    returns; ``apply_s`` slows each application, so that uncapped draws run ahead.
+    """
+
+    def __init__(self, monkeypatch, draw_s: float = 0.0, apply_s: float = 0.0):
+        self.started = self.finished = self.applied = self.held = 0
+        lock = threading.Lock()
+        draw, add = focuslab.metric.draw_noise, focuslab.metric.add_noise
+
+        def drawing(*args):
+            with lock:
+                self.started += 1
+                self.held = max(self.held, self.started - self.applied)
+            try:
+                time.sleep(draw_s)
+                return draw(*args)
+            finally:
+                with lock:
+                    self.finished += 1
+
+        def adding(image, noise):
+            if isinstance(noise, NoiseField):
+                time.sleep(apply_s)
+                with lock:
+                    self.applied += 1
+            return add(image, noise)
+
+        monkeypatch.setattr(focuslab.metric, "draw_noise", drawing)
+        monkeypatch.setattr(focuslab.metric, "add_noise", adding)
+
+
+def _drain_pool():
+    """Return once every task queued on the capture pool so far has run or been skipped.
+
+    One task per worker waits at a barrier, so all workers must be free at once.
+    """
+    workers = focuslab.metric._usable_cpus()
+    gate = threading.Barrier(workers, timeout=30)
+    pool = focuslab.metric._capture_pool()
+    for future in [pool.submit(gate.wait) for _ in range(workers)]:
+        future.result()
+
+
+def test_an_autofocus_at_the_boundary_leaves_no_draw_queued_or_running(monkeypatch):
+    params = SearchParams(z_min=0.0, z_max=0.8, coarse_steps=5, refine_iterations=4,
+                          trials_per_eval=3)
+    log = _DrawLog(monkeypatch, draw_s=0.005)
+    result = autofocus(SCENE, CFG, WINDOW, NOISE, params)
+    assert result.at_boundary and log.applied == 5 * 3
+    started = log.started
+    assert log.finished == started  # none running
+    _drain_pool()
+    assert log.started == started  # none queued: a cancelled draw never starts
+
+
+def test_a_noisy_sweep_never_holds_more_draws_than_its_bound(monkeypatch):
+    # A 45 x 45 zone at (9, 1) of a 64 x 48 frame: each draw makes 46 rows of
+    # 64 samples, so the workers' prefixes hold about 1.45 fields per worker.
+    scene, window = make_texture(64, 48, 3), WindowSpec(31, 23, 45)
+    workers = focuslab.metric._usable_cpus()
+    bound = max(workers, workers * 46 * 64 // (45 * 45))
+    zs, trials = ZS[:3], 7
+    assert bound < len(zs) * trials
+    expected = sweep(scene, CFG, window, MetricKind.SQUARED, zs, NOISE, trials)
+    log = _DrawLog(monkeypatch, apply_s=0.002)
+    assert sweep(scene, CFG, window, MetricKind.SQUARED, zs, NOISE, trials) == expected
+    assert log.applied == len(zs) * trials
+    assert 1 <= log.held <= bound
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
