@@ -94,8 +94,9 @@ def stability_study(
     if not sizes:
         raise ValueError("sizes must be nonempty")
     windows = [WindowSpec(*center, n) for n in sizes]
-    captures = [(lens.z_mm, noise.derived(r)) for r in range(repeats)]
-    readings = Camera(scene, cfg, windows).readings(captures, MetricKind.SQUARED)
+    plan = [[noise.derived(r) for r in range(repeats)]]
+    with Camera(scene, cfg, windows, plan) as camera:
+        (readings,) = camera.readings([lens.z_mm], MetricKind.SQUARED)
     per_window = zip(*readings)  # [repeat][window] -> [window][repeat]
     return StabilityReport(
         tuple(StabilityRow.from_measurements(w.n, v) for w, v in zip(windows, per_window))
@@ -154,12 +155,13 @@ def compare_metrics(
     for w in timing_windows:
         scene.region(w)
 
-    zs, camera = z_list(z_values), Camera(scene, cfg, [window])
-    argmax = {kind: best_probe(camera.probes(zs, NoiseSpec(0.0), 0, 1, kind)).z_mm
-              for kind in (MetricKind.SQUARED, MetricKind.ABSOLUTE)}
+    kinds = (MetricKind.SQUARED, MetricKind.ABSOLUTE)
+    zs = z_list(z_values)
+    with Camera(scene, cfg, [window], [[NoiseSpec(0.0)]] * (len(kinds) * len(zs))) as camera:
+        argmax = {kind: best_probe(camera.probes(zs, kind)).z_mm for kind in kinds}
 
     timings = []
-    for kind in (MetricKind.SQUARED, MetricKind.ABSOLUTE):
+    for kind in kinds:
         for w in timing_windows:
             resolution(scene, w, kind)  # warm caches before timing
             start = time.perf_counter_ns()

@@ -6,9 +6,10 @@ so concurrent use needs no locking. The one mutable part of an ``Image`` is
 a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
 a pure function of the pixels, replaced whole by one attribute store. A
 reader sees either the old entry or the new one, both correct, so it needs
-no lock either. ``metric.Camera`` relies on this when it runs ``draw_noise``
-on worker threads: a draw reads only its spec and writes only the field it
-returns.
+no lock either. ``metric.Camera`` relies on this: its noise plan fixes every
+capture's ``NoiseSpec`` when the camera is built, and it runs ``draw_noise``
+for those specs on worker threads, where a draw reads only its spec and
+writes only the field it returns.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ class Image:
         object.__setattr__(self, "pixels", px)
 
         h, w = px.shape
-        x0, y0 = (int(v) for v in self.origin)
-        fw, fh = (w, h) if self.frame_size is None else (int(v) for v in self.frame_size)
+        x0, y0 = (require_int(v, "image origin") for v in self.origin)
+        if self.frame_size is None:
+            fw, fh = w, h
+        else:
+            fw, fh = (require_int(v, "image frame_size") for v in self.frame_size)
         if x0 < 0 or y0 < 0 or x0 + w > fw or y0 + h > fh:
             raise ValueError(f"a {w}x{h} crop at ({x0}, {y0}) does not fit a {fw}x{fh} frame")
         object.__setattr__(self, "origin", (x0, y0))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
@@ -21,14 +21,16 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseField, NoiseSpec, WindowSpec, add_noise, draw_noise, require_int
+from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, require_int
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve, make_pillbox_psf
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
 
-__all__ = ["MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep"]
+__all__ = [
+    "MetricKind", "FocusSample", "FocusCurve", "Camera", "probe_noise", "resolution", "sweep",
+]
 
 P = TypeVar("P")
 
@@ -68,8 +70,13 @@ class Camera:
     all of them; the zone is their bounding box, which must fit the scene.
     A capture blurs the zone plus a halo, draws noise only through the zone's
     last row, and yields the whole-frame ``optics.capture`` cropped to the
-    zone (see ``optics``). ``readings`` of a flat (z, noise) capture list is
-    the one capture route: sweeps, searches and both ``bench`` studies use it.
+    zone (see ``optics``). ``readings`` is the one capture route: sweeps,
+    searches and both ``bench`` studies use it.
+
+    Noise plan. ``noise[i]`` holds the spec of each trial at the i-th z the
+    camera captures, counted over all its ``readings`` calls. A call for more
+    z values than the plan has rows left raises ValueError before any blur,
+    and a call that raises ends the plan.
 
     Caches. The blurred zone is cached by radius for the camera's life, so
     captures that share a radius, such as the +-z halves of a sweep, build
@@ -80,24 +87,28 @@ class Camera:
     however many probes and trials read it. The caches end with the camera;
     only the zone-transform memo of ``optics.convolve`` outlives it.
 
-    Pool. A noisy capture's noise is drawn on one module-wide thread pool
-    sized to the usable CPUs, one ``draw_noise`` task per capture; numpy
-    releases the GIL while it draws, and a draw depends only on its spec,
-    not on the blur. So ``readings`` queues the draws of all its noisy
-    captures before any blur, and ``draw_ahead`` queues those of probes a
-    search has still to make, before their z is known. The calling thread
-    blurs, then applies each draw and measures the capture in capture order,
+    Pool. A draw depends only on its spec, not on the blur, so the draws of
+    the plan's noisy specs are queued in plan order on one module-wide
+    thread pool sized to the usable CPUs, one ``draw_noise`` task per
+    capture (numpy releases the GIL while it draws): before the first blur,
+    and again after each draw is applied. The calling thread blurs, applies
+    the draws first in first out and measures each capture in plan order,
     so no value depends on the worker count or on which draw finishes first.
-    The draws in flight are keyed by spec and capped at ``workers * (y0 + h)
-    * W`` samples, at least one field per worker: the prefix each in-flight
-    draw allocates anyway, for a zone of h x w at row y0 of a frame W wide.
-    An error, or the end of ``draw_ahead``, cancels the queued draws and
-    awaits the running ones, so no draw outlives its call. A camera serves
-    one calling thread. Workers never submit work to the pool, so callers
-    waiting on their draws cannot deadlock it, however many share it.
+    The draws submitted and not yet applied are capped at
+    ``workers * (y0 + h) * W`` samples, at least one field per worker: the
+    prefix each in-flight draw allocates anyway, for a zone of h x w at row
+    y0 of a frame W wide.
+
+    Leaving the camera, a context manager, cancels the queued draws, awaits
+    the running ones and ends the plan, so no draw outlives its call. A
+    camera serves one calling thread. Workers never submit work to the pool,
+    so callers waiting on their draws cannot deadlock it, however many share it.
     """
 
-    def __init__(self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec]):
+    def __init__(
+        self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec],
+        noise: Sequence[Sequence[NoiseSpec]],
+    ):
         self.windows = tuple(windows)
         if not self.windows:
             raise ValueError("windows must be nonempty")
@@ -109,75 +120,74 @@ class Camera:
         x0s, y0s, x1s, y1s = zip(*boxes)
         self.zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self.cfg = cfg
+        self._plan = [tuple(row) for row in noise]
+        if not all(self._plan):
+            raise ValueError("every row of the noise plan must hold at least one spec")
+        self._next_row = 0
         self._blurred: dict[float, Image] = {}
         self._noiseless: dict[tuple[float, MetricKind], list[int]] = {}
         self._place = zone.origin, zone.frame_size[0], zone.height, zone.width
-        # Draws in queue order: a future once submitted, None while waiting for room.
-        self._draws: dict[NoiseSpec, Future | None] = {}
-        self._submitted = 0
+        self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
+        self._draws: deque[Future] = deque()
         workers = _usable_cpus()
         prefix = (zone.origin[1] + zone.height) * zone.frame_size[0]
         self._max_draws = max(workers, workers * prefix // (zone.height * zone.width))
 
-    def readings(
-        self, captures: Sequence[tuple[float, NoiseSpec]], kind: MetricKind
-    ) -> list[list[int]]:
-        """``[c][k]``: the metric of ``windows[k]`` in the capture ``captures[c] = (z, noise)``."""
-        try:
-            self._queue(spec for _, spec in captures)
-            values = []
-            for z, spec in captures:
-                radius, zone = self._blurred_zone(z)
+    def __enter__(self) -> Camera:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """End the plan, cancel the queued draws and await the running ones."""
+        self._next_row = len(self._plan)
+        self._unsubmitted = iter(())
+        futures, self._draws = self._draws, deque()
+        for future in futures:
+            future.cancel()
+        for future in futures:
+            if not future.cancelled():
+                future.exception()
+
+    def readings(self, zs: Sequence[float], kind: MetricKind) -> list[list[list[int]]]:
+        """``[i][t][k]``: the metric of ``windows[k]`` in trial t of the capture at ``zs[i]``.
+
+        The trials at ``zs[i]`` are noised with the plan's next row.
+        """
+        first, end = self._next_row, self._next_row + len(zs)
+        if end > len(self._plan):
+            raise ValueError(f"{len(zs)} z values need more rows than the "
+                             f"{len(self._plan) - first} left in the noise plan")
+        # A call that raises ends the plan: its queue may be part way through a row.
+        self._next_row = len(self._plan)
+        self._submit()
+        values = []
+        for z, row in zip(zs, self._plan[first:end]):
+            radius, zone = self._blurred_zone(z)
+            trials = []
+            for spec in row:
                 if spec.sigma:
-                    capture = add_noise(zone, self._take(spec))
-                    values.append([resolution(capture, w, kind) for w in self.windows])
-                    self._top_up()
+                    capture = add_noise(zone, self._draws.popleft().result())
+                    trials.append([resolution(capture, w, kind) for w in self.windows])
+                    self._submit()
                 else:  # passes add_noise too, but each (radius, kind) is measured once
                     capture = add_noise(zone, spec)
                     key = radius, kind
                     if key not in self._noiseless:
                         self._noiseless[key] = [resolution(capture, w, kind) for w in self.windows]
-                    values.append(list(self._noiseless[key]))
-            return values
-        except BaseException:
-            self._drop()
-            raise
+                    trials.append(list(self._noiseless[key]))
+            values.append(trials)
+        self._next_row = end
+        return values
 
-    def probes(
-        self, zs: Sequence[float], noise: NoiseSpec, first_index: int, trials: int,
-        kind: MetricKind,
-    ) -> list[FocusSample]:
-        """Metric mean and population std of the one window over ``trials`` captures at each z.
-
-        Trial t at the i-th z is noised with the spec ``noise`` derives from
-        (``first_index + i``, t), so a probe's noise depends on its index, not
-        on what else was probed.
-        """
-        trials = require_int(trials, "trials", 1)
+    def probes(self, zs: Sequence[float], kind: MetricKind) -> list[FocusSample]:
+        """Metric mean and population std of the one window over the trials at each z."""
         if len(self.windows) != 1:
             raise ValueError(f"probes need a camera with one window, got {len(self.windows)}")
-        specs = _probe_specs(noise, first_index, len(zs), trials)
-        captures = [(zs[c // trials], spec) for c, spec in enumerate(specs)]
-        values = [reading for (reading,) in self.readings(captures, kind)]
-        runs = [values[i * trials:(i + 1) * trials] for i in range(len(zs))]
-        return [FocusSample(z, float(np.mean(r)), float(np.std(r)), trials)
-                for z, r in zip(zs, runs)]
-
-    @contextmanager
-    def draw_ahead(self, noise: NoiseSpec, first_index: int, count: int, trials: int):
-        """Queue the draws of ``count`` probes from ``first_index`` on, for ``probes`` to take.
-
-        The draws are those ``probes`` would make for the same indices and
-        trials. Leaving the block cancels the queued draws no probe took and
-        awaits the running ones.
-        """
-        try:
-            if noise.sigma:
-                trials = require_int(trials, "trials", 1)
-                self._queue(_probe_specs(noise, first_index, count, trials))
-            yield
-        finally:
-            self._drop()
+        samples = []
+        for z, trials in zip(zs, self.readings(zs, kind)):
+            values = [reading for (reading,) in trials]
+            samples.append(FocusSample(z, float(np.mean(values)), float(np.std(values)),
+                                       len(values)))
+        return samples
 
     def _blurred_zone(self, z: float) -> tuple[float, Image]:
         """The blur radius at z and the zone blurred by it, built on the radius's first use."""
@@ -188,47 +198,23 @@ class Camera:
             zone = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
         return radius, zone
 
-    def _queue(self, specs: Iterable[NoiseSpec]) -> None:
-        """Queue a draw for each noisy spec not queued yet, then submit what the cap allows."""
-        for spec in specs:
-            if spec.sigma:
-                self._draws.setdefault(spec, None)
-        self._top_up()
-
-    def _top_up(self) -> None:
-        """Submit queued draws, in queue order, while fewer than the cap are submitted."""
-        if self._submitted == len(self._draws):
-            return
-        for spec, future in self._draws.items():
-            if self._submitted >= self._max_draws:
-                break
-            if future is None:
-                self._draws[spec] = _capture_pool().submit(draw_noise, spec, *self._place)
-                self._submitted += 1
-
-    def _take(self, spec: NoiseSpec) -> NoiseField:
-        """The zone's draws for ``spec``: from the queue, or drawn here if not submitted."""
-        future = self._draws.pop(spec, None)
-        if future is None:
-            return draw_noise(spec, *self._place)
-        self._submitted -= 1
-        return future.result()
-
-    def _drop(self) -> None:
-        """Cancel the queued draws and await the running ones."""
-        futures = [future for future in self._draws.values() if future is not None]
-        self._draws.clear()
-        self._submitted = 0
-        for future in futures:
-            future.cancel()
-        for future in futures:
-            if not future.cancelled():
-                future.exception()
+    def _submit(self) -> None:
+        """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
+        while len(self._draws) < self._max_draws:
+            spec = next(self._unsubmitted, None)
+            if spec is None:
+                return
+            self._draws.append(_capture_pool().submit(draw_noise, spec, *self._place))
 
 
-def _probe_specs(noise: NoiseSpec, first_index: int, count: int, trials: int) -> list[NoiseSpec]:
-    """The noise of trial t at probe ``first_index + i``, for each (i, t) in order."""
-    return [noise.derived(first_index + i, t) for i in range(count) for t in range(trials)]
+def probe_noise(noise: NoiseSpec, count: int, trials: int) -> list[list[NoiseSpec]]:
+    """The ``Camera`` noise plan of ``count`` probes of ``trials`` captures each.
+
+    Trial t of probe i gets ``noise.derived(i, t)``, so a probe's noise
+    depends only on its index, not on what else was probed.
+    """
+    trials = require_int(trials, "trials", 1)
+    return [[noise.derived(i, t) for t in range(trials)] for i in range(count)]
 
 
 def _usable_cpus() -> int:
@@ -336,8 +322,8 @@ def sweep(
     metric (``Camera.probes``).
     """
     zs = z_list(z_values)
-    camera = Camera(scene, cfg, [window])
-    return FocusCurve(tuple(camera.probes(zs, noise, 0, trials, kind)))
+    with Camera(scene, cfg, [window], probe_noise(noise, len(zs), trials)) as camera:
+        return FocusCurve(tuple(camera.probes(zs, kind)))
 
 
 def z_list(z_values: Iterable[float]) -> list[float]:

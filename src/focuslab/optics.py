@@ -40,11 +40,12 @@ whole-frame capture cropped to it:
   normal stream is prefix-stable, so those are the whole frame's draws.
   ``add_noise`` applies them, drawn now or ahead.
 - Caches and parallel captures. ``metric.Camera``, made once per study
-  call, owns the blur and metric caches and the noise draws it queues,
-  ahead of the blurs, on a thread pool; the calling thread applies each
-  draw and measures the capture. Its docstring describes them. Only the
-  zone-transform memo outlives the call, on the image that was blurred
-  (for a whole frame, the caller's scene).
+  call with the noise plan of every capture the call may make, owns the
+  blur and metric caches and queues the plan's noise draws on a thread
+  pool, in plan order and ahead of the blurs; the calling thread applies
+  each draw, first in first out, and measures the capture. Its docstring
+  describes them. Only the zone-transform memo outlives the call, on the
+  image that was blurred (for a whole frame, the caller's scene).
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ class PsfKernel:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
+        object.__setattr__(self, "size", require_int(self.size, "kernel size"))
         if self.size < 1 or self.size % 2 == 0:
             raise ValueError(f"kernel size must be odd and >= 1, got {self.size}")
         if w.shape != (self.size, self.size):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, require_int
-from .metric import Camera, MetricKind, best_probe
+from .metric import Camera, MetricKind, best_probe, probe_noise
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
@@ -98,20 +98,23 @@ def autofocus(
     steps on the bracket formed by the winner's neighbors. Every probe
     averages ``trials_per_eval`` captures, each with a noise seed derived
     from (probe index, trial index), so the whole search is deterministic.
-    The noise of every probe the search may make is drawn ahead on the
-    capture pool (``Camera.draw_ahead``); the draws it does not use end with
-    the call.
+    The camera is built with the noise of every probe the search may make,
+    so their draws are queued on the capture pool ahead of their blurs
+    (``Camera``); the draws it does not use end with the call.
     Raises ValueError before the first probe if the blur at the far end of
     [z_min, z_max] needs a kernel larger than the scene.
     """
-    camera = Camera(scene, cfg, [window])
+    # Every probe the search can make, coarse ones first: a probe's noise
+    # depends only on its index, so it is planned before its z is known.
+    probes = params.coarse_steps + 2 + params.refine_iterations
+    camera = Camera(scene, cfg, [window], probe_noise(noise, probes, params.trials_per_eval))
     reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
     check_kernel_fits(reach, scene.frame_size, "z_min/z_max reach")
     trace: list[TracePoint] = []
 
     def probe(zs: list[float], phase: str) -> float:
         """Probe each z in order, append them to the trace, return the last one's mean."""
-        samples = camera.probes(zs, noise, len(trace), params.trials_per_eval, params.metric)
+        samples = camera.probes(zs, params.metric)
         trace.extend(TracePoint(z_mm=s.z_mm, d_mean=s.d_mean, phase=phase) for s in samples)
         return samples[-1].d_mean
 
@@ -125,10 +128,7 @@ def autofocus(
             at_boundary=at_boundary,
         )
 
-    # Every probe the search can make, coarse ones first: a probe's noise
-    # depends only on its index, so it is drawn before its z is known.
-    probes = params.coarse_steps + 2 + params.refine_iterations
-    with camera.draw_ahead(noise, 0, probes, params.trials_per_eval):
+    with camera:  # the first probe queues the draws; leaving ends those not taken
         coarse_z = np.linspace(params.z_min, params.z_max, params.coarse_steps)
         # One call: its blurs overlap the draws, queued ahead, of its captures.
         probe([float(z) for z in coarse_z], "coarse")

@@ -23,14 +23,17 @@ from focuslab import (
     MetricKind,
     NoiseSpec,
     OpticalConfig,
+    SearchParams,
     WindowSpec,
     add_noise,
+    autofocus,
     blur_radius,
     capture,
     compare_metrics,
     convolve,
     make_pillbox_psf,
     make_texture,
+    probe_noise,
     resolution,
     stability_study,
     sweep,
@@ -188,16 +191,15 @@ def windows(draw):
 )
 def test_camera_readings_equal_the_whole_frame_capture(ws, probes, sigma, kind, seed):
     noise = NoiseSpec(sigma, seed)
-    captures = [
-        (radius / PX_PER_MM, noise.derived(i, t))
-        for i, (radius, n) in enumerate(probes)
-        for t in range(n)
-    ]
-    readings = Camera(SMALL, CFG, ws).readings(captures, kind)
-    assert len(readings) == len(captures)
-    for (z, spec), values in zip(captures, readings):
-        whole = capture(SMALL, CFG, LensState(z), spec)
-        assert values == [resolution(whole, w, kind) for w in ws]
+    zs = [radius / PX_PER_MM for radius, _ in probes]
+    plan = [[noise.derived(i, t) for t in range(n)] for i, (_, n) in enumerate(probes)]
+    with Camera(SMALL, CFG, ws, plan) as camera:
+        readings = camera.readings(zs, kind)
+    assert [len(trials) for trials in readings] == [n for _, n in probes]
+    for z, row, trials in zip(zs, plan, readings):
+        for spec, values in zip(row, trials):
+            whole = capture(SMALL, CFG, LensState(z), spec)
+            assert values == [resolution(whole, w, kind) for w in ws]
 
 
 def _zone_transforms(monkeypatch):
@@ -324,31 +326,79 @@ def test_stability_reads_every_window_size_from_the_same_captures(monkeypatch):
 
 def test_noiseless_readings_are_cached_by_radius_and_kind(monkeypatch, texture_256):
     windows = (WindowSpec(100, 100, 31), WindowSpec(150, 140, 9))
-    camera = Camera(texture_256, CFG, windows)
+    camera = Camera(texture_256, CFG, windows, [[NoiseSpec(0.0)] * 2] * 8)
     metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
     for z in (0.1, -0.1, 0.0, 0.2):
         whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
         for kind in MetricKind:
             expected = [resolution(whole, window, kind) for window in windows]
-            assert camera.readings([(z, NoiseSpec(0.0))] * 2, kind) == [expected] * 2, (z, kind)
+            assert camera.readings([z], kind) == [[expected] * 2], (z, kind)
     assert len(metric_calls) == 3 * 2 * 2  # radii x kinds x windows
 
 
 @pytest.mark.parametrize("trials", (0, 2.5))
 def test_probes_reject_bad_trials_before_any_capture(monkeypatch, trials):
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
-    camera = Camera(SMALL, CFG, [WindowSpec(20, 20, 9)])
     with pytest.raises(ValueError, match="trials"):
-        camera.probes([0.0, 0.1], NoiseSpec(1.0, 3), 0, trials, MetricKind.SQUARED)
+        Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], probe_noise(NoiseSpec(1.0, 3), 2, trials))
     assert blurs == []
 
 
 def test_probes_need_a_camera_with_one_window(monkeypatch):
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
-    camera = Camera(SMALL, CFG, [WindowSpec(20, 20, 9), WindowSpec(40, 20, 5)])
+    windows = [WindowSpec(20, 20, 9), WindowSpec(40, 20, 5)]
+    camera = Camera(SMALL, CFG, windows, [[NoiseSpec(0.0)]])
     with pytest.raises(ValueError, match="one window"):
-        camera.probes([0.0], NoiseSpec(0.0), 0, 1, MetricKind.SQUARED)
+        camera.probes([0.0], MetricKind.SQUARED)
     assert blurs == []
+
+
+def test_a_camera_refuses_more_z_values_than_its_plan_has_left(monkeypatch):
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    plan = probe_noise(NoiseSpec(1.0, 3), 2, 2)
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], plan) as camera:
+        with pytest.raises(ValueError, match="the 2 left in the noise plan"):
+            camera.readings([0.0, 0.1, 0.2], MetricKind.SQUARED)
+        assert blurs == []
+        assert len(camera.readings([0.0], MetricKind.SQUARED)) == 1
+        with pytest.raises(ValueError, match="the 1 left in the noise plan"):
+            camera.readings([0.1, 0.2], MetricKind.SQUARED)
+        assert len(blurs) == 1
+    with pytest.raises(ValueError, match="the 0 left in the noise plan"):
+        camera.readings([0.1], MetricKind.SQUARED)  # leaving the camera ends its plan
+    assert len(blurs) == 1
+
+
+def test_a_readings_call_that_raises_ends_the_plan(monkeypatch):
+    # The failed call took a draw from the queue part way through its row.
+    plan = probe_noise(NoiseSpec(2.0, 11), 3, 2)
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], plan) as camera:
+        with monkeypatch.context() as patch:
+            patch.setattr(focuslab.metric, "resolution", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                camera.readings([0.1], MetricKind.SQUARED)
+        with pytest.raises(ValueError, match="the 0 left in the noise plan"):
+            camera.readings([0.2], MetricKind.SQUARED)
+
+
+def test_a_noise_plan_row_without_specs_is_refused():
+    with pytest.raises(ValueError, match="at least one spec"):
+        Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], [[NoiseSpec(0.0)], []])
+
+
+# 0.4 blur px per 0.01 mm: kernels stay within a 96 px scene over +-1 mm.
+SEARCH_CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.02, d_max=100.0)
+
+
+@pytest.mark.parametrize("z_min, at_boundary", [(-1.0, False), (0.0, True)])
+def test_an_autofocus_derives_each_planned_spec_once(monkeypatch, z_min, at_boundary):
+    derived = _count_calls(monkeypatch, NoiseSpec, "derived")
+    params = SearchParams(z_min=z_min, z_max=0.8, coarse_steps=7, refine_iterations=4,
+                          trials_per_eval=3)
+    result = autofocus(make_texture(96, 80, 31), SEARCH_CFG, WindowSpec(50, 40, 21),
+                       NoiseSpec(2.0, 11), params)
+    assert result.at_boundary == at_boundary
+    assert len(derived) == (7 + 2 + 4) * 3
 
 
 def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):

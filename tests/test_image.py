@@ -12,6 +12,7 @@ from focuslab import (
     NoiseSpec,
     OpticalConfig,
     PgmFormatError,
+    PsfKernel,
     SearchParams,
     WindowSpec,
     add_noise,
@@ -300,6 +301,7 @@ class TestNoise:
 _SCENE = make_texture(64, 64, 1)
 _CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
 _WINDOW = WindowSpec(32, 32, 9)
+_PX = np.zeros((2, 2), np.uint8)
 
 
 @pytest.mark.parametrize("build", [
@@ -326,10 +328,15 @@ def test_non_integer_counts_and_seeds_rejected(build):
     (lambda: make_step_edge(4.5, 2, 1, 0, 255), "width must be an integer"),
     (lambda: make_pillbox_psf(float("inf")), "radius must be finite"),
     (lambda: make_pillbox_psf(float("nan")), "radius must be finite"),
-    (lambda: Camera(_SCENE, _CFG, []), "windows must be nonempty"),
+    (lambda: Camera(_SCENE, _CFG, [], [[NoiseSpec(0.0)]]), "windows must be nonempty"),
     (lambda: _SCENE.crop(1.5, 0, 3, 3), r"box \[1\.5, 3\) x \[0, 3\) bound must be an integer"),
+    (lambda: Image(_PX, origin=(0.7, 0), frame_size=(4, 4)), "image origin must be an integer"),
+    (lambda: Image(_PX, origin=("1", 0), frame_size=(4, 4)), "image origin must be an integer"),
+    (lambda: Image(_PX, frame_size=(4.9, 4)), "image frame_size must be an integer"),
+    (lambda: PsfKernel(3.0, np.full((3, 3), 1 / 9), 1.0), "kernel size must be an integer"),
 ], ids=["texture-seed", "texture-width", "step-width", "psf-inf", "psf-nan", "camera-no-windows",
-        "crop-bound"])
+        "crop-bound", "image-origin-float", "image-origin-str", "image-frame-size-float",
+        "kernel-size-float"])
 def test_bad_arguments_rejected_with_their_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import focuslab
@@ -45,3 +47,29 @@ def test_a_failing_property_is_reported_and_later_tests_still_run(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout + proc.stderr
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    """How often each name appears, as a bare name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level _function or _Class that only its own body names is dead code.
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(focuslab.__file__).parent.glob("*.py"))]
+    references = sum((_referenced_names(tree) for tree in trees), Counter())
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert helpers
+    unused = [h.name for h in helpers if references[h.name] == _referenced_names(h)[h.name]]
+    assert unused == []
