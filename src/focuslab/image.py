@@ -312,46 +312,71 @@ _TEXTURE_CLIP_PCT = 2.0
 
 
 def make_texture(width: int, height: int, seed: int) -> Image:
-    """Deterministic high-contrast test scene; same arguments, same image."""
+    """Deterministic high-contrast test scene; same arguments, same image.
+
+    The spectrum is Hermitian, so its inverse transform is real: rows
+    0..height//2 hold one canonical bin per conjugate pair, and only there
+    are phases turned into complex values. Every other bin is filled by
+    conjugating its mirror, and self-conjugate bins are pinned to +-amp.
+    The transform, grain mix and level mapping then run in place.
+    """
     width, height = require_int(width, "width"), require_int(height, "height")
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
     seed = require_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    # The self-conjugate bins (j, i) = (-j mod height, -i mod width) sit on
+    # rows 0 and height/2 and columns 0 and width/2 (the halves when even).
+    rows, cols = ([0, n // 2] if n % 2 == 0 else [0] for n in (height, width))
+    self_conjugate = np.ix_(rows, cols)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, (height, width))
-    signs = np.where(rng.random((height, width)) < 0.5, -1.0, 1.0)
+    signs = np.where(rng.random((height, width))[self_conjugate] < 0.5, -1.0, 1.0)
     grain = rng.standard_normal((height, width))
 
-    fy = np.fft.fftfreq(height)[:, None]
-    fx = np.fft.fftfreq(width)[None, :]
-    freq = np.hypot(fy, fx)
+    top = height // 2 + 1
+    freq = np.hypot(np.fft.fftfreq(height)[:top, None], np.fft.fftfreq(width))
     amp = np.zeros_like(freq)
     nonzero = freq > 0
     amp[nonzero] = freq[nonzero] ** -_TEXTURE_SPECTRAL_EXPONENT
+    del freq, nonzero  # freed, like phases below, before the spectrum's peak
 
-    # Hermitian spectrum -> real field: keep one representative per conjugate
-    # frequency pair, mirror the other, and pin self-conjugate bins to +-amp.
-    jj, ii = np.indices((height, width))
-    mj, mi = (height - jj) % height, (width - ii) % width
-    canonical = (jj < mj) | ((jj == mj) & (ii <= mi))
-    spectrum = amp * np.exp(1j * phases)
-    spectrum = np.where(canonical, spectrum, np.conj(spectrum[mj, mi]))
-    self_conjugate = (jj == mj) & (ii == mi)
-    spectrum[self_conjugate] = amp[self_conjugate] * signs[self_conjugate]
+    spectrum = np.empty((height, width), dtype=np.complex128)
+    half = spectrum[:top]
+    np.multiply(1j, phases[:top], out=half)
+    del phases
+    np.exp(half, out=half)
+    half *= amp
+    # Row j > height//2 mirrors row height - j, and column i column -i mod
+    # width; on rows 0 and height/2 the right half mirrors the left.
+    mirror = height - top
+    np.conjugate(spectrum[mirror:0:-1, :1], out=spectrum[top:, :1])
+    np.conjugate(spectrum[mirror:0:-1, :0:-1], out=spectrum[top:, 1:])
+    right = width // 2 + 1
+    for j in rows:
+        np.conjugate(spectrum[j, width - right : 0 : -1], out=spectrum[j, right:])
+    spectrum[self_conjugate] = amp[self_conjugate] * signs
 
-    base = np.fft.ifft2(spectrum).real
+    # ifft2's two passes, last axis first, each in place (ifft2 drops ``out``).
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    base = spectrum.real
     scale = float(base.std())
     if scale > 0:
         base /= scale
-    field = base + _TEXTURE_GRAIN_WEIGHT * grain
+    field = grain
+    field *= _TEXTURE_GRAIN_WEIGHT
+    field += base
 
     lo, hi = np.percentile(field, [_TEXTURE_CLIP_PCT, 100.0 - _TEXTURE_CLIP_PCT])
     if hi <= lo:
         return Image(np.full((height, width), 128, dtype=np.uint8))
-    levels = np.rint(np.clip((field - lo) * (255.0 / (hi - lo)), 0.0, 255.0))
-    return Image(levels.astype(np.uint8))
+    field -= lo
+    field *= 255.0 / (hi - lo)
+    np.clip(field, 0.0, 255.0, out=field)
+    np.rint(field, out=field)
+    return Image(field.astype(np.uint8))
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +384,8 @@ class NoiseField:
     """Sensor noise drawn ahead for one place in a frame, for ``add_noise`` to apply.
 
     ``values`` holds the sigma-scaled draws of the (height, width) box at
-    ``origin`` in a frame ``frame_width`` pixels wide; ``draw_noise`` makes it.
+    ``origin`` in a frame ``frame_width`` pixels wide; ``draw_noise`` makes it
+    and makes it read-only.
     """
 
     sigma: float
@@ -387,6 +413,7 @@ def draw_noise(
     draws = rng.standard_normal(rows * frame_width).reshape(rows, frame_width)
     with np.errstate(over="ignore"):
         values = draws[y0:, x0 : x0 + width] * noise.sigma
+    values.setflags(write=False)
     return NoiseField(noise.sigma, (x0, y0), frame_width, values)
 
 

@@ -31,10 +31,15 @@ whole-frame capture cropped to it:
 - Fit before build. Every capture route calls ``check_kernel_fits`` on a
   blur radius before it builds that pillbox, so a kernel larger than the
   frame is refused before it costs any memory.
-- PSF build. ``make_pillbox_psf`` counts one quadrant of the kernel and
-  mirrors it, and subsamples only the rim pixels the circle crosses; pixels
-  wholly inside or outside get their counts from their nearest and farthest
-  subsamples, the same counts a full subsample loop gives.
+- PSF build. ``make_pillbox_psf`` counts one quadrant of the kernel, and
+  subsamples only the rim pixels the circle crosses; pixels wholly inside
+  or outside get their counts from their nearest and farthest subsamples,
+  the same counts a full subsample loop gives. It normalizes the quadrant
+  by the mirrored grid's total, summed from the quadrant, and mirrors the
+  weights into the one (size, size) array.
+- Memory. No stage makes a full-size temporary it does not need: the PSF
+  build fills one weight array, and a blur multiplies and inverts within
+  the kernel's spectrum and runs the inverse's last pass on the box's rows.
 - Noise prefix. ``draw_noise`` draws the frame's row-major noise stream
   only through the crop's last row and keeps the crop's part; numpy's
   normal stream is prefix-stable, so those are the whole frame's draws.
@@ -229,9 +234,14 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     rim_y, rim_x = np.nonzero((far_sq >= r_sq) & (near[:, None] + near[None, :] < r_sq))
     inside = sq[rim_y][:, :, None] + sq[rim_x][:, None, :] < r_sq
     quadrant[rim_y, rim_x] = inside.sum(axis=(1, 2))
-    half_rows = np.concatenate((quadrant[:0:-1], quadrant))
-    counts = np.concatenate((half_rows[:, :0:-1], half_rows), axis=1)
-    weights = counts / float(counts.sum())
+    # The mirrored grid counts row 0 and column 0 of the quadrant once and
+    # every other pixel four times; an integer total, so exact.
+    total = 4 * quadrant.sum() - 2 * (quadrant[0].sum() + quadrant[:, 0].sum()) + quadrant[0, 0]
+    quarter = quadrant / float(total)
+    weights = np.empty((size, size))
+    weights[half:, half:] = quarter
+    weights[half:, :half] = quarter[:, :0:-1]
+    weights[:half] = weights[:half:-1]
     return PsfKernel(size=size, weights=weights, radius_px=radius_px)
 
 
@@ -252,7 +262,7 @@ def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
     (width, height), (x0, y0) = scene.frame_size, scene.origin
     rows = np.clip(np.arange(y0 - hy, y0 + scene.height + hy), 0, height - 1)
     cols = np.clip(np.arange(x0 - hx, x0 + scene.width + hx), 0, width - 1)
-    return scene.surround[np.ix_(rows, cols)].astype(np.float64)
+    return scene.surround.take(rows, axis=0).take(cols, axis=1).astype(np.float64)
 
 
 def convolve(scene: Image, psf: PsfKernel) -> Image:
@@ -281,12 +291,17 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     if memo is None or memo[0] != shape:
         memo = (shape, np.fft.rfft2(_halo_patch(scene, hy, hx), s=shape))
         object.__setattr__(scene, "_spectrum", memo)
-    spectrum = memo[1] * np.fft.rfft2(psf.weights, s=shape)
+    # rfft2 pads the kernel's rows only after its row pass. The inverse runs
+    # irfft2's column pass in place, then its row pass on the box's rows alone.
+    spectrum = np.fft.rfft2(psf.weights, s=shape)
+    spectrum *= memo[1]
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
     h = psf.size // 2
-    blurred = np.fft.irfft2(spectrum, s=shape)[
-        hy + h : hy + h + scene.height, hx + h : hx + h + scene.width
-    ]
-    pixels = np.clip(np.floor(blurred + _ROUND_HALF_DOWN), 0, 255).astype(np.uint8)
+    rows = spectrum[hy + h : hy + h + scene.height]
+    blurred = np.fft.irfft(rows, n=shape[1], axis=1)[:, hx + h : hx + h + scene.width]
+    blurred += _ROUND_HALF_DOWN
+    np.floor(blurred, out=blurred)
+    pixels = np.clip(blurred, 0, 255, out=blurred).astype(np.uint8)
     return Image(pixels, scene.origin, scene.frame_size)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,29 @@ class TestTexture:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
             make_texture(8, 8, -1)
 
+    # sha256 of the pixel bytes. The first four are the scenes the tests and
+    # the benchmark use; 592925406497092371 is the first autofocus-512 scene
+    # at benchmark seed 11, int(default_rng([11, 0, 0]).integers(2**62)).
+    # The rest cover odd, even and single-pixel sides.
+    @pytest.mark.parametrize(
+        "width, height, seed, digest",
+        [
+            (512, 512, 99, "680e64112962d1a537065cdd3f109a04193b60aea80f08a29d1c5d744f5f04b5"),
+            (256, 256, 123, "473aef3feea340bba33d57243d4a9c00d6bd5065e989ebbb177dafd5f9baae86"),
+            (64, 64, 1, "8591f139d7a813534e2b0c778dc6b2d0cd41e2e44f3531ea0b72e750fb36481e"),
+            (512, 512, 592925406497092371,
+             "b8165f24a893b59e92414a66fb8882f3f002f3d5a7cf77fe1f441a448fed557b"),
+            (1, 1, 0, "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71"),
+            (1, 7, 3, "ff1343b7bfa56fb65cd58bc09242a616de30fa534d90ab2b908609cb97a6d1b0"),
+            (6, 1, 5, "dcad708dfe0a59003c7364debd2aa3f1c9bedea4fb973539d213ea25839e3dd5"),
+            (17, 5, 8, "cc486112be5f851ed3d63d6f4974ded8b7484ff10adf6c8651ac9e7f64fb0de6"),
+            (96, 80, 42, "db5997cefec7795b1b99f559cb57c39b0592237e8e02798f813dfa40752c91f0"),
+        ],
+    )
+    def test_pixel_bytes_are_pinned(self, width, height, seed, digest):
+        pixels = make_texture(width, height, seed).pixels
+        assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest
+
 
 class TestNoise:
     def test_sigma_zero_is_identity(self):
@@ -273,6 +298,11 @@ class TestNoise:
         elsewhere = img.crop(6, 3, 18, 11)
         with pytest.raises(ValueError, match="does not fit"):
             add_noise(elsewhere, field)
+
+    def test_a_drawn_field_is_read_only(self):
+        field = draw_noise(NoiseSpec(2.0, 9), (5, 3), 40, 8, 12)
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0, 0] = 0.0
 
     def test_an_overflowing_sigma_saturates_without_a_warning(self):
         # Draws scaled by 1e308 overflow to +-inf; the suite turns numpy's
