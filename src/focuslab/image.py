@@ -8,8 +8,8 @@ a pure function of the pixels, replaced whole by one attribute store. A
 reader sees either the old entry or the new one, both correct, so it needs
 no lock either. ``metric.Camera`` relies on this: its noise plan fixes every
 capture's ``NoiseSpec`` when the camera is built, and it runs ``draw_noise``
-for those specs on worker threads, where a draw reads only its spec and
-writes only the field it returns.
+for those specs on worker threads, where a draw reads only its spec and the
+place and shape of the camera's zone, and writes only the field it returns.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ class Image:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Flat row-major view of the pixel data."""
-        return self.pixels.reshape(-1)
 
     def crop(self, x0: int, y0: int, x1: int, y1: int) -> Image:
         """The frame box [x0, x1) x [y0, y1) as a crop that keeps the surround.
@@ -385,7 +380,7 @@ class NoiseField:
 
     ``values`` holds the sigma-scaled draws of the (height, width) box at
     ``origin`` in a frame ``frame_width`` pixels wide; ``draw_noise`` makes it
-    and makes it read-only.
+    for one image, read-only, and ``add_noise`` refuses it for any other place.
     """
 
     sigma: float
@@ -394,25 +389,23 @@ class NoiseField:
     values: np.ndarray
 
 
-def draw_noise(
-    noise: NoiseSpec, origin: tuple[int, int], frame_width: int, height: int, width: int
-) -> NoiseField:
-    """The sigma-scaled draws ``add_noise`` adds to the box at ``origin`` of a frame.
+def draw_noise(noise: NoiseSpec, image: Image) -> NoiseField:
+    """The sigma-scaled draws ``add_noise`` adds to ``image`` at its place in its frame.
 
     The frame's draws come in row-major order, and only those through the
-    box's last row are made: numpy's normal stream is prefix-stable, so a
+    image's last row are made: numpy's normal stream is prefix-stable, so a
     crop receives exactly the draws its pixels receive in the whole frame.
     Scaling standard normal draws by sigma gives the bytes of
-    ``rng.normal(0, sigma)``, which numpy computes that way; only the box's
+    ``rng.normal(0, sigma)``, which numpy computes that way; only the crop's
     draws are scaled. A sigma so large that a draw overflows scales it to
     +-inf, which ``add_noise`` clamps like any other out-of-range value.
     """
-    x0, y0 = origin
-    rows = y0 + height
+    (x0, y0), frame_width = image.origin, image.frame_size[0]
+    rows = y0 + image.height
     rng = np.random.default_rng(noise.seed)
     draws = rng.standard_normal(rows * frame_width).reshape(rows, frame_width)
     with np.errstate(over="ignore"):
-        values = draws[y0:, x0 : x0 + width] * noise.sigma
+        values = draws[y0:, x0 : x0 + image.width] * noise.sigma
     values.setflags(write=False)
     return NoiseField(noise.sigma, (x0, y0), frame_width, values)
 
@@ -430,7 +423,7 @@ def add_noise(image: Image, noise: NoiseSpec | NoiseField) -> Image:
         return image
     frame_width = image.frame_size[0]
     if isinstance(noise, NoiseSpec):
-        noise = draw_noise(noise, image.origin, frame_width, image.height, image.width)
+        noise = draw_noise(noise, image)
     elif (noise.origin, noise.frame_width, noise.values.shape) != (
         image.origin, frame_width, image.pixels.shape
     ):

@@ -89,8 +89,8 @@ class Camera:
 
     Pool. A draw depends only on its spec, not on the blur, so the draws of
     the plan's noisy specs are queued in plan order on one module-wide
-    thread pool sized to the usable CPUs, one ``draw_noise`` task per
-    capture (numpy releases the GIL while it draws): before the first blur,
+    thread pool sized to the usable CPUs, one ``draw_noise(spec, zone)`` task
+    per capture (numpy releases the GIL while it draws): before the first blur,
     and again after each draw is applied. The calling thread blurs, applies
     the draws first in first out and measures each capture in plan order,
     so no value depends on the worker count or on which draw finishes first.
@@ -126,7 +126,6 @@ class Camera:
         self._next_row = 0
         self._blurred: dict[float, Image] = {}
         self._noiseless: dict[tuple[float, MetricKind], list[int]] = {}
-        self._place = zone.origin, zone.frame_size[0], zone.height, zone.width
         self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
         self._draws: deque[Future] = deque()
         workers = _usable_cpus()
@@ -204,7 +203,7 @@ class Camera:
             spec = next(self._unsubmitted, None)
             if spec is None:
                 return
-            self._draws.append(_capture_pool().submit(draw_noise, spec, *self._place))
+            self._draws.append(_capture_pool().submit(draw_noise, spec, self.zone))
 
 
 def probe_noise(noise: NoiseSpec, count: int, trials: int) -> list[list[NoiseSpec]]:

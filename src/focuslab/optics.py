@@ -31,19 +31,19 @@ whole-frame capture cropped to it:
 - Fit before build. Every capture route calls ``check_kernel_fits`` on a
   blur radius before it builds that pillbox, so a kernel larger than the
   frame is refused before it costs any memory.
-- PSF build. ``make_pillbox_psf`` counts one quadrant of the kernel, and
-  subsamples only the rim pixels the circle crosses; pixels wholly inside
-  or outside get their counts from their nearest and farthest subsamples,
-  the same counts a full subsample loop gives. It normalizes the quadrant
-  by the mirrored grid's total, summed from the quadrant, and mirrors the
-  weights into the one (size, size) array.
+- PSF build. ``make_pillbox_psf`` takes ``DEFAULT_SUPERSAMPLE`` (8) subsample
+  offsets per axis, exact negatives of each other, so one quadrant holds the
+  whole grid's counts. It subsamples only the quadrant's rim pixels; pixels
+  wholly inside or outside get the counts of their nearest and farthest
+  subsamples, as a full loop does. It normalizes by the mirrored total,
+  summed from the quadrant, and mirrors the weights into one array.
 - Memory. No stage makes a full-size temporary it does not need: the PSF
   build fills one weight array, and a blur multiplies and inverts within
   the kernel's spectrum and runs the inverse's last pass on the box's rows.
-- Noise prefix. ``draw_noise`` draws the frame's row-major noise stream
-  only through the crop's last row and keeps the crop's part; numpy's
-  normal stream is prefix-stable, so those are the whole frame's draws.
-  ``add_noise`` applies them, drawn now or ahead.
+- Noise prefix. ``draw_noise(noise, crop)`` draws the frame's row-major
+  noise stream only through the crop's last row and keeps the crop's part;
+  numpy's normal stream is prefix-stable, so those are the whole frame's
+  draws. ``add_noise`` applies them, drawn now or ahead.
 - Caches and parallel captures. ``metric.Camera``, made once per study
   call with the noise plan of every capture the call may make, owns the
   blur and metric caches and queues the plan's noise draws on a thread
@@ -144,9 +144,11 @@ def blur_radius(cfg: OpticalConfig, lens: LensState) -> BlurRadius:
     """Defocus disc radius for a lens displacement, in mm and in pixels.
 
     R_mm = (A - F) / (2 A G) * |z|; even in z because displacing the lens to
-    either side of focus blurs identically in this thin-lens model.
+    either side of focus blurs identically in this thin-lens model. The
+    factor is taken as (A - F) / A / (2 G), whose intermediates stay finite
+    for every finite A.
     """
-    r_mm = (cfg.a_mm - cfg.f_mm) / (2.0 * cfg.a_mm * cfg.g) * abs(lens.z_mm)
+    r_mm = (cfg.a_mm - cfg.f_mm) / cfg.a_mm / (2.0 * cfg.g) * abs(lens.z_mm)
     return BlurRadius(mm=r_mm, px=r_mm / cfg.pixel_pitch_mm)
 
 
@@ -154,22 +156,17 @@ def blur_radius(cfg: OpticalConfig, lens: LensState) -> BlurRadius:
 class PsfKernel:
     """Discretized pillbox point-spread function.
 
-    ``weights`` is a read-only (size, size) array of nonnegative pixel-area
-    fractions normalized to unit sum; ``radius_px`` is the disc radius it
-    discretizes. Kernels are 4-fold rotationally symmetric by construction.
+    ``weights`` is a read-only square array of odd side ``size``, holding
+    nonnegative pixel-area fractions normalized to unit sum and 4-fold
+    rotationally symmetric; the centre pixel is the disc's centre.
     """
 
-    size: int
     weights: np.ndarray
-    radius_px: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "size", require_int(self.size, "kernel size"))
-        if self.size < 1 or self.size % 2 == 0:
-            raise ValueError(f"kernel size must be odd and >= 1, got {self.size}")
-        if w.shape != (self.size, self.size):
-            raise ValueError(f"weights shape {w.shape} does not match size {self.size}")
+        w = np.array(self.weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 == 0:
+            raise ValueError(f"kernel weights must be square with an odd side, got shape {w.shape}")
         if np.any(w < 0):
             raise ValueError("kernel weights must be nonnegative")
         total = float(w.sum())
@@ -177,9 +174,13 @@ class PsfKernel:
             raise ValueError(f"kernel weights must sum to 1, got {total!r}")
         if not np.array_equal(w, np.rot90(w)):
             raise ValueError("kernel must be 4-fold rotationally symmetric")
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @property
+    def size(self) -> int:
+        """Side of the square kernel, in pixels."""
+        return self.weights.shape[0]
 
 
 def pillbox_size(radius_px: float) -> int:
@@ -195,32 +196,31 @@ def check_kernel_fits(radius_px: float, frame_size: tuple[int, int], reach: str)
     width, height = frame_size
     size = pillbox_size(radius_px) if math.isfinite(radius_px) else math.inf
     if size > width or size > height:
-        raise ValueError(f"{reach} a blur radius of {radius_px:.1f}px, whose {size}x{size} "
-                         f"kernel exceeds the {width}x{height} scene")
+        raise ValueError(f"{reach} a blur radius of {radius_px:.4g}px, whose "
+                         f"{size:.4g}x{size:.4g} kernel exceeds the {width}x{height} scene")
 
 
-def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -> PsfKernel:
+def make_pillbox_psf(radius_px: float) -> PsfKernel:
     """Discretize a uniform disc of the given pixel radius onto a pixel grid.
 
     Each weight is the fraction of that pixel's area inside the disc,
-    estimated with supersample^2 subsamples per pixel, then the kernel is
-    renormalized to unit sum. Radii below half a pixel collapse to the 1x1
-    identity kernel.
+    estimated with ``DEFAULT_SUPERSAMPLE``^2 subsamples per pixel, then the
+    kernel is renormalized to unit sum. Radii below half a pixel collapse to
+    the 1x1 identity kernel.
     """
     if not (math.isfinite(radius_px) and radius_px >= 0):
         raise ValueError(f"radius must be finite and >= 0, got {radius_px}")
-    supersample = require_int(supersample, "supersample", 1)
     size = pillbox_size(radius_px)
     if size == 1:
-        return PsfKernel(size=1, weights=np.array([[1.0]]), radius_px=radius_px)
+        return PsfKernel(np.array([[1.0]]))
 
     # Count the quadrant of pixels 0..half from the centre, then mirror it.
-    # Where the offsets are exact negatives of each other, as for supersample
-    # 8, that is the whole grid's count. Where round-off breaks that (as for
-    # 7), the whole grid can lose the 4-fold symmetry its mirror keeps.
+    # The subsample offsets are exact negatives of each other, so that is
+    # the whole grid's count.
+    n = DEFAULT_SUPERSAMPLE
     half = size // 2
     centers = np.arange(half + 1, dtype=np.float64)
-    offsets = (np.arange(supersample, dtype=np.float64) + 0.5) / supersample - 0.5
+    offsets = (np.arange(n, dtype=np.float64) + 0.5) / n - 0.5
     r_sq = radius_px * radius_px
 
     # sq[i, k]: squared offset of subsample k along an axis in pixel row or
@@ -230,7 +230,7 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     sq = (centers[:, None] + offsets) ** 2
     near, far = sq.min(axis=1), sq.max(axis=1)
     far_sq = far[:, None] + far[None, :]
-    quadrant = np.where(far_sq < r_sq, supersample * supersample, 0)
+    quadrant = np.where(far_sq < r_sq, n * n, 0)
     rim_y, rim_x = np.nonzero((far_sq >= r_sq) & (near[:, None] + near[None, :] < r_sq))
     inside = sq[rim_y][:, :, None] + sq[rim_x][:, None, :] < r_sq
     quadrant[rim_y, rim_x] = inside.sum(axis=(1, 2))
@@ -242,7 +242,7 @@ def make_pillbox_psf(radius_px: float, supersample: int = DEFAULT_SUPERSAMPLE) -
     weights[half:, half:] = quarter
     weights[half:, :half] = quarter[:, :0:-1]
     weights[:half] = weights[:half:-1]
-    return PsfKernel(size=size, weights=weights, radius_px=radius_px)
+    return PsfKernel(weights)
 
 
 def _fast_len(n: int) -> int:
@@ -380,10 +380,12 @@ def theoretical_resolution(cfg: OpticalConfig, lens: LensState) -> float:
     """Closed-form detail-content value D(z), clamped to the device ceiling.
 
     D(z) = min(d_max, 4 A G / (pi (A - F) |z|)); exactly d_max at z = 0.
+    A enters only through (A - F) / A, so no intermediate overflows at a
+    finite A.
     """
     if lens.z_mm == 0:
         return cfg.d_max
-    unclamped = 4.0 * cfg.a_mm * cfg.g / (math.pi * (cfg.a_mm - cfg.f_mm) * abs(lens.z_mm))
+    unclamped = 4.0 * cfg.g / (math.pi * ((cfg.a_mm - cfg.f_mm) / cfg.a_mm) * abs(lens.z_mm))
     return min(cfg.d_max, unclamped)
 
 

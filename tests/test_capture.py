@@ -23,6 +23,7 @@ from focuslab import (
     MetricKind,
     NoiseSpec,
     OpticalConfig,
+    PsfKernel,
     SearchParams,
     WindowSpec,
     add_noise,
@@ -98,7 +99,7 @@ def test_noisy_crop_equals_the_noisy_frame_cropped(scene, radius):
 def test_exact_half_ties_round_down_at_every_frame_size():
     # Radius 1 with 2x2 subsamples gives the integer kernel [[0,2,0],[2,4,2],[0,2,0]]/12,
     # so a pixel blurs to N/12 with N computed exactly below; N % 12 == 6 is a tie.
-    psf = make_pillbox_psf(1.0, supersample=2)
+    psf = PsfKernel(naive_pillbox_counts(1.0, 2) / 12)
     assert np.allclose(psf.weights * 12, [[0, 2, 0], [2, 4, 2], [0, 2, 0]])
     rng = np.random.default_rng(3)
     small = rng.integers(0, 7, size=(16, 16))
@@ -151,11 +152,11 @@ def test_sweep_builds_each_kernel_once(monkeypatch, texture_256):
     blurred = []
 
     def counting(radius_px):
-        built.append(radius_px)
-        return make_pillbox_psf(radius_px)
+        built.append((radius_px, make_pillbox_psf(radius_px)))
+        return built[-1][1]
 
     def counting_blur(scene, psf):
-        blurred.append(psf.radius_px)
+        blurred.append(psf)
         return convolve(scene, psf)
 
     monkeypatch.setattr(focuslab.metric, "make_pillbox_psf", counting)
@@ -163,8 +164,9 @@ def test_sweep_builds_each_kernel_once(monkeypatch, texture_256):
     zs = [k * 0.1 for k in range(-3, 4)]
     curve = sweep(texture_256, CFG, WindowSpec(128, 128, 31), MetricKind.SQUARED, zs,
                   NoiseSpec(0.0), trials=1)
-    assert sorted(built) == sorted(set(built)) and len(built) == 4
-    assert len(blurred) == 4 and sorted(blurred) == sorted(built)
+    radii = [radius for radius, _ in built]
+    assert sorted(radii) == sorted(set(radii)) and len(built) == 4
+    assert sorted(map(id, blurred)) == sorted(id(kernel) for _, kernel in built)
     means = curve.d_means()
     assert np.array_equal(means, means[::-1])
 

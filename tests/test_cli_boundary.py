@@ -28,8 +28,8 @@ def ints(good_lo, good_hi, *bad):
 
 # Each flag maps to (good values, bad values). z is good within +-0.3 mm and
 # bad out to +-10 mm and at the non-finite and overflowing edges. The optics
-# values give at most 48.75 blur px per mm, so even a kernel built before it
-# is refused stays under 1,000 px a side.
+# values give at most 50 blur px per mm (at --a-mm 1e308), so even a kernel
+# built before it is refused is at most 1,001 px a side.
 Z = st.floats(-0.3, 0.3), st.one_of(
     st.floats(-10.0, 10.0), st.sampled_from([INF, -INF, NAN, 1e308, -1e308]))
 OPTICS = {

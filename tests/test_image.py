@@ -57,7 +57,7 @@ class TestImage:
 
     def test_samples_row_major(self):
         img = Image(np.array([[1, 2], [3, 4]], dtype=np.uint8))
-        assert img.samples.tolist() == [1, 2, 3, 4]
+        assert img.pixels.tolist() == [[1, 2], [3, 4]]
         assert img.width == 2 and img.height == 2
 
     def test_equality(self):
@@ -116,7 +116,7 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         img = load_pgm(path)
         assert (img.width, img.height) == (2, 2)
-        assert img.samples.tolist() == [0, 255, 128, 64]
+        assert img.pixels.tolist() == [[0, 255], [128, 64]]
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -134,7 +134,7 @@ class TestPgm:
     def test_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# generated\n2 1 # trailing\n255\n\x01\x02")
-        assert load_pgm(path).samples.tolist() == [1, 2]
+        assert load_pgm(path).pixels.tolist() == [[1, 2]]
 
     def test_ascii_variant_rejected(self, tmp_path):
         path = tmp_path / "a.pgm"
@@ -182,10 +182,10 @@ class TestStepEdge:
         assert img.pixels.tolist() == [[0, 0, 255, 255], [0, 0, 255, 255]]
 
     def test_edge_at_zero_is_all_high(self):
-        assert make_step_edge(4, 1, 0, 0, 255).samples.tolist() == [255] * 4
+        assert make_step_edge(4, 1, 0, 0, 255).pixels.tolist() == [[255] * 4]
 
     def test_edge_at_width_is_all_low(self):
-        assert make_step_edge(4, 1, 4, 10, 200).samples.tolist() == [10] * 4
+        assert make_step_edge(4, 1, 4, 10, 200).pixels.tolist() == [[10] * 4]
 
     def test_columns_are_constant_with_one_value_each(self):
         rng = np.random.default_rng(3)
@@ -292,7 +292,7 @@ class TestNoise:
         img = make_texture(40, 24, 3)
         crop = img.crop(5, 3, 17, 11)
         spec = NoiseSpec(2.0, 9)
-        field = draw_noise(spec, crop.origin, 40, crop.height, crop.width)
+        field = draw_noise(spec, crop)
         assert field.sigma == 2.0 and field.values.shape == (8, 12)
         assert add_noise(crop, field) == add_noise(crop, spec)
         elsewhere = img.crop(6, 3, 18, 11)
@@ -300,7 +300,7 @@ class TestNoise:
             add_noise(elsewhere, field)
 
     def test_a_drawn_field_is_read_only(self):
-        field = draw_noise(NoiseSpec(2.0, 9), (5, 3), 40, 8, 12)
+        field = draw_noise(NoiseSpec(2.0, 9), make_texture(40, 24, 3).crop(5, 3, 17, 11))
         with pytest.raises(ValueError, match="read-only"):
             field.values[0, 0] = 0.0
 
@@ -344,9 +344,8 @@ _PX = np.zeros((2, 2), np.uint8)
     lambda: stability_study(_SCENE, _CFG, LensState(0.0), (32, 32), [5], NoiseSpec(1.0),
                             repeats=3.5),
     lambda: compare_metrics(_SCENE, _CFG, _WINDOW, [0.0], repeats_for_timing=10.5),
-    lambda: make_pillbox_psf(3.0, 2.5),
 ], ids=["noise-seed", "noise-seed-nan", "coarse-steps", "refine-iterations", "trials-per-eval",
-        "sweep-trials", "stability-repeats", "compare-repeats", "psf-supersample"])
+        "sweep-trials", "stability-repeats", "compare-repeats"])
 def test_non_integer_counts_and_seeds_rejected(build):
     with pytest.raises(ValueError, match="must be an integer"):
         build()
@@ -363,10 +362,12 @@ def test_non_integer_counts_and_seeds_rejected(build):
     (lambda: Image(_PX, origin=(0.7, 0), frame_size=(4, 4)), "image origin must be an integer"),
     (lambda: Image(_PX, origin=("1", 0), frame_size=(4, 4)), "image origin must be an integer"),
     (lambda: Image(_PX, frame_size=(4.9, 4)), "image frame_size must be an integer"),
-    (lambda: PsfKernel(3.0, np.full((3, 3), 1 / 9), 1.0), "kernel size must be an integer"),
+    (lambda: PsfKernel(np.full(3, 1 / 3)), r"odd side, got shape \(3,\)"),
+    (lambda: PsfKernel(np.full((3, 5), 1 / 15)), r"odd side, got shape \(3, 5\)"),
+    (lambda: PsfKernel(np.full((2, 2), 1 / 4)), r"odd side, got shape \(2, 2\)"),
 ], ids=["texture-seed", "texture-width", "step-width", "psf-inf", "psf-nan", "camera-no-windows",
         "crop-bound", "image-origin-float", "image-origin-str", "image-frame-size-float",
-        "kernel-size-float"])
+        "kernel-1d", "kernel-non-square", "kernel-even-side"])
 def test_bad_arguments_rejected_with_their_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()

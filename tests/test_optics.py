@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import focuslab
 from focuslab import (
+    DEFAULT_SUPERSAMPLE,
     Image,
     LensState,
     MetricKind,
@@ -80,6 +81,13 @@ class TestBlurRadius:
             r2 = blur_radius(CFG, LensState(2.0 * z)).mm
             assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
+    def test_a_huge_object_distance_does_not_overflow_to_no_blur(self):
+        # 2 A G overflows at A >= ~4.5e307 with G = 2; (A - F) / A does not.
+        near, far = (OpticalConfig(a, 50.0, 2.0, 0.005, 100.0) for a in (1e300, 1e308))
+        lens = LensState(0.3)
+        assert blur_radius(far, lens) == blur_radius(near, lens)
+        assert blur_radius(far, lens).px == pytest.approx(15.0)
+
 
 class TestPillboxPsf:
     def test_zero_radius_is_identity(self):
@@ -99,7 +107,7 @@ class TestPillboxPsf:
     def test_central_weight_matches_disc_density(self):
         # The disc has uniform density 1 / (pi R^2); a fully interior pixel's
         # weight approximates that density times its unit area.
-        psf = make_pillbox_psf(4.0, supersample=8)
+        psf = make_pillbox_psf(4.0)
         center = float(psf.weights[psf.size // 2, psf.size // 2])
         assert center == pytest.approx(1.0 / (math.pi * 16.0), rel=0.05)
 
@@ -108,52 +116,43 @@ class TestPillboxPsf:
             w = make_pillbox_psf(radius).weights
             assert np.array_equal(w, np.rot90(w))
 
-    @pytest.mark.parametrize("supersample", (1, 2, 3, 8))
-    def test_weights_match_the_per_subsample_loop(self, supersample):
-        rng = np.random.default_rng(supersample)
+    def test_weights_match_the_per_subsample_loop(self):
+        rng = np.random.default_rng(DEFAULT_SUPERSAMPLE)
         radii = [0.5, 1.0, 1.5, 2.0, 237.0, 250.0]
         radii += [*rng.uniform(0.5, 8.0, 12), *rng.uniform(0.5, 252.0, 12)]
         for radius in radii:
-            counts = naive_pillbox_counts(radius, supersample)
-            weights = make_pillbox_psf(radius, supersample).weights
+            counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+            weights = make_pillbox_psf(radius).weights
             assert np.array_equal(weights, counts / counts.sum()), radius
 
-    @given(radius=st.floats(0.0, 40.0), supersample=st.integers(1, 8))
-    def test_quadrant_build_matches_the_per_subsample_loop(self, radius, supersample):
-        counts = naive_pillbox_counts(radius, supersample)
-        weights = make_pillbox_psf(radius, supersample).weights
-        if np.array_equal(counts, counts[::-1]) and np.array_equal(counts, counts[:, ::-1]):
-            assert np.array_equal(weights, counts / counts.sum())
-        # The build keeps the loop's quadrant 0..half from the centre, mirrored.
-        half = counts.shape[0] // 2
-        mirror = np.abs(np.arange(-half, half + 1))
-        mirrored = counts[half:, half:][mirror][:, mirror]
-        assert np.array_equal(weights, mirrored / mirrored.sum())
-
-    def test_a_loop_grid_broken_by_round_off_is_built_as_its_mirrored_quadrant(self):
-        # At supersample 7 the offsets are not exact negatives of each other, so
-        # the loop's grid at R = 10/7 px lacks the 4-fold symmetry a kernel needs.
-        radius = 10 / 7
-        counts = naive_pillbox_counts(radius, 7)
-        assert not np.array_equal(counts, counts[::-1])
-        mirrored = counts[2:, 2:][[2, 1, 0, 1, 2]][:, [2, 1, 0, 1, 2]]
-        weights = make_pillbox_psf(radius, 7).weights
-        assert np.array_equal(weights, mirrored / mirrored.sum())
+    @given(radius=st.floats(0.0, 40.0))
+    def test_quadrant_build_matches_the_per_subsample_loop(self, radius):
+        # The build mirrors the quadrant 0..half from the centre; at 8 x 8
+        # subsamples the loop's whole grid is that mirror, exactly.
+        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+        assert np.array_equal(counts, counts[::-1]) and np.array_equal(counts, counts[:, ::-1])
+        weights = make_pillbox_psf(radius).weights
+        assert np.array_equal(weights, counts / counts.sum())
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             make_pillbox_psf(-0.1)
-        with pytest.raises(ValueError):
-            make_pillbox_psf(2.0, supersample=0)
 
     def test_kernel_invariants_enforced(self):
         with pytest.raises(ValueError, match="sum"):
-            PsfKernel(size=1, weights=np.array([[0.5]]), radius_px=0.0)
-        with pytest.raises(ValueError, match="odd"):
-            PsfKernel(size=2, weights=np.full((2, 2), 0.25), radius_px=1.0)
+            PsfKernel(np.array([[0.5]]))
+        with pytest.raises(ValueError, match=r"odd side, got shape \(2, 2\)"):
+            PsfKernel(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match="nonnegative"):
+            PsfKernel(np.array([[0.0, -1.0, 0.0], [-1.0, 5.0, -1.0], [0.0, -1.0, 0.0]]))
         lopsided = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            PsfKernel(size=3, weights=lopsided, radius_px=1.0)
+            PsfKernel(lopsided)
+        weights = np.full((5, 5), 1 / 25)
+        kernel = PsfKernel(weights)
+        assert kernel.size == 5
+        weights[2, 2] = 0.0  # the kernel holds its own read-only copy
+        assert kernel.weights[2, 2] == 1 / 25 and not kernel.weights.flags.writeable
 
 
 class TestConvolve:
@@ -218,6 +217,13 @@ class TestKernelFit:
     def test_a_wider_kernel_is_refused_by_its_reach(self, radius, frame):
         with pytest.raises(ValueError, match=r"^z reaches a blur radius of .* exceeds the"):
             check_kernel_fits(radius, frame, "z reaches")
+
+    def test_a_huge_radius_is_refused_in_a_short_message(self):
+        with pytest.raises(ValueError) as refused:
+            check_kernel_fits(1e300, (64, 64), "z reaches")
+        message = str(refused.value)
+        assert len(message) < 200
+        assert "1e+300px" in message and "2e+300x2e+300 kernel exceeds the 64x64" in message
 
 
 class TestLineSpread:
@@ -286,6 +292,12 @@ class TestTheoreticalResolution:
 
     def test_focused_lens_hits_the_ceiling(self):
         assert theoretical_resolution(CFG, LensState(0.0)) == CFG.d_max
+
+    def test_a_huge_object_distance_does_not_overflow(self):
+        near, far = (OpticalConfig(a, 50.0, 2.0, 0.005, 1e9) for a in (1e300, 1e308))
+        lens = LensState(0.3)
+        assert theoretical_resolution(far, lens) == theoretical_resolution(near, lens)
+        assert theoretical_resolution(far, lens) == pytest.approx(8.0 / (0.3 * math.pi))
 
     def test_small_displacement_is_clamped(self):
         # Unclamped value would exceed d_max for tiny |z|.
