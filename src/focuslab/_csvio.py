@@ -16,10 +16,8 @@ def text_sink(dest):
             yield fh
 
 
-def fmt_num(value) -> str:
-    """Render a number for CSV: plain decimal, no exponent, no separators."""
-    if isinstance(value, int):
-        return str(value)
+def fmt_num(value: float) -> str:
+    """Render a float for CSV: plain decimal to 9 places, no exponent, no separators."""
     text = f"{float(value):.9f}".rstrip("0").rstrip(".")
     if text in ("", "-", "-0"):
         return "0"

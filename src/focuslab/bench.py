@@ -152,18 +152,13 @@ def compare_metrics(
     if not sizes:
         raise ValueError("sizes must be nonempty")
     timing_windows = [WindowSpec(window.center_x, window.center_y, n) for n in sizes]
-    for w in timing_windows:
-        scene.region(w)
+    zs = z_list(z_values)
 
     kinds = (MetricKind.SQUARED, MetricKind.ABSOLUTE)
-    zs = z_list(z_values)
-    with Camera(scene, cfg, [window], [[NoiseSpec(0.0)]] * (len(kinds) * len(zs))) as camera:
-        argmax = {kind: best_probe(camera.probes(zs, kind)).z_mm for kind in kinds}
-
     timings = []
     for kind in kinds:
         for w in timing_windows:
-            resolution(scene, w, kind)  # warm caches before timing
+            resolution(scene, w, kind)  # warm caches before timing; rejects a bad window
             start = time.perf_counter_ns()
             for _ in range(repeats_for_timing):
                 resolution(scene, w, kind)
@@ -171,4 +166,7 @@ def compare_metrics(
             timings.append(
                 MetricTimingRow(kind=kind, n=w.n, mean_ns_per_eval=elapsed / repeats_for_timing)
             )
+
+    with Camera(scene, cfg, [window], [[NoiseSpec(0.0)]] * (len(kinds) * len(zs))) as camera:
+        argmax = {kind: best_probe(camera.probes(zs, kind)).z_mm for kind in kinds}
     return MetricBenchReport(tuple(timings), argmax)

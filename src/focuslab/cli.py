@@ -24,20 +24,16 @@ _DEF_D_MAX = 100.0
 _DEF_N = 31  # metric window side, pixels
 
 
-class CliError(ValueError):
-    """Flag-level validation failure; the message names the flags involved."""
-
-
 _WINDOW = "window (--cx/--cy/--n)"
 _LENS = "lens (--z)"
 
 
 def _checked(flags: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ValueError re-raised as a CliError naming ``flags``."""
+    """``build(*args, **kwargs)``, with a ValueError re-raised naming ``flags``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise CliError(f"bad {flags} flags: {exc}") from None
+        raise ValueError(f"bad {flags} flags: {exc}") from None
 
 
 def _optics_flags(parser: argparse.ArgumentParser) -> None:
@@ -105,14 +101,14 @@ def _sizes(args: argparse.Namespace) -> list[int]:
     try:
         return [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError:
-        raise CliError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
+        raise ValueError(f"--sizes must be a comma-separated list of integers, got {args.sizes!r}") from None
 
 
 def _z_values(args: argparse.Namespace) -> list[float]:
     """The --z-count grid over [--z-min, --z-max]; ``metric.z_list`` checks it."""
     if args.z_count == 1:
         if args.z_min != args.z_max:
-            raise CliError("--z-count 1 requires --z-min == --z-max")
+            raise ValueError("--z-count 1 requires --z-min == --z-max")
         return [args.z_min]
     step = (args.z_max - args.z_min) / (args.z_count - 1)
     return [args.z_min + i * step for i in range(args.z_count)]
@@ -276,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     af.add_argument("--in", dest="in_path", required=True, help="scene PGM path")
     af.add_argument("--z-min", type=float, default=-5.0)
     af.add_argument("--z-max", type=float, default=5.0)
-    af.add_argument("--coarse-steps", type=int, default=11)
-    af.add_argument("--refine-iterations", type=int, default=12)
-    af.add_argument("--trials-per-eval", type=int, default=1)
+    af.add_argument("--coarse-steps", type=int, default=search.SearchParams.coarse_steps)
+    af.add_argument("--refine-iterations", type=int,
+                    default=search.SearchParams.refine_iterations)
+    af.add_argument("--trials-per-eval", type=int, default=search.SearchParams.trials_per_eval)
     af.add_argument("--trace-out", default=None, help="probe trace CSV path")
     _window_flags(af)
     _metric_flag(af)
@@ -316,7 +313,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--flag -1e-3`` pair written as ``--flag=-1e-3``.
+
+    argparse reads a token that starts with "-" as a flag unless it looks
+    like a plain negative number such as -0.5, so a negative value written
+    with an exponent, or -inf, would leave its flag without a value. Every
+    long flag takes a value but --help and its prefixes, "--" included.
+    """
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and token.startswith("-")):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{flag}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -205,7 +205,7 @@ class NoiseSpec:
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next header token, skipping PNM whitespace and '#' comments."""
+    """Next header token, skipping PNM whitespace and '#' comments; empty at the end."""
     n = len(data)
     while pos < n:
         c = data[pos]
@@ -216,8 +216,6 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
             pos = n if nl < 0 else nl + 1
         else:
             break
-    if pos >= n:
-        raise PgmFormatError("malformed PGM header: unexpected end of file")
     start = pos
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
@@ -244,14 +242,15 @@ def load_pgm(path) -> Image:
                 "(binary P5 required)"
             )
         raise PgmFormatError("malformed PGM header: missing P5 magic number")
+    if len(data) > 2 and data[2] not in _WHITESPACE + b"#":
+        raise PgmFormatError("malformed PGM header: no whitespace after P5")
 
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
-        try:
-            token, pos = _next_token(data, pos)
-        except PgmFormatError:
-            raise PgmFormatError(f"malformed PGM header: missing {name}") from None
+        token, pos = _next_token(data, pos)
+        if not token:
+            raise PgmFormatError(f"malformed PGM header: missing {name}")
         if not token.isdigit():
             raise PgmFormatError(f"malformed PGM header: non-numeric {name} {token!r}")
         fields.append(int(token))
@@ -280,11 +279,9 @@ def save_pgm(image: Image, path) -> None:
 
 def make_step_edge(width: int, height: int, edge_x: int, low: int, high: int) -> Image:
     """Vertical step scene: columns with x >= edge_x read ``high``, the rest ``low``."""
-    width, height = require_int(width, "width"), require_int(height, "height")
+    width, height = require_int(width, "width", 1), require_int(height, "height", 1)
     edge_x = require_int(edge_x, "edge_x")
     low, high = require_int(low, "low"), require_int(high, "high")
-    if width < 1 or height < 1:
-        raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
     if not 0 <= edge_x <= width:
         raise ValueError(f"edge_x must lie in [0, {width}], got {edge_x}")
     for name, value in (("low", low), ("high", high)):
@@ -315,9 +312,7 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     conjugating its mirror, and self-conjugate bins are pinned to +-amp.
     The transform, grain mix and level mapping then run in place.
     """
-    width, height = require_int(width, "width"), require_int(height, "height")
-    if width < 1 or height < 1:
-        raise ValueError(f"dimensions must be >= 1, got {width}x{height}")
+    width, height = require_int(width, "width", 1), require_int(height, "height", 1)
     seed = require_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")

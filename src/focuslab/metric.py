@@ -101,29 +101,33 @@ class Camera:
 
     Leaving the camera, a context manager, cancels the queued draws, awaits
     the running ones and ends the plan, so no draw outlives its call. A
-    camera serves one calling thread. Workers never submit work to the pool,
-    so callers waiting on their draws cannot deadlock it, however many share it.
+    camera serves one calling thread, the first to call ``readings``: a call
+    from any other thread raises RuntimeError naming both threads, before it
+    touches the plan. Workers never submit work to the pool, so callers
+    waiting on their draws cannot deadlock it, however many share it.
     """
 
     def __init__(
         self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec],
         noise: Sequence[Sequence[NoiseSpec]],
     ):
-        self.windows = tuple(windows)
-        if not self.windows:
+        self._windows = tuple(windows)
+        if not self._windows:
             raise ValueError("windows must be nonempty")
         boxes = []
-        for window in self.windows:
+        for window in self._windows:
             scene.region(window)  # reject window overflow before any heavy work
             x0, y0 = window.origin()
             boxes.append((x0, y0, x0 + window.n, y0 + window.n))
         x0s, y0s, x1s, y1s = zip(*boxes)
-        self.zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
-        self.cfg = cfg
+        self._zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
+        self._cfg = cfg
         self._plan = [tuple(row) for row in noise]
         if not all(self._plan):
             raise ValueError("every row of the noise plan must hold at least one spec")
         self._next_row = 0
+        self._owner: threading.Thread | None = None
+        self._owner_lock = threading.Lock()
         self._blurred: dict[float, Image] = {}
         self._noiseless: dict[tuple[float, MetricKind], list[int]] = {}
         self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
@@ -147,10 +151,11 @@ class Camera:
                 future.exception()
 
     def readings(self, zs: Sequence[float], kind: MetricKind) -> list[list[list[int]]]:
-        """``[i][t][k]``: the metric of ``windows[k]`` in trial t of the capture at ``zs[i]``.
+        """``[i][t][k]``: the metric of window k in trial t of the capture at ``zs[i]``.
 
         The trials at ``zs[i]`` are noised with the plan's next row.
         """
+        self._check_thread()
         first, end = self._next_row, self._next_row + len(zs)
         if end > len(self._plan):
             raise ValueError(f"{len(zs)} z values need more rows than the "
@@ -165,13 +170,13 @@ class Camera:
             for spec in row:
                 if spec.sigma:
                     capture = add_noise(zone, self._draws.popleft().result())
-                    trials.append([resolution(capture, w, kind) for w in self.windows])
+                    trials.append([resolution(capture, w, kind) for w in self._windows])
                     self._submit()
                 else:  # passes add_noise too, but each (radius, kind) is measured once
                     capture = add_noise(zone, spec)
                     key = radius, kind
                     if key not in self._noiseless:
-                        self._noiseless[key] = [resolution(capture, w, kind) for w in self.windows]
+                        self._noiseless[key] = [resolution(capture, w, kind) for w in self._windows]
                     trials.append(list(self._noiseless[key]))
             values.append(trials)
         self._next_row = end
@@ -179,8 +184,8 @@ class Camera:
 
     def probes(self, zs: Sequence[float], kind: MetricKind) -> list[FocusSample]:
         """Metric mean and population std of the one window over the trials at each z."""
-        if len(self.windows) != 1:
-            raise ValueError(f"probes need a camera with one window, got {len(self.windows)}")
+        if len(self._windows) != 1:
+            raise ValueError(f"probes need a camera with one window, got {len(self._windows)}")
         samples = []
         for z, trials in zip(zs, self.readings(zs, kind)):
             values = [reading for (reading,) in trials]
@@ -188,13 +193,23 @@ class Camera:
                                        len(values)))
         return samples
 
+    def _check_thread(self) -> None:
+        """Claim the camera for the first thread that reads it; refuse every other one."""
+        thread = threading.current_thread()
+        with self._owner_lock:
+            if self._owner is None:
+                self._owner = thread
+        if self._owner is not thread:
+            raise RuntimeError(f"thread {thread.name!r} called a camera that serves "
+                               f"thread {self._owner.name!r}")
+
     def _blurred_zone(self, z: float) -> tuple[float, Image]:
         """The blur radius at z and the zone blurred by it, built on the radius's first use."""
-        radius = blur_radius(self.cfg, LensState(z)).px
+        radius = blur_radius(self._cfg, LensState(z)).px
         zone = self._blurred.get(radius)
         if zone is None:
-            check_kernel_fits(radius, self.zone.frame_size, f"z={z} mm reaches")
-            zone = self._blurred[radius] = convolve(self.zone, make_pillbox_psf(radius))
+            check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
+            zone = self._blurred[radius] = convolve(self._zone, make_pillbox_psf(radius))
         return radius, zone
 
     def _submit(self) -> None:
@@ -203,7 +218,7 @@ class Camera:
             spec = next(self._unsubmitted, None)
             if spec is None:
                 return
-            self._draws.append(_capture_pool().submit(draw_noise, spec, self.zone))
+            self._draws.append(_capture_pool().submit(draw_noise, spec, self._zone))
 
 
 def probe_noise(noise: NoiseSpec, count: int, trials: int) -> list[list[NoiseSpec]]:

@@ -40,17 +40,9 @@ whole-frame capture cropped to it:
 - Memory. No stage makes a full-size temporary it does not need: the PSF
   build fills one weight array, and a blur multiplies and inverts within
   the kernel's spectrum and runs the inverse's last pass on the box's rows.
-- Noise prefix. ``draw_noise(noise, crop)`` draws the frame's row-major
-  noise stream only through the crop's last row and keeps the crop's part;
-  numpy's normal stream is prefix-stable, so those are the whole frame's
-  draws. ``add_noise`` applies them, drawn now or ahead.
-- Caches and parallel captures. ``metric.Camera``, made once per study
-  call with the noise plan of every capture the call may make, owns the
-  blur and metric caches and queues the plan's noise draws on a thread
-  pool, in plan order and ahead of the blurs; the calling thread applies
-  each draw, first in first out, and measures the capture. Its docstring
-  describes them. Only the zone-transform memo outlives the call, on the
-  image that was blurred (for a whole frame, the caller's scene).
+- Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
+- Caches and parallel captures. See ``metric.Camera``; only the
+  zone-transform memo outlives a study call.
 """
 
 from __future__ import annotations

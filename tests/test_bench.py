@@ -13,6 +13,7 @@ from focuslab import (
     compare_metrics,
     stability_study,
 )
+from focuslab._csvio import fmt_num
 
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
 
@@ -167,3 +168,13 @@ class TestCompareMetrics:
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert kinds == {"squared", "absolute"}
         assert all(line.split(",")[3] == "0" for line in lines[1:])
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0"),
+    (-4e-10, "0"),  # rounds to -0 at 9 places
+    (1.5e-3, "0.0015"),
+    (1e20, "100000000000000000000"),
+])
+def test_fmt_num_prints_plain_decimals_and_no_negative_zero(value, text):
+    assert fmt_num(value) == text

@@ -270,11 +270,27 @@ def _one_error_line(code, stdout, err):
 @pytest.mark.parametrize("bounds", [
     ["--z-max", "inf"],
     ["--z-min=-1e308", "--z-max", "1e308"],  # the grid step overflows to inf
-], ids=["inf", "overflow"])
+    ["--z-min", "-inf", "--z-max", "1"],
+], ids=["inf", "overflow", "spaced-minus-inf"])
 def test_non_finite_z_grid_fails_naming_finiteness(capsys, texture_pgm, bounds):
     code, stdout, err = run(capsys, "sweep", "--in", str(texture_pgm), *bounds)
     assert _one_error_line(code, stdout, err), err
     assert "--z-max" in err and "z_values must be finite" in err
+
+
+@pytest.mark.parametrize("z_min", ["-1e-3", "-2E-1", "-.5e-1", "-1_0e-2"])
+def test_a_spaced_negative_value_reads_like_a_joined_one(capsys, texture_pgm, z_min):
+    grid = ["--z-max", "1e-1", "--z-count", "3"]
+    spaced = run(capsys, "sweep", "--in", str(texture_pgm), "--z-min", z_min, *grid)
+    joined = run(capsys, "sweep", "--in", str(texture_pgm), f"--z-min={z_min}", *grid)
+    assert spaced == joined and spaced[0] == 0, spaced
+
+
+def test_help_before_a_negative_value_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help", "-1e-3"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: focuslab sweep")
 
 
 # z = 1000 mm is a 47,500 px blur radius on the default camera.

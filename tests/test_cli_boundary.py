@@ -80,7 +80,8 @@ def runs(draw, command):
     """(scene pixels, flags) for ``command``: up to two bad flags, the rest good or left out.
 
     The z flags are always given: the CLI's default z ranges suit a 256 px
-    scene, and would fail every run on these small ones.
+    scene, and would fail every run on these small ones. Each flag is joined
+    to its value with "=" or passed before it as a separate token.
     """
     table = COMMANDS[command]
     bad = draw(st.sets(st.sampled_from(sorted(table)), max_size=2))
@@ -92,7 +93,8 @@ def runs(draw, command):
     for flag, (good_values, bad_values) in table.items():
         if flag in bad or flag.startswith("--z") or draw(st.booleans()):
             value = draw(bad_values if flag in bad else good_values)
-            flags.append(f"{flag}={value}")  # "=" keeps "-inf" from reading as a flag
+            # Spaced, a value such as "-inf" or "-1e-05" must still read as a value.
+            flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
     return pixels, flags
 
 

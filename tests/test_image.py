@@ -166,6 +166,21 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="malformed"):
             load_pgm(path)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P", "file too short"),
+        (b"GIF89a", "missing P5 magic number"),
+        (b"P5\n", "missing width"),
+        (b"P5\n2 # the height is cut off", "missing height"),
+        (b"P5\n2 2\n", "missing maxval"),
+        (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
+        (b"P512 1\n255\n" + bytes(12), "no whitespace after P5"),
+    ], ids=["short", "no-magic", "no-width", "no-height", "no-maxval", "zero-width", "run-on"])
+    def test_header_failures_are_named(self, tmp_path, data, message):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmFormatError, match=f"^malformed PGM header: {message}$"):
+            load_pgm(path)
+
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_pgm(tmp_path / "absent.pgm")

@@ -73,3 +73,12 @@ def test_every_private_helper_has_a_caller():
     assert helpers
     unused = [h.name for h in helpers if references[h.name] == _referenced_names(h)[h.name]]
     assert unused == []
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    z_star, d_star, evaluations = (float(token) for token in capsys.readouterr().out.split())
+    assert abs(z_star) <= 0.5 and d_star > 0 and evaluations > 0

@@ -5,9 +5,9 @@ or stability study as one task on a module-wide thread pool, queued ahead of
 the blur; the calling thread applies each draw and measures the capture in
 capture order. Results must not depend on the pool: every study equals the
 serial oracle, concurrent callers each get their own result, errors reach
-the caller, no draw outlives its call or exceeds the camera's bound, a
-forked child builds its own pool, and importing the package starts no
-thread.
+the caller, a camera refuses every thread but its first caller, no draw
+outlives its call or exceeds the camera's bound, a forked child builds its
+own pool, and importing the package starts no thread.
 """
 
 import multiprocessing
@@ -24,6 +24,7 @@ import pytest
 import focuslab
 import focuslab.metric
 from focuslab import (
+    Camera,
     LensState,
     MetricKind,
     NoiseField,
@@ -32,7 +33,10 @@ from focuslab import (
     SearchParams,
     WindowSpec,
     autofocus,
+    capture,
     make_texture,
+    probe_noise,
+    resolution,
     stability_study,
     sweep,
 )
@@ -100,6 +104,30 @@ def test_concurrent_callers_each_get_their_serial_result():
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert got == expected
+
+
+def test_a_camera_refuses_a_second_thread_by_name():
+    kind = MetricKind.SQUARED
+    plan = probe_noise(NOISE, len(ZS), 2)
+    refused = []
+
+    def intrude(camera):
+        try:
+            camera.readings(ZS[1:2], kind)
+        except RuntimeError as exc:
+            refused.append(str(exc))
+
+    with Camera(SCENE, CFG, [WINDOW], plan) as camera:
+        first = camera.readings(ZS[:1], kind)
+        intruder = threading.Thread(target=intrude, args=(camera,), name="intruder")
+        intruder.start()
+        intruder.join(timeout=60)
+        rest = camera.readings(ZS[1:], kind)
+    owner = threading.current_thread().name
+    assert len(refused) == 1 and "'intruder'" in refused[0] and f"'{owner}'" in refused[0]
+    for z, row, trials in zip(ZS, plan, first + rest):
+        for spec, values in zip(row, trials):
+            assert values == [resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
 
 
 def test_an_error_in_a_capture_task_reaches_the_caller(monkeypatch):
