@@ -15,13 +15,8 @@ from . import bench, image, metric, optics, search
 
 _METRIC_KINDS = {kind.value: kind for kind in metric.MetricKind}
 
-# Default virtual camera: 1 m object distance, 50 mm lens, 5 um pixels.
-_DEF_A_MM = 1000.0
-_DEF_F_MM = 50.0
-_DEF_G = 2.0
-_DEF_PITCH_MM = 0.005
+# Resolution ceiling of the default virtual camera, which has no flag.
 _DEF_D_MAX = 100.0
-_DEF_N = 31  # metric window side, pixels
 
 
 _WINDOW = "window (--cx/--cy/--n)"
@@ -37,15 +32,16 @@ def _checked(flags: str, build, *args, **kwargs):
 
 
 def _optics_flags(parser: argparse.ArgumentParser) -> None:
+    # Default virtual camera: 1 m object distance, 50 mm lens, 5 um pixels.
     group = parser.add_argument_group("optics")
-    group.add_argument("--a-mm", type=float, default=_DEF_A_MM,
-                       help=f"distance to the object, mm (default {_DEF_A_MM})")
-    group.add_argument("--f-mm", type=float, default=_DEF_F_MM,
-                       help=f"focal length, mm (default {_DEF_F_MM})")
-    group.add_argument("--g", type=float, default=_DEF_G,
-                       help=f"light-gathering parameter (default {_DEF_G})")
-    group.add_argument("--pixel-pitch-mm", type=float, default=_DEF_PITCH_MM,
-                       help=f"sensor pixel size, mm (default {_DEF_PITCH_MM})")
+    group.add_argument("--a-mm", type=float, default=1000.0,
+                       help="distance to the object, mm (default %(default)s)")
+    group.add_argument("--f-mm", type=float, default=50.0,
+                       help="focal length, mm (default %(default)s)")
+    group.add_argument("--g", type=float, default=2.0,
+                       help="light-gathering parameter (default %(default)s)")
+    group.add_argument("--pixel-pitch-mm", type=float, default=0.005,
+                       help="sensor pixel size, mm (default %(default)s)")
 
 
 def _center_flags(container) -> None:
@@ -58,21 +54,20 @@ def _center_flags(container) -> None:
 def _window_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("window")
     _center_flags(group)
-    group.add_argument("--n", type=int, default=_DEF_N,
-                       help=f"window dimension in pixels (default {_DEF_N})")
+    group.add_argument("--n", type=int, default=31,
+                       help="window dimension in pixels (default %(default)s)")
 
 
 def _metric_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", choices=sorted(_METRIC_KINDS), default="squared",
-                        help="metric kind (default squared)")
+                        help="metric kind (default %(default)s)")
 
 
 def _noise_flags(parser: argparse.ArgumentParser, default_sigma: float) -> None:
     group = parser.add_argument_group("noise")
     group.add_argument("--sigma", type=float, default=default_sigma,
-                       help=f"Gaussian noise stddev in gray levels (default {default_sigma})")
-    group.add_argument("--seed", type=int, default=0,
-                       help="base RNG seed (default 0)")
+                       help="Gaussian noise stddev in gray levels (default %(default)s)")
+    group.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
 
 
 def _optical_config(args: argparse.Namespace) -> optics.OpticalConfig:
@@ -110,8 +105,11 @@ def _z_values(args: argparse.Namespace) -> list[float]:
         if args.z_min != args.z_max:
             raise ValueError("--z-count 1 requires --z-min == --z-max")
         return [args.z_min]
-    step = (args.z_max - args.z_min) / (args.z_count - 1)
-    return [args.z_min + i * step for i in range(args.z_count)]
+    # Checking the bounds first names a non-finite one as given, not as the nan of 0 * inf.
+    z_min, z_max = _checked("z grid (--z-min/--z-max/--z-count)", metric.z_list,
+                            [args.z_min, args.z_max])
+    step = (z_max - z_min) / (args.z_count - 1)
+    return [z_min + i * step for i in range(args.z_count)]
 
 
 def _write_or_stdout(writer, out_path: str | None) -> None:
@@ -258,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--z-min", type=float, default=-1.0)
     sweep_cmd.add_argument("--z-max", type=float, default=1.0)
     sweep_cmd.add_argument("--z-count", type=int, default=11,
-                           help="number of equally spaced z samples (default 11)")
+                           help="number of equally spaced z samples (default %(default)s)")
     sweep_cmd.add_argument("--trials", type=int, default=1,
-                           help="captures per z (default 1)")
+                           help="captures per z (default %(default)s)")
     sweep_cmd.add_argument("--out", default=None, help="output CSV path (default stdout)")
     _window_flags(sweep_cmd)
     _metric_flag(sweep_cmd)
@@ -285,11 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stability = sub.add_parser("stability", help="window-size vs dispersion study")
     stability.add_argument("--in", dest="in_path", required=True, help="scene PGM path")
-    stability.add_argument("--z", type=float, default=0.0, help="lens displacement, mm (default 0)")
+    stability.add_argument("--z", type=float, default=0.0,
+                           help="lens displacement, mm (default %(default)s)")
     stability.add_argument("--sizes", default="5,9,17,31",
-                           help="comma-separated window sizes (default 5,9,17,31)")
+                           help="comma-separated window sizes (default %(default)s)")
     stability.add_argument("--repeats", type=int, default=10,
-                           help="noisy captures per size (default 10)")
+                           help="noisy captures per size (default %(default)s)")
     _center_flags(stability)
     stability.add_argument("--out", default=None, help="output CSV path (default stdout)")
     _noise_flags(stability, default_sigma=2.0)
@@ -302,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--z-max", type=float, default=1.0)
     compare.add_argument("--z-count", type=int, default=9)
     compare.add_argument("--timing-repeats", type=int, default=20,
-                         help="evaluations per timing cell (default 20)")
+                         help="evaluations per timing cell (default %(default)s)")
     compare.add_argument("--sizes", default="5,9,17,31",
-                         help="comma-separated window sizes to time (default 5,9,17,31)")
+                         help="comma-separated window sizes to time (default %(default)s)")
     compare.add_argument("--out", default=None, help="output CSV path (default stdout)")
     _window_flags(compare)
     _optics_flags(compare)

@@ -31,12 +31,13 @@ whole-frame capture cropped to it:
 - Fit before build. Every capture route calls ``check_kernel_fits`` on a
   blur radius before it builds that pillbox, so a kernel larger than the
   frame is refused before it costs any memory.
-- PSF build. ``make_pillbox_psf`` takes ``DEFAULT_SUPERSAMPLE`` (8) subsample
-  offsets per axis, exact negatives of each other, so one quadrant holds the
-  whole grid's counts. It subsamples only the quadrant's rim pixels; pixels
-  wholly inside or outside get the counts of their nearest and farthest
-  subsamples, as a full loop does. It normalizes by the mirrored total,
-  summed from the quadrant, and mirrors the weights into one array.
+- PSF build. A ``PsfKernel`` is built from its radius alone, so every kernel
+  is a valid pillbox and none is re-checked. It takes ``DEFAULT_SUPERSAMPLE``
+  (8) subsample offsets per axis, exact negatives of each other, so one
+  quadrant holds the whole grid's counts. It subsamples only the quadrant's
+  rim pixels; pixels wholly inside or outside get the counts of their nearest
+  and farthest subsamples, as a full loop does. It normalizes by the mirrored
+  total, summed from the quadrant, and mirrors the weights into one array.
 - Memory. No stage makes a full-size temporary it does not need: the PSF
   build fills one weight array, and a blur multiplies and inverts within
   the kernel's spectrum and runs the inverse's last pass on the box's rows.
@@ -48,7 +49,7 @@ whole-frame capture cropped to it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +75,6 @@ __all__ = [
 ]
 
 DEFAULT_SUPERSAMPLE = 8
-
-_KERNEL_SUM_TOL = 1e-9
 
 # Added before flooring a blurred value: rounds to nearest with exact .5 ties
 # going down, the same way at every FFT size (see the module docstring).
@@ -146,28 +145,26 @@ def blur_radius(cfg: OpticalConfig, lens: LensState) -> BlurRadius:
 
 @dataclass(frozen=True)
 class PsfKernel:
-    """Discretized pillbox point-spread function.
+    """Discretized pillbox point-spread function of a blur radius in pixels.
 
-    ``weights`` is a read-only square array of odd side ``size``, holding
-    nonnegative pixel-area fractions normalized to unit sum and 4-fold
-    rotationally symmetric; the centre pixel is the disc's centre.
+    ``weights`` is a read-only square array of odd side ``size``: each
+    pixel's fraction of the disc's area, estimated with
+    ``DEFAULT_SUPERSAMPLE``^2 subsamples per pixel and normalized to unit
+    sum, so it is nonnegative and 4-fold rotationally symmetric by
+    construction; the centre pixel is the disc's centre. Radii below half a
+    pixel collapse to the 1x1 identity kernel. Kernels compare and print by
+    radius.
     """
 
-    weights: np.ndarray
+    radius_px: float
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 == 0:
-            raise ValueError(f"kernel weights must be square with an odd side, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ValueError("kernel weights must be nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > _KERNEL_SUM_TOL:
-            raise ValueError(f"kernel weights must sum to 1, got {total!r}")
-        if not np.array_equal(w, np.rot90(w)):
-            raise ValueError("kernel must be 4-fold rotationally symmetric")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if not (math.isfinite(self.radius_px) and self.radius_px >= 0):
+            raise ValueError(f"radius must be finite and >= 0, got {self.radius_px}")
+        weights = _pillbox_weights(self.radius_px)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
@@ -192,19 +189,11 @@ def check_kernel_fits(radius_px: float, frame_size: tuple[int, int], reach: str)
                          f"{size:.4g}x{size:.4g} kernel exceeds the {width}x{height} scene")
 
 
-def make_pillbox_psf(radius_px: float) -> PsfKernel:
-    """Discretize a uniform disc of the given pixel radius onto a pixel grid.
-
-    Each weight is the fraction of that pixel's area inside the disc,
-    estimated with ``DEFAULT_SUPERSAMPLE``^2 subsamples per pixel, then the
-    kernel is renormalized to unit sum. Radii below half a pixel collapse to
-    the 1x1 identity kernel.
-    """
-    if not (math.isfinite(radius_px) and radius_px >= 0):
-        raise ValueError(f"radius must be finite and >= 0, got {radius_px}")
+def _pillbox_weights(radius_px: float) -> np.ndarray:
+    """``PsfKernel``'s weights for a finite, nonnegative radius."""
     size = pillbox_size(radius_px)
     if size == 1:
-        return PsfKernel(np.array([[1.0]]))
+        return np.array([[1.0]])
 
     # Count the quadrant of pixels 0..half from the centre, then mirror it.
     # The subsample offsets are exact negatives of each other, so that is
@@ -234,7 +223,12 @@ def make_pillbox_psf(radius_px: float) -> PsfKernel:
     weights[half:, half:] = quarter
     weights[half:, :half] = quarter[:, :0:-1]
     weights[:half] = weights[:half:-1]
-    return PsfKernel(weights)
+    return weights
+
+
+def make_pillbox_psf(radius_px: float) -> PsfKernel:
+    """``PsfKernel(radius_px)``: the name every capture builds its kernels through."""
+    return PsfKernel(radius_px)
 
 
 def _fast_len(n: int) -> int:
@@ -308,26 +302,33 @@ def line_spread(psf: PsfKernel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdgeResponse:
-    """Normalized luminance profile across an ideal unit step edge.
+    """Normalized luminance profile across an ideal unit step edge blurred by ``psf``.
 
-    ``positions`` are integer pixel offsets relative to the edge and
-    ``values`` the corresponding luminance in [0, 1], nondecreasing.
+    ``positions`` are the integer pixel offsets -half_span_px..half_span_px
+    relative to the edge, and ``values`` the cumulative line spread of the
+    kernel at each, normalized to end exactly at 1: luminance in [0, 1],
+    nondecreasing by construction. Both are read-only. The span must be an
+    integer covering at least three blur radii on each side of the edge.
     """
 
-    positions: np.ndarray
-    values: np.ndarray
+    psf: PsfKernel
+    half_span_px: int
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if pos.shape != val.shape or pos.ndim != 1 or pos.size < 2:
-            raise ValueError("positions and values must be matching 1-D arrays")
-        if np.any(np.diff(val) < 0):
-            raise ValueError("edge response must be nondecreasing")
-        pos.setflags(write=False)
-        val.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "values", val)
+        span = _edge_half_span(self.half_span_px, self.psf.radius_px)
+        half = self.psf.size // 2
+        full = np.zeros(2 * span + 1, dtype=np.float64)
+        full[span - half : span + half + 1] = line_spread(self.psf)
+        values = np.cumsum(full)
+        values /= values[-1]
+        positions = np.arange(-span, span + 1)
+        positions.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "half_span_px", span)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
 
     def peak_derivative(self) -> tuple[int, float]:
         """(offset, slope) of the steepest discrete rise, ties broken toward 0.
@@ -343,29 +344,24 @@ class EdgeResponse:
         return int(at[best]), float(rises[best])
 
 
-def edge_response(cfg: OpticalConfig, lens: LensState, half_span_px: int) -> EdgeResponse:
-    """Simulated luminance profile across a unit step for this lens state.
-
-    Cumulative sum of the pillbox line-spread applied to a unit step,
-    normalized so the profile ends exactly at 1. The span must cover at
-    least three blur radii on each side of the edge.
-    """
+def _edge_half_span(half_span_px: int, radius_px: float) -> int:
+    """``half_span_px`` as an int, if it is one and covers three blur radii."""
     span = require_int(half_span_px, "half span", 1)
-    radius = blur_radius(cfg, lens)
-    if span < 3.0 * radius.px:
+    if span < 3.0 * radius_px:
         raise ValueError(
-            f"half span {span}px too small: need >= 3x blur radius ({radius.px:.2f}px)"
+            f"half span {span}px too small: need >= 3x blur radius ({radius_px:.2f}px)"
         )
-    psf = make_pillbox_psf(radius.px)
-    profile = line_spread(psf)
-    half = psf.size // 2
+    return span
 
-    full = np.zeros(2 * span + 1, dtype=np.float64)
-    full[span - half : span + half + 1] = profile
-    values = np.cumsum(full)
-    values /= values[-1]
-    positions = np.arange(-span, span + 1)
-    return EdgeResponse(positions=positions, values=values)
+
+def edge_response(cfg: OpticalConfig, lens: LensState, half_span_px: int) -> EdgeResponse:
+    """The ``EdgeResponse`` of this lens state's pillbox over the given half span.
+
+    A span too short for the blur radius is refused before its kernel is built.
+    """
+    radius = blur_radius(cfg, lens).px
+    _edge_half_span(half_span_px, radius)
+    return EdgeResponse(make_pillbox_psf(radius), half_span_px)
 
 
 def theoretical_resolution(cfg: OpticalConfig, lens: LensState) -> float:

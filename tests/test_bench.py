@@ -54,6 +54,9 @@ class TestStabilityRow:
         with pytest.raises(ValueError, match="measurement"):
             StabilityRow.from_measurements(5, values)
 
+    def test_no_measurements_rejected(self):
+        with pytest.raises(ValueError, match="a stability row needs at least one measurement"):
+            StabilityRow.from_measurements(5, [])
 
     @pytest.mark.parametrize("n", [5.5, -3, 1])
     def test_non_integer_or_too_small_window_size_rejected(self, n):

@@ -23,7 +23,6 @@ from focuslab import (
     MetricKind,
     NoiseSpec,
     OpticalConfig,
-    PsfKernel,
     SearchParams,
     WindowSpec,
     add_noise,
@@ -97,23 +96,22 @@ def test_noisy_crop_equals_the_noisy_frame_cropped(scene, radius):
 
 
 def test_exact_half_ties_round_down_at_every_frame_size():
-    # Radius 1 with 2x2 subsamples gives the integer kernel [[0,2,0],[2,4,2],[0,2,0]]/12,
-    # so a pixel blurs to N/12 with N computed exactly below; N % 12 == 6 is a tie.
-    psf = PsfKernel(naive_pillbox_counts(1.0, 2) / 12)
-    assert np.allclose(psf.weights * 12, [[0, 2, 0], [2, 4, 2], [0, 2, 0]])
-    rng = np.random.default_rng(3)
-    small = rng.integers(0, 7, size=(16, 16))
-    numer = 4 * small[1:-1, 1:-1] + 2 * (
-        small[:-2, 1:-1] + small[2:, 1:-1] + small[1:-1, :-2] + small[1:-1, 2:]
-    )
-    assert np.count_nonzero(numer % 12 == 6) >= 10
-    expected = -((12 - 2 * numer) // 24)  # ceil(N/12 - 1/2): nearest, ties down
+    # At r = 0.7 px the pillbox counts are [[0,8,0],[8,64,8],[0,8,0]], total 96, so a
+    # pixel blurs to N/96 with N an exact integer; N % 96 == 48 is a .5 tie.
+    psf = make_pillbox_psf(0.7)
+    counts = naive_pillbox_counts(0.7, DEFAULT_SUPERSAMPLE)
+    assert counts.sum() == 96 and np.array_equal(psf.weights, counts / 96)
+    small = np.random.default_rng(3).integers(0, 4, size=(24, 24), dtype=np.uint8)
+    s = small.astype(np.int64)
+    numer = 64 * s[1:-1, 1:-1] + 8 * (s[:-2, 1:-1] + s[2:, 1:-1] + s[1:-1, :-2] + s[1:-1, 2:])
+    assert np.count_nonzero(numer % 96 == 48) >= 40
+    expected = exact_blur(small, counts, (1, 1, 23, 23))
 
-    large = np.zeros((40, 48), dtype=np.uint8)
-    large[9:25, 13:29] = small
+    large = np.zeros((48, 56), dtype=np.uint8)
+    large[9:33, 13:37] = small
     whole_small = convolve(Image(small), psf).pixels[1:-1, 1:-1]
-    whole_large = convolve(Image(large), psf).pixels[10:24, 14:28]
-    cropped = convolve(Image(large).crop(14, 10, 28, 24), psf).pixels
+    whole_large = convolve(Image(large), psf).pixels[10:32, 14:36]
+    cropped = convolve(Image(large).crop(14, 10, 36, 32), psf).pixels
     for got in (whole_small, whole_large, cropped):
         assert np.array_equal(got, expected)
 

@@ -278,6 +278,23 @@ def test_non_finite_z_grid_fails_naming_finiteness(capsys, texture_pgm, bounds):
     assert "--z-max" in err and "z_values must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("bounds, given", [
+    (["--z-max", "inf"], "inf"),
+    (["--z-min", "-inf", "--z-max", "1"], "-inf"),
+], ids=["inf", "minus-inf"])
+def test_a_non_finite_z_bound_is_named_as_given(capsys, texture_pgm, command, bounds, given):
+    code, stdout, err = run(capsys, command, "--in", str(texture_pgm), *bounds)
+    assert _one_error_line(code, stdout, err), err
+    assert err.rstrip().endswith(f"--z-max/--z-count) flags: z_values must be finite, got {given}")
+
+
+def test_one_z_sample_needs_equal_bounds(capsys, texture_pgm):
+    code, stdout, err = run(capsys, "sweep", "--in", str(texture_pgm), "--z-count", "1")
+    assert _one_error_line(code, stdout, err)
+    assert err == "error: --z-count 1 requires --z-min == --z-max\n"
+
+
 @pytest.mark.parametrize("z_min", ["-1e-3", "-2E-1", "-.5e-1", "-1_0e-2"])
 def test_a_spaced_negative_value_reads_like_a_joined_one(capsys, texture_pgm, z_min):
     grid = ["--z-max", "1e-1", "--z-count", "3"]

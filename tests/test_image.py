@@ -14,7 +14,6 @@ from focuslab import (
     NoiseSpec,
     OpticalConfig,
     PgmFormatError,
-    PsfKernel,
     SearchParams,
     WindowSpec,
     add_noise,
@@ -49,6 +48,16 @@ class TestImage:
             Image(np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValueError):
             Image(np.zeros((0, 3), dtype=np.uint8))
+
+    def test_rejects_non_numeric_samples(self):
+        with pytest.raises(ValueError, match="samples must be real numbers, got dtype bool"):
+            Image(np.zeros((2, 2), dtype=bool))
+
+    def test_a_crop_without_its_surround_cannot_be_cropped(self):
+        crop = Image(np.zeros((2, 2), np.uint8), origin=(1, 1), frame_size=(4, 4))
+        message = "only an image whose surround is known can be cropped"
+        with pytest.raises(ValueError, match=message):
+            crop.crop(1, 1, 2, 2)
 
     def test_is_immutable(self):
         img = Image(np.zeros((2, 2), dtype=np.uint8))
@@ -102,6 +111,14 @@ class TestWindowSpec:
         img = Image(np.arange(25, dtype=np.uint8).reshape(5, 5))
         block = img.region(WindowSpec(2, 2, 3))
         assert block.tolist() == [[6, 7, 8], [11, 12, 13], [16, 17, 18]]
+
+    def test_region_of_a_crop_names_its_place_in_the_frame(self):
+        crop = make_texture(12, 10, 1).crop(2, 3, 8, 9)
+        assert crop.region(WindowSpec(4, 5, 3)).tolist() == crop.pixels[1:4, 1:4].tolist()
+        message = (r"3x3 window centered at \(2, 5\) does not fit "
+                   r"a 6x6 image at \(2, 3\) in a 12x10 frame")
+        with pytest.raises(ValueError, match=message):
+            crop.region(WindowSpec(2, 5, 3))
 
     def test_region_rejects_overflow(self):
         img = Image(np.zeros((5, 5), dtype=np.uint8))
@@ -377,12 +394,8 @@ def test_non_integer_counts_and_seeds_rejected(build):
     (lambda: Image(_PX, origin=(0.7, 0), frame_size=(4, 4)), "image origin must be an integer"),
     (lambda: Image(_PX, origin=("1", 0), frame_size=(4, 4)), "image origin must be an integer"),
     (lambda: Image(_PX, frame_size=(4.9, 4)), "image frame_size must be an integer"),
-    (lambda: PsfKernel(np.full(3, 1 / 3)), r"odd side, got shape \(3,\)"),
-    (lambda: PsfKernel(np.full((3, 5), 1 / 15)), r"odd side, got shape \(3, 5\)"),
-    (lambda: PsfKernel(np.full((2, 2), 1 / 4)), r"odd side, got shape \(2, 2\)"),
 ], ids=["texture-seed", "texture-width", "step-width", "psf-inf", "psf-nan", "camera-no-windows",
-        "crop-bound", "image-origin-float", "image-origin-str", "image-frame-size-float",
-        "kernel-1d", "kernel-non-square", "kernel-even-side"])
+        "crop-bound", "image-origin-float", "image-origin-str", "image-frame-size-float"])
 def test_bad_arguments_rejected_with_their_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()

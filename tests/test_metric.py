@@ -123,6 +123,19 @@ def test_focus_sample_rejects_bad_fields_by_name(fields, name):
         FocusSample(*fields)
 
 
+@pytest.mark.parametrize("fields", [(0.0, -1.0, 0.0, 1), (0.0, 1.0, -0.5, 1)],
+                         ids=["negative-mean", "negative-stddev"])
+def test_focus_sample_rejects_negative_statistics(fields):
+    with pytest.raises(ValueError, match="metric statistics must be nonnegative"):
+        FocusSample(*fields)
+
+
+def test_unknown_metric_kind_is_a_type_error():
+    img = Image(np.zeros((4, 4), dtype=np.uint8))
+    with pytest.raises(TypeError, match="unknown metric kind 'squared'"):
+        resolution(img, WindowSpec(2, 2, 3), "squared")
+
+
 class TestFocusCurve:
     def test_z_values_must_increase(self):
         s = [FocusSample(0.0, 1.0, 0.0, 1), FocusSample(0.0, 2.0, 0.0, 1)]

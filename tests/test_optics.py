@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import focuslab
 from focuslab import (
     DEFAULT_SUPERSAMPLE,
+    EdgeResponse,
     Image,
     LensState,
     MetricKind,
@@ -138,21 +139,12 @@ class TestPillboxPsf:
         with pytest.raises(ValueError):
             make_pillbox_psf(-0.1)
 
-    def test_kernel_invariants_enforced(self):
-        with pytest.raises(ValueError, match="sum"):
-            PsfKernel(np.array([[0.5]]))
-        with pytest.raises(ValueError, match=r"odd side, got shape \(2, 2\)"):
-            PsfKernel(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError, match="nonnegative"):
-            PsfKernel(np.array([[0.0, -1.0, 0.0], [-1.0, 5.0, -1.0], [0.0, -1.0, 0.0]]))
-        lopsided = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            PsfKernel(lopsided)
-        weights = np.full((5, 5), 1 / 25)
-        kernel = PsfKernel(weights)
-        assert kernel.size == 5
-        weights[2, 2] = 0.0  # the kernel holds its own read-only copy
-        assert kernel.weights[2, 2] == 1 / 25 and not kernel.weights.flags.writeable
+    def test_kernels_compare_and_print_by_radius(self):
+        kernel = make_pillbox_psf(2.5)
+        assert kernel == PsfKernel(2.5) and hash(kernel) == hash(PsfKernel(2.5))
+        assert kernel != PsfKernel(2.25)
+        assert repr(kernel) == "PsfKernel(radius_px=2.5)"
+        assert kernel.size == 7 and not kernel.weights.flags.writeable
 
 
 class TestConvolve:
@@ -277,6 +269,22 @@ class TestEdgeResponse:
     def test_short_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
             edge_response(CFG, LensState(1.0), half_span_px=10)  # R_px = 47.5
+
+    def test_short_span_rejected_before_its_kernel_is_built(self, monkeypatch):
+        def no_build(radius_px):
+            raise AssertionError("a pillbox was built")
+
+        monkeypatch.setattr(focuslab.optics, "make_pillbox_psf", no_build)
+        with pytest.raises(ValueError, match=r"half span 10px too small: .*\(47\.50px\)"):
+            edge_response(CFG, LensState(1.0), half_span_px=10)
+
+    def test_responses_compare_and_print_by_kernel_and_span(self):
+        er = edge_response(CFG, LensState(0.1), half_span_px=np.int64(16))
+        assert er == EdgeResponse(make_pillbox_psf(blur_radius(CFG, LensState(0.1)).px), 16)
+        assert repr(er) == f"EdgeResponse(psf={er.psf!r}, half_span_px=16)"
+        assert type(er.half_span_px) is int
+        assert er.positions.tolist() == list(range(-16, 17))
+        assert not er.positions.flags.writeable and not er.values.flags.writeable
 
     @pytest.mark.parametrize("half_span", [math.inf, math.nan, 14.3])
     def test_non_integer_span_rejected_by_name(self, half_span):
