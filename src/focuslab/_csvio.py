@@ -2,18 +2,7 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Sequence
-
-
-@contextmanager
-def text_sink(dest):
-    """Yield a writable text stream for a path or an already-open file."""
-    if hasattr(dest, "write"):
-        yield dest
-    else:
-        with open(dest, "w", encoding="ascii", newline="\n") as fh:
-            yield fh
 
 
 def fmt_num(value: float) -> str:
@@ -25,7 +14,10 @@ def fmt_num(value: float) -> str:
 
 
 def write_rows(dest, header: str, rows: Iterable[Sequence[str]]) -> None:
-    with text_sink(dest) as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    """Write the header and rows as ASCII lines to a path, or to an already-open file."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="ascii", newline="\n") as fh:
+            return write_rows(fh, header, rows)
+    dest.write(header + "\n")
+    for row in rows:
+        dest.write(",".join(row) + "\n")

@@ -313,9 +313,7 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     The transform, grain mix and level mapping then run in place.
     """
     width, height = require_int(width, "width", 1), require_int(height, "height", 1)
-    seed = require_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    seed = require_int(seed, "seed", 0)
     # The self-conjugate bins (j, i) = (-j mod height, -i mod width) sit on
     # rows 0 and height/2 and columns 0 and width/2 (the halves when even).
     rows, cols = ([0, n // 2] if n % 2 == 0 else [0] for n in (height, width))

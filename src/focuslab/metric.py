@@ -78,14 +78,16 @@ class Camera:
     z values than the plan has rows left raises ValueError before any blur,
     and a call that raises ends the plan.
 
-    Caches. The blurred zone is cached by radius for the camera's life, so
-    captures that share a radius, such as the +-z halves of a sweep, build
-    one kernel and blur once; only the noise is drawn per capture. A miss
-    checks that the kernel fits the frame before building it. Noiseless
-    captures also cache their readings by (radius, kind): every such capture
-    is the blurred zone itself, so a radius is measured once per kind
-    however many probes and trials read it. The caches end with the camera;
-    only the zone-transform memo of ``optics.convolve`` outlives it.
+    Cache. The camera keeps one entry per blur radius for its life: the
+    blurred zone and the noiseless readings of that zone by kind. Captures
+    that share a radius, such as the +-z halves of a sweep, build one kernel
+    and blur once; only the noise is drawn per capture. A miss checks that
+    the kernel fits the frame before building it. Every noiseless capture is
+    the blurred zone itself, so a radius is measured once per kind however
+    many probes and trials read it. The cache ends with the camera, and so
+    does the zone-transform memo of ``optics.convolve``, which sits on the
+    camera's own crop; only a memo on an image passed to ``convolve`` or
+    ``optics.capture`` directly lives on.
 
     Pool. A draw depends only on its spec, not on the blur, so the draws of
     the plan's noisy specs are queued in plan order on one module-wide
@@ -101,10 +103,10 @@ class Camera:
 
     Leaving the camera, a context manager, cancels the queued draws, awaits
     the running ones and ends the plan, so no draw outlives its call. A
-    camera serves one calling thread, the first to call ``readings``: a call
-    from any other thread raises RuntimeError naming both threads, before it
-    touches the plan. Workers never submit work to the pool, so callers
-    waiting on their draws cannot deadlock it, however many share it.
+    camera serves the thread that builds it: a ``readings`` call from any
+    other thread raises RuntimeError naming both threads, before it touches
+    the plan. Workers never submit work to the pool, so callers waiting on
+    their draws cannot deadlock it, however many share it.
     """
 
     def __init__(
@@ -126,10 +128,8 @@ class Camera:
         if not all(self._plan):
             raise ValueError("every row of the noise plan must hold at least one spec")
         self._next_row = 0
-        self._owner: threading.Thread | None = None
-        self._owner_lock = threading.Lock()
-        self._blurred: dict[float, Image] = {}
-        self._noiseless: dict[tuple[float, MetricKind], list[int]] = {}
+        self._owner = threading.current_thread()
+        self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
         self._draws: deque[Future] = deque()
         workers = _usable_cpus()
@@ -155,7 +155,10 @@ class Camera:
 
         The trials at ``zs[i]`` are noised with the plan's next row.
         """
-        self._check_thread()
+        thread = threading.current_thread()
+        if thread is not self._owner:
+            raise RuntimeError(f"thread {thread.name!r} called a camera that serves "
+                               f"thread {self._owner.name!r}")
         first, end = self._next_row, self._next_row + len(zs)
         if end > len(self._plan):
             raise ValueError(f"{len(zs)} z values need more rows than the "
@@ -165,7 +168,7 @@ class Camera:
         self._submit()
         values = []
         for z, row in zip(zs, self._plan[first:end]):
-            radius, zone = self._blurred_zone(z)
+            zone, noiseless = self._blurred_zone(z)
             trials = []
             for spec in row:
                 if spec.sigma:
@@ -174,10 +177,9 @@ class Camera:
                     self._submit()
                 else:  # passes add_noise too, but each (radius, kind) is measured once
                     capture = add_noise(zone, spec)
-                    key = radius, kind
-                    if key not in self._noiseless:
-                        self._noiseless[key] = [resolution(capture, w, kind) for w in self._windows]
-                    trials.append(list(self._noiseless[key]))
+                    if kind not in noiseless:
+                        noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
+                    trials.append(list(noiseless[kind]))
             values.append(trials)
         self._next_row = end
         return values
@@ -193,24 +195,14 @@ class Camera:
                                        len(values)))
         return samples
 
-    def _check_thread(self) -> None:
-        """Claim the camera for the first thread that reads it; refuse every other one."""
-        thread = threading.current_thread()
-        with self._owner_lock:
-            if self._owner is None:
-                self._owner = thread
-        if self._owner is not thread:
-            raise RuntimeError(f"thread {thread.name!r} called a camera that serves "
-                               f"thread {self._owner.name!r}")
-
-    def _blurred_zone(self, z: float) -> tuple[float, Image]:
-        """The blur radius at z and the zone blurred by it, built on the radius's first use."""
+    def _blurred_zone(self, z: float) -> tuple[Image, dict[MetricKind, list[int]]]:
+        """The zone blurred at z and its noiseless readings by kind: the radius's cache entry."""
         radius = blur_radius(self._cfg, LensState(z)).px
-        zone = self._blurred.get(radius)
-        if zone is None:
+        entry = self._blurred.get(radius)
+        if entry is None:
             check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
-            zone = self._blurred[radius] = convolve(self._zone, make_pillbox_psf(radius))
-        return radius, zone
+            entry = self._blurred[radius] = convolve(self._zone, make_pillbox_psf(radius)), {}
+        return entry
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""

@@ -30,7 +30,8 @@ whole-frame capture cropped to it:
   the whole frame, exact .5 ties included.
 - Fit before build. Every capture route calls ``check_kernel_fits`` on a
   blur radius before it builds that pillbox, so a kernel larger than the
-  frame is refused before it costs any memory.
+  frame is refused before it costs any memory. ``convolve`` refuses a kernel
+  it is handed by the same rule, so every route words the refusal alike.
 - PSF build. A ``PsfKernel`` is built from its radius alone, so every kernel
   is a valid pillbox and none is re-checked. It takes ``DEFAULT_SUPERSAMPLE``
   (8) subsample offsets per axis, exact negatives of each other, so one
@@ -42,8 +43,8 @@ whole-frame capture cropped to it:
   build fills one weight array, and a blur multiplies and inverts within
   the kernel's spectrum and runs the inverse's last pass on the box's rows.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
-- Caches and parallel captures. See ``metric.Camera``; only the
-  zone-transform memo outlives a study call.
+- Caches and parallel captures. See ``metric.Camera``; only the memo on an
+  image passed to ``convolve`` or ``capture`` directly outlives a study call.
 """
 
 from __future__ import annotations
@@ -262,9 +263,7 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     its last zone spectrum, so the next blur at the same FFT shape skips
     that transform (see the module docstring).
     """
-    width, height = scene.frame_size
-    if psf.size > width or psf.size > height:
-        raise ValueError(f"{psf.size}x{psf.size} kernel exceeds {width}x{height} image")
+    check_kernel_fits(psf.radius_px, scene.frame_size, "the PSF has")
     if psf.size == 1:
         return scene
     if scene.surround is None:

@@ -292,7 +292,18 @@ def test_a_non_finite_z_bound_is_named_as_given(capsys, texture_pgm, command, bo
 def test_one_z_sample_needs_equal_bounds(capsys, texture_pgm):
     code, stdout, err = run(capsys, "sweep", "--in", str(texture_pgm), "--z-count", "1")
     assert _one_error_line(code, stdout, err)
-    assert err == "error: --z-count 1 requires --z-min == --z-max\n"
+    assert err == ("error: bad z grid (--z-min/--z-max/--z-count) flags: "
+                   "--z-count 1 requires --z-min == --z-max\n")
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_an_overflowing_z_grid_is_refused_as_an_overflow(capsys, texture_pgm, command):
+    # Both bounds are finite, but their span overflows to inf.
+    code, stdout, err = run(capsys, command, "--in", str(texture_pgm),
+                            "--z-min=-1e308", "--z-max", "1e308")
+    assert _one_error_line(code, stdout, err), err
+    assert err.startswith("error: bad z grid (--z-min/--z-max/--z-count) flags: ")
+    assert "overflows" in err and "nan" not in err and "inf" not in err
 
 
 @pytest.mark.parametrize("z_min", ["-1e-3", "-2E-1", "-.5e-1", "-1_0e-2"])

@@ -259,7 +259,7 @@ class TestTexture:
         assert make_texture(1, 5, 0).height == 5
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             make_texture(8, 8, -1)
 
     # sha256 of the pixel bytes. The first four are the scenes the tests and

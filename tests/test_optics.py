@@ -190,6 +190,12 @@ class TestConvolve:
         with pytest.raises(ValueError, match="exceeds"):
             convolve(img, make_pillbox_psf(6.0))  # 13x13 kernel vs 8x8 image
 
+    def test_oversized_kernel_is_refused_in_the_capture_routes_words(self):
+        with pytest.raises(ValueError) as refused:
+            convolve(make_texture(32, 32, 4), make_pillbox_psf(20.0))
+        assert str(refused.value) == ("the PSF has a blur radius of 20px, "
+                                      "whose 41x41 kernel exceeds the 32x32 scene")
+
 
 class TestKernelFit:
     @pytest.mark.parametrize("radius, frame", [

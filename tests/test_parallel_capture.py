@@ -5,7 +5,7 @@ or stability study as one task on a module-wide thread pool, queued ahead of
 the blur; the calling thread applies each draw and measures the capture in
 capture order. Results must not depend on the pool: every study equals the
 serial oracle, concurrent callers each get their own result, errors reach
-the caller, a camera refuses every thread but its first caller, no draw
+the caller, a camera refuses every thread but the one that built it, no draw
 outlives its call or exceeds the camera's bound, a forked child builds its
 own pool, and importing the package starts no thread.
 """
@@ -126,6 +126,30 @@ def test_a_camera_refuses_a_second_thread_by_name():
     owner = threading.current_thread().name
     assert len(refused) == 1 and "'intruder'" in refused[0] and f"'{owner}'" in refused[0]
     for z, row, trials in zip(ZS, plan, first + rest):
+        for spec, values in zip(row, trials):
+            assert values == [resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
+
+
+def test_a_camera_serves_the_thread_that_builds_it():
+    kind = MetricKind.SQUARED
+    plan = probe_noise(NOISE, len(ZS), 2)
+    refused = []
+
+    def intrude(camera):
+        try:
+            camera.readings(ZS[:1], kind)
+        except RuntimeError as exc:
+            refused.append(str(exc))
+
+    with Camera(SCENE, CFG, [WINDOW], plan) as camera:
+        intruder = threading.Thread(target=intrude, args=(camera,), name="intruder")
+        intruder.start()  # the first call to read the camera, from another thread
+        intruder.join(timeout=60)
+        assert not intruder.is_alive()
+        readings = camera.readings(ZS, kind)
+    owner = threading.current_thread().name
+    assert refused == [f"thread 'intruder' called a camera that serves thread '{owner}'"]
+    for z, row, trials in zip(ZS, plan, readings):  # the plan starts at its first row
         for spec, values in zip(row, trials):
             assert values == [resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
 
