@@ -14,8 +14,6 @@ import sys
 
 from . import bench, image, metric, optics, search
 
-_METRIC_KINDS = {kind.value: kind for kind in metric.MetricKind}
-
 # Resolution ceiling of the default virtual camera, which has no flag.
 _DEF_D_MAX = 100.0
 
@@ -60,8 +58,8 @@ def _window_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _metric_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metric", choices=sorted(_METRIC_KINDS), default="squared",
-                        help="metric kind (default %(default)s)")
+    parser.add_argument("--metric", choices=sorted(k.value for k in metric.MetricKind),
+                        default="squared", help="metric kind (default %(default)s)")
 
 
 def _noise_flags(parser: argparse.ArgumentParser, default_sigma: float) -> None:
@@ -124,53 +122,48 @@ def _write_or_stdout(writer, out_path: str | None) -> None:
     writer(sys.stdout if out_path in (None, "-") else out_path)
 
 
-def cmd_gen_step(args: argparse.Namespace) -> int:
+def cmd_gen_step(args: argparse.Namespace) -> None:
     edge_x = args.width // 2 if args.edge_x is None else args.edge_x
     img = _checked("step (--width/--height/--edge-x/--low/--high)", image.make_step_edge,
                    args.width, args.height, edge_x, args.low, args.high)
     image.save_pgm(img, args.out)
     print(f"wrote {args.width}x{args.height} step edge to {args.out}", file=sys.stderr)
-    return 0
 
 
-def cmd_gen_texture(args: argparse.Namespace) -> int:
+def cmd_gen_texture(args: argparse.Namespace) -> None:
     img = _checked("texture (--width/--height/--seed)", image.make_texture,
                    args.width, args.height, args.seed)
     image.save_pgm(img, args.out)
     print(f"wrote {args.width}x{args.height} texture to {args.out}", file=sys.stderr)
-    return 0
 
 
-def cmd_blur(args: argparse.Namespace) -> int:
+def cmd_blur(args: argparse.Namespace) -> None:
     cfg = _optical_config(args)
     lens = _checked(_LENS, optics.LensState, args.z)
     scene = image.load_pgm(args.in_path)
     out = _checked(_LENS, optics.capture, scene, cfg, lens, image.NoiseSpec(0.0))
     image.save_pgm(out, args.out)
     print(f"blurred {args.in_path} at z={args.z}mm -> {args.out}", file=sys.stderr)
-    return 0
 
 
-def cmd_measure(args: argparse.Namespace) -> int:
+def cmd_measure(args: argparse.Namespace) -> None:
     img = image.load_pgm(args.in_path)
     window = _window_spec(args, img)
-    d = metric.resolution(img, window, _METRIC_KINDS[args.metric])
+    d = metric.resolution(img, window, metric.MetricKind(args.metric))
     print(d)
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     cfg = _optical_config(args)
     noise = _noise_spec(args)
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
     curve = _checked("sweep (--z-min/--z-max/--z-count/--trials)", metric.sweep, scene, cfg, window,
-                     _METRIC_KINDS[args.metric], _z_values(args), noise, args.trials)
+                     metric.MetricKind(args.metric), _z_values(args), noise, args.trials)
     _write_or_stdout(curve.write_csv, args.out)
-    return 0
 
 
-def cmd_autofocus(args: argparse.Namespace) -> int:
+def cmd_autofocus(args: argparse.Namespace) -> None:
     cfg = _optical_config(args)
     noise = _noise_spec(args)
     scene = image.load_pgm(args.in_path)
@@ -179,7 +172,7 @@ def cmd_autofocus(args: argparse.Namespace) -> int:
         "search (--z-min/--z-max/--coarse-steps/--refine-iterations/--trials-per-eval)",
         search.SearchParams, z_min=args.z_min, z_max=args.z_max,
         coarse_steps=args.coarse_steps, refine_iterations=args.refine_iterations,
-        trials_per_eval=args.trials_per_eval, metric=_METRIC_KINDS[args.metric],
+        trials_per_eval=args.trials_per_eval, metric=metric.MetricKind(args.metric),
     )
     result = _checked("search interval (--z-min/--z-max)", search.autofocus,
                       scene, cfg, window, noise, params)
@@ -192,10 +185,9 @@ def cmd_autofocus(args: argparse.Namespace) -> int:
     print(f"d_star={result.d_star!r}")
     print(f"evaluations={result.evaluations}")
     print(f"status={'at_boundary' if result.at_boundary else 'ok'}")
-    return 0
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
+def cmd_stability(args: argparse.Namespace) -> None:
     cfg = _optical_config(args)
     noise = _noise_spec(args)
     lens = _checked(_LENS, optics.LensState, args.z)
@@ -204,10 +196,9 @@ def cmd_stability(args: argparse.Namespace) -> int:
     report = _checked("stability (--z/--sizes/--repeats/--cx/--cy)", bench.stability_study,
                       scene, cfg, lens, _center(args, scene), sizes, noise, args.repeats)
     _write_or_stdout(report.write_csv, args.out)
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     cfg = _optical_config(args)
     sizes = _sizes(args)
     scene = image.load_pgm(args.in_path)
@@ -216,7 +207,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                       bench.compare_metrics, scene, cfg, window, _z_values(args),
                       args.timing_repeats, sizes)
     _write_or_stdout(report.write_csv, args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,10 +338,11 @@ def main(argv=None) -> int:
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

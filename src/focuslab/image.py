@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,8 @@ __all__ = [
     "add_noise",
 ]
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# A header token after PNM whitespace (bytes \s: " \t\n\r\x0b\x0c") and '#' comments.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)")
 
 
 class PgmFormatError(ValueError):
@@ -85,9 +87,8 @@ class Image:
                 raise ValueError(f"samples must be real numbers, got dtype {px.dtype}")
             if not np.all((px >= 0) & (px <= 255) & (px == np.floor(px))):
                 raise ValueError("samples must be integers in [0, 255]")
-            px = px.astype(np.uint8)
-        else:
-            px = px.copy()
+        # astype copies even a uint8 input, so the caller's array cannot change the image.
+        px = px.astype(np.uint8)
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
@@ -204,24 +205,6 @@ class NoiseSpec:
         return NoiseSpec(self.sigma, int(seq.generate_state(1, np.uint64)[0]))
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next header token, skipping PNM whitespace and '#' comments; empty at the end."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], pos
-
-
 def load_pgm(path) -> Image:
     """Read a binary (P5) PGM file with maxval 255.
 
@@ -242,13 +225,14 @@ def load_pgm(path) -> Image:
                 "(binary P5 required)"
             )
         raise PgmFormatError("malformed PGM header: missing P5 magic number")
-    if len(data) > 2 and data[2] not in _WHITESPACE + b"#":
+    if data[2:3] and not (data[2:3].isspace() or data[2:3] == b"#"):
         raise PgmFormatError("malformed PGM header: no whitespace after P5")
 
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
-        token, pos = _next_token(data, pos)
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
         if not token:
             raise PgmFormatError(f"malformed PGM header: missing {name}")
         if not token.isdigit():

@@ -321,6 +321,17 @@ def test_help_before_a_negative_value_still_prints_help(capsys):
     assert capsys.readouterr().out.startswith("usage: focuslab sweep")
 
 
+def test_a_long_flag_before_a_non_numeric_dash_token_is_left_without_a_value(
+    capsys, monkeypatch, tmp_path, texture_pgm
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--in", str(texture_pgm), "--out", "--sigma", "1"])
+    assert exc.value.code == 2
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [texture_pgm]
+
+
 # z = 1000 mm is a 47,500 px blur radius on the default camera.
 @pytest.mark.parametrize("argv, flag", [
     (["blur", "--z", "1000"], "--z"),

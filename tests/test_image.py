@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import focuslab
@@ -63,6 +63,17 @@ class TestImage:
         img = Image(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+
+    @pytest.mark.parametrize("rows, dtype", [
+        ([[0, 255]], np.int64), ([[1.0, 2.0]], np.float64), ([[3, 4]], np.uint8),
+    ], ids=["int64", "float", "uint8"])
+    def test_pixels_are_a_read_only_uint8_copy_of_the_source(self, rows, dtype):
+        source = np.array(rows, dtype=dtype)
+        img = Image(source)
+        assert img == Image(np.array(rows, dtype=np.uint8))
+        assert img.pixels.dtype == np.uint8 and not img.pixels.flags.writeable
+        source[0, 0] = 7
+        assert img.pixels.tolist() == rows
 
     def test_samples_row_major(self):
         img = Image(np.array([[1, 2], [3, 4]], dtype=np.uint8))
@@ -191,7 +202,10 @@ class TestPgm:
         (b"P5\n2 2\n", "missing maxval"),
         (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
         (b"P512 1\n255\n" + bytes(12), "no whitespace after P5"),
-    ], ids=["short", "no-magic", "no-width", "no-height", "no-maxval", "zero-width", "run-on"])
+        (b"P5 2#c\n2 255\n" + bytes(4), "non-numeric width b'2#c'"),
+        (b"P5 2 2 # c", "missing maxval"),
+    ], ids=["short", "no-magic", "no-width", "no-height", "no-maxval", "zero-width", "run-on",
+            "hash-in-token", "comment-to-end"])
     def test_header_failures_are_named(self, tmp_path, data, message):
         path = tmp_path / "h.pgm"
         path.write_bytes(data)
@@ -424,3 +438,32 @@ def test_pgm_round_trip_over_random_shapes_and_bytes(tmp_path_factory, pixels):
     loaded = load_pgm(path)
     assert loaded.pixels.shape == pixels.shape
     assert np.array_equal(loaded.pixels, pixels)
+
+
+_PNM_WHITESPACE = st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
+# A '#' comment runs to the next newline, so its body may hold '#' and '\r' but no '\n'.
+_COMMENT = st.lists(st.sampled_from(b"#\r\t a9\xff"), max_size=6).map(
+    lambda body: b"#" + bytes(body) + b"\n")
+_GAP = st.lists(st.one_of(_PNM_WHITESPACE, _COMMENT), max_size=4).map(b"".join)
+
+
+@st.composite
+def _pgm_files(draw):
+    """(file bytes, pixels) of a P5 file whose header spreads whitespace and comments."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    raster = draw(st.binary(min_size=width * height, max_size=width * height))
+    # A comment may follow the magic directly; a token must end at a whitespace byte.
+    header = b"P5" + draw(st.one_of(_COMMENT, _PNM_WHITESPACE)) + draw(_GAP)
+    header += str(width).encode() + draw(_PNM_WHITESPACE) + draw(_GAP)
+    header += str(height).encode() + draw(_PNM_WHITESPACE) + draw(_GAP)
+    header += b"255" + draw(_PNM_WHITESPACE)
+    return header + raster, np.frombuffer(raster, np.uint8).reshape(height, width)
+
+
+@settings(max_examples=200)
+@given(pgm=_pgm_files())
+def test_header_whitespace_and_comments_are_skipped(tmp_path_factory, pgm):
+    data, pixels = pgm
+    path = tmp_path_factory.getbasetemp() / "header.pgm"
+    path.write_bytes(data)
+    assert np.array_equal(load_pgm(path).pixels, pixels)

@@ -1,11 +1,12 @@
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import focuslab
-from focuslab import bench, image, metric, optics, search
+from focuslab import bench, cli, image, metric, optics, search
 
 MODULES = (image, optics, metric, search, bench)
 
@@ -82,3 +83,12 @@ def test_the_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     z_star, d_star, evaluations = (float(token) for token in capsys.readouterr().out.split())
     assert abs(z_star) <= 0.5 and d_star > 0 and evaluations > 0
+
+
+def test_the_readme_error_example_is_what_the_cli_prints(capsys, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quoted = " ".join(re.search(r"`(error: [^`]*)`", readme)[1].split())
+    scene = tmp_path / "scene.pgm"
+    image.save_pgm(image.make_texture(32, 32, 0), scene)
+    assert cli.main(["sweep", "--in", str(scene), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == quoted + "\n"
