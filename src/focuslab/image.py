@@ -10,6 +10,9 @@ no lock either. ``metric.Camera`` relies on this: its noise plan fixes every
 capture's ``NoiseSpec`` when the camera is built, and it runs ``draw_noise``
 for those specs on worker threads, where a draw reads only its spec and the
 place and shape of the camera's zone, and writes only the field it returns.
+Its blur lanes run ``optics.convolve`` on worker threads too: each lane
+reads the scene through its own crop of the zone and writes only that
+crop's memo.
 """
 
 from __future__ import annotations

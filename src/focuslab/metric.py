@@ -22,8 +22,8 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, require_int
-from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
-from .optics import convolve, make_pillbox_psf
+from .optics import LensState, OpticalConfig, _fft_shape, blur_radius, check_kernel_fits
+from .optics import convolve, make_pillbox_psf, pillbox_size
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -81,32 +81,46 @@ class Camera:
     Cache. The camera keeps one entry per blur radius for its life: the
     blurred zone and the noiseless readings of that zone by kind. Captures
     that share a radius, such as the +-z halves of a sweep, build one kernel
-    and blur once; only the noise is drawn per capture. A miss checks that
-    the kernel fits the frame before building it. Every noiseless capture is
-    the blurred zone itself, so a radius is measured once per kind however
-    many probes and trials read it. The cache ends with the camera, and so
-    does the zone-transform memo of ``optics.convolve``, which sits on the
-    camera's own crop; only a memo on an image passed to ``convolve`` or
-    ``optics.capture`` directly lives on.
+    and blur once; only the noise is drawn per capture. A ``readings`` call
+    checks that the kernel of every radius it has not blurred yet fits the
+    frame before it builds any kernel. Every noiseless capture is the
+    blurred zone itself, so a radius is measured once per kind however many
+    probes and trials read it. The cache ends with the camera, and so do the
+    zone-transform memos of ``optics.convolve``: the zone's, and each blur
+    lane's on its own crop, which ends with the call. Only a memo on an
+    image passed to ``convolve`` or ``optics.capture`` directly lives on.
 
-    Pool. A draw depends only on its spec, not on the blur, so the draws of
-    the plan's noisy specs are queued in plan order on one module-wide
-    thread pool sized to the usable CPUs, one ``draw_noise(spec, zone)`` task
-    per capture (numpy releases the GIL while it draws): before the first blur,
-    and again after each draw is applied. The calling thread blurs, applies
-    the draws first in first out and measures each capture in plan order,
-    so no value depends on the worker count or on which draw finishes first.
-    The draws submitted and not yet applied are capped at
+    Pool. One module-wide thread pool, sized to the usable CPUs, runs two
+    kinds of task; numpy releases the GIL while it draws and transforms.
+    A draw depends only on its spec, not on the blur, so the draws of the
+    plan's noisy specs are queued in plan order, one ``draw_noise(spec,
+    zone)`` task per capture: before a call's blurs, and again after each
+    draw is applied. The draws submitted and not yet applied are capped at
     ``workers * (y0 + h) * W`` samples, at least one field per worker: the
     prefix each in-flight draw allocates anyway, for a zone of h x w at row
     y0 of a frame W wide.
 
-    Leaving the camera, a context manager, cancels the queued draws, awaits
-    the running ones and ends the plan, so no draw outlives its call. A
-    camera serves the thread that builds it: a ``readings`` call from any
+    Blur lanes. Before it captures, a call blurs its new radii on
+    min(shape groups, usable CPUs) lanes: it groups them by the FFT shape
+    ``convolve`` will use and deals whole groups, largest first, each to the
+    lane with the fewest blurs, so a lane transforms the zone once per
+    shape. The calling thread runs the first lane on the zone, with the
+    identity kernels; each other lane is one pool task that blurs its own
+    crop of the zone, so no two threads write one memo. A lane task not yet
+    started when the calling thread is done with its own lane is cancelled
+    and run inline, so lanes queued behind draws cost no wait. The calling
+    thread then applies the draws first in first out and measures each
+    capture in plan order, so no value depends on the worker count, the
+    lanes or which task finishes first.
+
+    A ``readings`` call cancels or awaits its lane tasks before it returns
+    or raises, and an error on any lane reaches the caller. Leaving the
+    camera, a context manager, cancels the queued draws and lane tasks,
+    awaits the running ones and ends the plan, so no task outlives its call.
+    A camera serves the thread that builds it: a ``readings`` call from any
     other thread raises RuntimeError naming both threads, before it touches
-    the plan. Workers never submit work to the pool, so callers waiting on
-    their draws cannot deadlock it, however many share it.
+    the plan. Workers never submit work to the pool or wait on it, so
+    callers waiting on their tasks cannot deadlock it, however many share it.
     """
 
     def __init__(
@@ -122,7 +136,8 @@ class Camera:
             x0, y0 = window.origin()
             boxes.append((x0, y0, x0 + window.n, y0 + window.n))
         x0s, y0s, x1s, y1s = zip(*boxes)
-        self._zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
+        self._box = min(x0s), min(y0s), max(x1s), max(y1s)
+        self._zone = zone = scene.crop(*self._box)
         self._cfg = cfg
         self._plan = [tuple(row) for row in noise]
         if not all(self._plan):
@@ -132,6 +147,7 @@ class Camera:
         self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
         self._draws: deque[Future] = deque()
+        self._lanes: list[Future] = []
         workers = _usable_cpus()
         prefix = (zone.origin[1] + zone.height) * zone.frame_size[0]
         self._max_draws = max(workers, workers * prefix // (zone.height * zone.width))
@@ -140,15 +156,12 @@ class Camera:
         return self
 
     def __exit__(self, *exc) -> None:
-        """End the plan, cancel the queued draws and await the running ones."""
+        """End the plan, cancel the queued draws and blur lanes and await the running ones."""
         self._next_row = len(self._plan)
         self._unsubmitted = iter(())
-        futures, self._draws = self._draws, deque()
-        for future in futures:
-            future.cancel()
-        for future in futures:
-            if not future.cancelled():
-                future.exception()
+        futures = [*self._draws, *self._lanes]
+        self._draws, self._lanes = deque(), []
+        _settle(futures)
 
     def readings(self, zs: Sequence[float], kind: MetricKind) -> list[list[list[int]]]:
         """``[i][t][k]``: the metric of window k in trial t of the capture at ``zs[i]``.
@@ -165,10 +178,17 @@ class Camera:
                              f"{len(self._plan) - first} left in the noise plan")
         # A call that raises ends the plan: its queue may be part way through a row.
         self._next_row = len(self._plan)
+        radii = [blur_radius(self._cfg, LensState(z)).px for z in zs]
+        new: dict[float, None] = {}
+        for z, radius in zip(zs, radii):
+            if radius not in self._blurred and radius not in new:
+                check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
+                new[radius] = None
         self._submit()
+        self._blur(new)
         values = []
-        for z, row in zip(zs, self._plan[first:end]):
-            zone, noiseless = self._blurred_zone(z)
+        for radius, row in zip(radii, self._plan[first:end]):
+            zone, noiseless = self._blurred[radius]
             trials = []
             for spec in row:
                 if spec.sigma:
@@ -195,14 +215,31 @@ class Camera:
                                        len(values)))
         return samples
 
-    def _blurred_zone(self, z: float) -> tuple[Image, dict[MetricKind, list[int]]]:
-        """The zone blurred at z and its noiseless readings by kind: the radius's cache entry."""
-        radius = blur_radius(self._cfg, LensState(z)).px
-        entry = self._blurred.get(radius)
-        if entry is None:
-            check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
-            entry = self._blurred[radius] = convolve(self._zone, make_pillbox_psf(radius)), {}
-        return entry
+    def _blur(self, radii: Iterable[float]) -> None:
+        """Cache the zone blurred at each radius, on the blur lanes of the class docstring."""
+        groups: dict[tuple[int, int] | None, list[float]] = {}
+        for radius in radii:
+            size = pillbox_size(radius)
+            shape = _fft_shape(self._zone.height, self._zone.width, size) if size > 1 else None
+            groups.setdefault(shape, []).append(radius)
+        own = groups.pop(None, [])  # identity kernels, which return the zone itself
+        lanes: list[list[float]] = [[] for _ in range(min(len(groups), _usable_cpus()))]
+        for group in sorted(groups.values(), key=len, reverse=True):
+            min(lanes, key=len).extend(group)
+        if lanes:
+            own += lanes.pop(0)
+        tasks = [(self._zone.crop(*self._box), lane) for lane in lanes]
+        self._lanes = [_capture_pool().submit(_blur_lane, *task) for task in tasks]
+        try:
+            blurred = _blur_lane(self._zone, own)
+            waiting = [not future.cancel() for future in self._lanes]
+            for running, future, task in zip(waiting, self._lanes, tasks):
+                blurred.update(future.result() if running else _blur_lane(*task))
+        finally:
+            _settle(self._lanes)
+            self._lanes = []
+        for radius, image in blurred.items():
+            self._blurred[radius] = image, {}
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
@@ -211,6 +248,20 @@ class Camera:
             if spec is None:
                 return
             self._draws.append(_capture_pool().submit(draw_noise, spec, self._zone))
+
+
+def _blur_lane(zone: Image, radii: Sequence[float]) -> dict[float, Image]:
+    """``zone`` blurred at each radius, keyed by radius."""
+    return {radius: convolve(zone, make_pillbox_psf(radius)) for radius in radii}
+
+
+def _settle(futures: list[Future]) -> None:
+    """Cancel the tasks that have not started and await the others, dropping their errors."""
+    for future in futures:
+        future.cancel()
+    for future in futures:
+        if not future.cancelled():
+            future.exception()
 
 
 def probe_noise(noise: NoiseSpec, count: int, trials: int) -> list[list[NoiseSpec]]:

@@ -22,7 +22,9 @@ whole-frame capture cropped to it:
 - Zone-transform memo. Every radius with the same L shares one zone
   spectrum. ``convolve`` keeps the last (shape, spectrum) on the image it
   blurs, in a private field outside ``==`` and ``repr``, so a blur at the
-  cached shape costs one kernel transform and one inverse.
+  cached shape costs one kernel transform and one inverse. ``_fft_shape``
+  is the one rule for L, and ``metric.Camera`` groups a call's radii by it,
+  so each blur lane transforms its crop once per shape.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -40,11 +42,15 @@ whole-frame capture cropped to it:
   and farthest subsamples, as a full loop does. It normalizes by the mirrored
   total, summed from the quadrant, and mirrors the weights into one array.
 - Memory. No stage makes a full-size temporary it does not need: the PSF
-  build fills one weight array, and a blur multiplies and inverts within
-  the kernel's spectrum and runs the inverse's last pass on the box's rows.
+  build fills one weight array; a zone transform drops the stale spectrum
+  first and runs both passes within the new one; and a blur multiplies and
+  inverts within the kernel's spectrum and runs the inverse's last pass on
+  the box's rows.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
-- Caches and parallel captures. See ``metric.Camera``; only the memo on an
-  image passed to ``convolve`` or ``capture`` directly outlives a study call.
+- Caches, noise draws and blur lanes. See ``metric.Camera``. Each lane
+  blurs its own crop of the zone, so no two threads write one memo; only
+  the memo on an image passed to ``convolve`` or ``capture`` directly
+  outlives a study call.
 """
 
 from __future__ import annotations
@@ -244,6 +250,11 @@ def _fast_len(n: int) -> int:
         n += 1
 
 
+def _fft_shape(height: int, width: int, kernel_size: int) -> tuple[int, int]:
+    """The (rows, columns) ``convolve`` transforms a height x width box at, for this kernel side."""
+    return _fast_len(height + kernel_size - 1), _fast_len(width + kernel_size - 1)
+
+
 def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
     """The box plus hy rows and hx columns of surround on each side, edges replicated."""
     (width, height), (x0, y0) = scene.frame_size, scene.origin
@@ -270,11 +281,18 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
         raise ValueError("a crop can only be blurred with its surround: cut it with Image.crop")
     # Circular convolution at a 5-smooth length >= box plus kernel per axis,
     # with a halo H >= h that fills it; the box's outputs are [H + h, H + h + n).
-    shape = tuple(_fast_len(n + psf.size - 1) for n in (scene.height, scene.width))
+    shape = _fft_shape(scene.height, scene.width, psf.size)
     hy, hx = (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
     memo = scene._spectrum  # read once: another thread may replace it
     if memo is None or memo[0] != shape:
-        memo = (shape, np.fft.rfft2(_halo_patch(scene, hy, hx), s=shape))
+        # Drop the stale spectrum first. The patch's row pass fills the
+        # zero-padded spectrum, and its column pass runs there in place.
+        memo = None
+        object.__setattr__(scene, "_spectrum", None)
+        zone = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+        patch_rows = zone[: scene.height + 2 * hy]
+        np.fft.rfft(_halo_patch(scene, hy, hx), n=shape[1], axis=1, out=patch_rows)
+        memo = (shape, np.fft.fft(zone, axis=0, out=zone))
         object.__setattr__(scene, "_spectrum", memo)
     # rfft2 pads the kernel's rows only after its row pass. The inverse runs
     # irfft2's column pass in place, then its row pass on the box's rows alone.

@@ -6,6 +6,7 @@ as the whole frame's blur and noise cropped to it, for any window, radius
 and seed.
 """
 
+import re
 import sys
 import threading
 
@@ -367,6 +368,20 @@ def test_a_camera_refuses_more_z_values_than_its_plan_has_left(monkeypatch):
     with pytest.raises(ValueError, match="the 0 left in the noise plan"):
         camera.readings([0.1], MetricKind.SQUARED)  # leaving the camera ends its plan
     assert len(blurs) == 1
+
+
+def test_a_call_whose_last_z_needs_an_oversized_kernel_builds_no_kernel(monkeypatch):
+    built = _count_calls(monkeypatch, focuslab.metric, "make_pillbox_psf")
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    too_far = 40.0 / PX_PER_MM  # an 81x81 kernel, on a 64x48 scene
+    radius = blur_radius(CFG, LensState(too_far)).px
+    message = (f"z={too_far} mm reaches a blur radius of {radius:.4g}px, whose 81x81 kernel "
+               "exceeds the 64x48 scene")
+    plan = probe_noise(NoiseSpec(1.0, 3), 3, 2)
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], plan) as camera:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            camera.readings([0.05, 0.1, too_far], MetricKind.SQUARED)
+    assert built == [] and blurs == []
 
 
 def test_a_readings_call_that_raises_ends_the_plan(monkeypatch):

@@ -1,13 +1,16 @@
-"""Noisy captures drawn on the shared capture pool against serial whole-frame ones.
+"""Captures drawn and blurred on the shared capture pool against serial whole-frame ones.
 
 ``metric.Camera`` draws the noise of each noisy capture of a sweep, search
 or stability study as one task on a module-wide thread pool, queued ahead of
-the blur; the calling thread applies each draw and measures the capture in
-capture order. Results must not depend on the pool: every study equals the
-serial oracle, concurrent callers each get their own result, errors reach
-the caller, a camera refuses every thread but the one that built it, no draw
-outlives its call or exceeds the camera's bound, a forked child builds its
-own pool, and importing the package starts no thread.
+the blur, and blurs a call's new radii on lanes, one per FFT shape group up
+to one per CPU: the calling thread runs one and the pool the others. The
+calling thread applies each draw and measures the capture in capture
+order. Results must not depend on the pool: every study equals the serial
+oracle, concurrent callers each get their own result, errors reach the
+caller, a camera refuses every thread but the one that built it, no draw or
+blur lane outlives its call and no draw exceeds the camera's bound, a
+forked child builds its own pool, and importing the package starts no
+thread.
 """
 
 import multiprocessing
@@ -16,10 +19,13 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import focuslab
 import focuslab.metric
@@ -33,6 +39,7 @@ from focuslab import (
     SearchParams,
     WindowSpec,
     autofocus,
+    blur_radius,
     capture,
     make_texture,
     probe_noise,
@@ -40,6 +47,8 @@ from focuslab import (
     stability_study,
     sweep,
 )
+
+from focuslab.optics import _fft_shape, pillbox_size
 
 from _oracles import naive_probe
 
@@ -59,13 +68,17 @@ def _stability(noise: NoiseSpec = NOISE):
     return stability_study(SCENE, CFG, LensState(0.15), (48, 40), [5, 9, 17], noise, repeats=4)
 
 
-def test_noisy_sweep_equals_the_serial_oracle():
-    curve = _noisy_sweep(11)
+def _assert_serial(curve):
+    """``curve``, a ``_noisy_sweep(11)``, equals the serial whole-frame oracle."""
     assert len(curve.entries) == len(ZS)
     for i, (z, entry) in enumerate(zip(ZS, curve.entries)):
         values = naive_probe(SCENE, CFG, z, NOISE, (i,), 3, WINDOW, MetricKind.SQUARED)
         assert (entry.z_mm, entry.n_trials) == (z, 3)
         assert (entry.d_mean, entry.d_stddev) == (float(np.mean(values)), float(np.std(values)))
+
+
+def test_noisy_sweep_equals_the_serial_oracle():
+    _assert_serial(_noisy_sweep(11))
 
 
 def test_autofocus_trace_equals_the_serial_oracle():
@@ -252,6 +265,194 @@ def test_a_noisy_sweep_never_holds_more_draws_than_its_bound(monkeypatch):
     assert sweep(scene, CFG, window, MetricKind.SQUARED, zs, NOISE, trials) == expected
     assert log.applied == len(zs) * trials
     assert 1 <= log.held <= bound
+
+
+@contextmanager
+def _lanes(count: int):
+    """Patch the usable CPU count, and with it the most blur lanes, once the pool is built."""
+    focuslab.metric._capture_pool()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(focuslab.metric, "_usable_cpus", lambda: count)
+        yield patch
+
+
+class _BlurLog:
+    """Wraps the camera's ``convolve`` binding to follow each blur and the thread it runs on.
+
+    ``blur_s`` slows each blur. A blur on a thread of kind ``fail_on``,
+    "caller" or "pool", sleeps ``blur_s`` and then raises.
+    """
+
+    def __init__(self, patch, blur_s: float = 0.0, fail_on: str | None = None):
+        self.started = self.finished = 0
+        self.threads: list[str] = []
+        lock = threading.Lock()
+        blur, caller = focuslab.metric.convolve, threading.current_thread()
+
+        def blurring(scene, psf):
+            kind = "caller" if threading.current_thread() is caller else "pool"
+            with lock:
+                self.started += 1
+                self.threads.append(kind)
+            try:
+                time.sleep(blur_s)
+                if kind == fail_on:
+                    raise ValueError(f"blur failed on a {kind} lane")
+                return blur(scene, psf)
+            finally:
+                with lock:
+                    self.finished += 1
+
+        patch.setattr(focuslab.metric, "convolve", blurring)
+
+
+def test_the_sweep_radii_fill_two_lanes():
+    # The lane tests below rely on ZS's radii needing more than one FFT shape.
+    radii = {blur_radius(CFG, LensState(z)).px for z in ZS}
+    shapes = {_fft_shape(21, 21, pillbox_size(r)) for r in radii if pillbox_size(r) > 1}
+    assert len(shapes) >= 2
+
+
+def test_a_blur_that_raises_on_a_pool_lane_reaches_the_caller():
+    expected = _noisy_sweep(11)
+    with _lanes(2) as patch:
+        # The calling thread's blurs are slow, so the pool lane starts first.
+        log = _BlurLog(patch, blur_s=0.05, fail_on="pool")
+        with pytest.raises(ValueError, match="^blur failed on a pool lane$"):
+            _noisy_sweep(11)
+    assert "pool" in log.threads
+    after = _noisy_sweep(11)
+    assert after == expected
+    _assert_serial(after)
+
+
+@pytest.mark.parametrize("fail_on", (None, "caller"))
+@pytest.mark.parametrize("pool_busy", (False, True))
+def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
+    # With the pool busy, the lane task is still queued when the calling
+    # thread is done: it is cancelled, and run inline unless the call failed.
+    # With the pool free, the lane runs on a worker while the caller blurs.
+    # Noiseless, so that no draw waits behind the busy pool.
+    workers = focuslab.metric._usable_cpus()
+    noiseless = lambda: sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, ZS, NoiseSpec(0.0), 1)
+    expected = noiseless()
+    release = threading.Event()
+    with _lanes(2) as patch:
+        log = _BlurLog(patch, blur_s=0.02, fail_on=fail_on)
+        pool = focuslab.metric._capture_pool()
+        blockers = [pool.submit(release.wait, 30) for _ in range(workers if pool_busy else 0)]
+        try:
+            if fail_on:
+                with pytest.raises(ValueError, match="blur failed on a caller lane"):
+                    noiseless()
+            else:
+                assert noiseless() == expected
+            started = log.started
+            assert log.finished == started  # none running
+        finally:
+            release.set()
+    for blocker in blockers:
+        blocker.result()
+    _drain_pool()
+    assert log.started == started  # none queued: a cancelled lane never starts
+    assert ("pool" in log.threads) == (not pool_busy)
+    if not fail_on:
+        assert started == len({blur_radius(CFG, LensState(z)).px for z in ZS})
+
+
+def test_concurrent_callers_blurring_on_lanes_each_get_their_serial_result():
+    # More lanes than cores across four callers, switching threads often.
+    scales = (0.7, 0.8, 0.9, 1.0)
+    zs_of = {scale: [scale * z for z in ZS] for scale in scales}
+    noiseless = lambda zs: sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, zs, NoiseSpec(0.0), 1)
+    expected = {scale: noiseless(zs) for scale, zs in zs_of.items()}
+    got = {}
+    start = threading.Barrier(len(scales))
+
+    def call(scale):
+        start.wait()
+        for _ in range(5):
+            got.setdefault(scale, []).append(noiseless(zs_of[scale]))
+
+    threads = [threading.Thread(target=call, args=(scale,)) for scale in scales]
+    interval = sys.getswitchinterval()
+    with _lanes(4):
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {scale: [curve] * 5 for scale, curve in expected.items()}
+
+
+# Blur radii in three bands whose kernels need three FFT shapes for almost every zone.
+_BANDS = (st.floats(0.5, 3.0), st.floats(7.0, 12.0), st.floats(18.0, 30.0))
+_PX_PER_MM = blur_radius(CFG, LensState(1.0)).px
+
+
+@st.composite
+def _z_calls(draw):
+    """One or two ``readings`` calls' z lists, spanning the three bands, with repeats."""
+    radii = [draw(band) for band in _BANDS] + draw(st.lists(st.floats(0.0, 30.0), max_size=3))
+    zs = [draw(st.sampled_from((-1, 1))) * r / _PX_PER_MM for r in draw(st.permutations(radii))]
+    zs += [draw(st.sampled_from((-1, 1))) * z for z in draw(st.lists(st.sampled_from(zs),
+                                                                      max_size=3))]
+    split = draw(st.integers(1, len(zs)))
+    return [call for call in (zs[:split], zs[split:]) if call]
+
+
+@st.composite
+def _windows(draw):
+    n = draw(st.integers(2, 40))
+    half = (n - 1) // 2
+    cx = draw(st.integers(half, SCENE.width - n + half))
+    cy = draw(st.integers(half, SCENE.height - n + half))
+    return WindowSpec(cx, cy, n)
+
+
+def _zone_shape(windows) -> tuple[int, int]:
+    boxes = [(*w.origin(), w.n) for w in windows]
+    x0, y0 = min(x for x, _, _ in boxes), min(y for _, y, _ in boxes)
+    x1, y1 = max(x + n for x, _, n in boxes), max(y + n for _, y, n in boxes)
+    return y1 - y0, x1 - x0
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@settings(max_examples=60, deadline=None)
+@given(
+    calls=_z_calls(),
+    ws=st.lists(_windows(), min_size=1, max_size=2),
+    sigma=st.sampled_from([0.0, 1.5]),
+    kind=st.sampled_from(MetricKind),
+    seed=st.integers(0, 2**63),
+)
+def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
+    cpus, calls, ws, sigma, kind, seed
+):
+    zs = [z for call in calls for z in call]
+    radii = [blur_radius(CFG, LensState(z)).px for z in zs]
+    height, width = _zone_shape(ws)
+    assume(len({_fft_shape(height, width, pillbox_size(r)) for r in radii
+                if pillbox_size(r) > 1}) >= 3)
+    plan = probe_noise(NoiseSpec(sigma, seed), len(zs), 2)
+    built, blurred = [], []
+    with _lanes(cpus) as patch:
+        build, blur = focuslab.metric.make_pillbox_psf, focuslab.metric.convolve
+        patch.setattr(focuslab.metric, "make_pillbox_psf",
+                      lambda radius: built.append(radius) or build(radius))
+        patch.setattr(focuslab.metric, "convolve",
+                      lambda scene, psf: blurred.append(psf.radius_px) or blur(scene, psf))
+        with Camera(SCENE, CFG, ws, plan) as camera:
+            readings = [trials for call in calls for trials in camera.readings(call, kind)]
+    assert sorted(built) == sorted(blurred) == sorted(set(radii))
+    for z, row, trials in zip(zs, plan, readings):
+        for spec, values in zip(row, trials):
+            whole = capture(SCENE, CFG, LensState(z), spec)
+            assert values == [resolution(whole, w, kind) for w in ws]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")

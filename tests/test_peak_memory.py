@@ -7,7 +7,17 @@ untraced first, so one-off set-up is not counted.
 
 import tracemalloc
 
-from focuslab import make_pillbox_psf, make_texture
+import focuslab.metric
+from focuslab import (
+    LensState,
+    MetricKind,
+    NoiseSpec,
+    WindowSpec,
+    blur_radius,
+    make_pillbox_psf,
+    make_texture,
+    sweep,
+)
 from focuslab.optics import convolve
 
 MIB = 2**20
@@ -36,3 +46,20 @@ def test_a_memo_miss_blur_of_the_autofocus_zone_peaks_at_8_mib_or_less(texture_5
     # no zone spectrum yet, so each blur also transforms the zone.
     psf = make_pillbox_psf(247.0)
     assert traced_peak(lambda: convolve(texture_512.crop(241, 241, 272, 272), psf)) <= 8.0 * MIB
+
+
+def test_a_sweep_256_blurs_on_two_lanes_in_5_5_mib_or_less(monkeypatch, texture_256, bench_config):
+    # The sweep-256 shape: 33 noiseless z values out to a 30 px radius and a
+    # 255x255 window on a 256x256 scene, so 16 kernels in four FFT shapes.
+    # One lane peaks at 2.9 MiB, the 17 cached blurs included, and two at
+    # 4.2-4.9 MiB. All four groups at once peaked at 6.1-7.7 MiB on two
+    # workers and 7.3-9.0 MiB on four.
+    focuslab.metric._capture_pool()  # built for the host before the lane count is set
+    monkeypatch.setattr(focuslab.metric, "_usable_cpus", lambda: 2)
+    px_per_mm = blur_radius(bench_config, LensState(1.0)).px
+    positive = [30.0 / px_per_mm * k / 16 for k in range(1, 17)]
+    zs = [-z for z in reversed(positive)] + [0.0] + positive
+    window = WindowSpec(128, 128, 255)
+    peak = traced_peak(lambda: sweep(texture_256, bench_config, window, MetricKind.SQUARED, zs,
+                                     NoiseSpec(0.0), 1))
+    assert peak <= 5.5 * MIB
