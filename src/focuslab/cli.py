@@ -23,11 +23,14 @@ _LENS = "lens (--z)"
 
 
 def _checked(flags: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ValueError re-raised naming ``flags``."""
+    """``build(*args, **kwargs)``, with a ValueError or MemoryError re-raised naming ``flags``."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"bad {flags} flags: {exc}") from None
+    except MemoryError:
+        pass  # raised below, once the handler has freed what the traceback holds
+    raise ValueError(f"bad {flags} flags: the run does not fit in memory")
 
 
 def _optics_flags(parser: argparse.ArgumentParser) -> None:
@@ -339,10 +342,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
+        return 0
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        message = str(exc)
+    except MemoryError:
+        message = "the run does not fit in memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

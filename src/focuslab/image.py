@@ -6,13 +6,9 @@ so concurrent use needs no locking. The one mutable part of an ``Image`` is
 a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
 a pure function of the pixels, replaced whole by one attribute store. A
 reader sees either the old entry or the new one, both correct, so it needs
-no lock either. ``metric.Camera`` relies on this: its noise plan fixes every
-capture's ``NoiseSpec`` when the camera is built, and it runs ``draw_noise``
-for those specs on worker threads, where a draw reads only its spec and the
-place and shape of the camera's zone, and writes only the field it returns.
-Its blur lanes run ``optics.convolve`` on worker threads too: each lane
-reads the scene through its own crop of the zone and writes only that
-crop's memo.
+no lock either. ``draw_noise`` reads only its spec and the place and shape
+of its image, and writes only the field it returns, so it can run on any
+thread; the ``metric.Camera`` docstring says which threads run it.
 """
 
 from __future__ import annotations
@@ -293,11 +289,11 @@ _TEXTURE_CLIP_PCT = 2.0
 def make_texture(width: int, height: int, seed: int) -> Image:
     """Deterministic high-contrast test scene; same arguments, same image.
 
-    The spectrum is Hermitian, so its inverse transform is real: rows
-    0..height//2 hold one canonical bin per conjugate pair, and only there
-    are phases turned into complex values. Every other bin is filled by
-    conjugating its mirror, and self-conjugate bins are pinned to +-amp.
-    The transform, grain mix and level mapping then run in place.
+    The spectrum is Hermitian, so its inverse transform is real and
+    ``np.fft.irfft2`` needs only its columns 0..width//2. Rows 0..height//2
+    of that half take their drawn phases; row j past height//2 is the
+    conjugate of row height - j at column -i mod width, and self-conjugate
+    bins are pinned to +-amp. The grain mix and level mapping run in place.
     """
     width, height = require_int(width, "width", 1), require_int(height, "height", 1)
     seed = require_int(seed, "seed", 0)
@@ -310,33 +306,25 @@ def make_texture(width: int, height: int, seed: int) -> Image:
     signs = np.where(rng.random((height, width))[self_conjugate] < 0.5, -1.0, 1.0)
     grain = rng.standard_normal((height, width))
 
-    top = height // 2 + 1
-    freq = np.hypot(np.fft.fftfreq(height)[:top, None], np.fft.fftfreq(width))
+    freq = np.hypot(np.fft.fftfreq(height)[:, None], np.fft.rfftfreq(width))
     amp = np.zeros_like(freq)
     nonzero = freq > 0
     amp[nonzero] = freq[nonzero] ** -_TEXTURE_SPECTRAL_EXPONENT
     del freq, nonzero  # freed, like phases below, before the spectrum's peak
 
-    spectrum = np.empty((height, width), dtype=np.complex128)
-    half = spectrum[:top]
-    np.multiply(1j, phases[:top], out=half)
+    top = height // 2 + 1
+    half = np.empty(amp.shape, dtype=np.complex128)
+    np.multiply(1j, phases[:top, : half.shape[1]], out=half[:top])
+    mirrored = -np.arange(half.shape[1]) % width  # column -i mod width
+    np.multiply(1j, phases[height - top : 0 : -1, mirrored], out=half[top:])
     del phases
     np.exp(half, out=half)
     half *= amp
-    # Row j > height//2 mirrors row height - j, and column i column -i mod
-    # width; on rows 0 and height/2 the right half mirrors the left.
-    mirror = height - top
-    np.conjugate(spectrum[mirror:0:-1, :1], out=spectrum[top:, :1])
-    np.conjugate(spectrum[mirror:0:-1, :0:-1], out=spectrum[top:, 1:])
-    right = width // 2 + 1
-    for j in rows:
-        np.conjugate(spectrum[j, width - right : 0 : -1], out=spectrum[j, right:])
-    spectrum[self_conjugate] = amp[self_conjugate] * signs
-
-    # ifft2's two passes, last axis first, each in place (ifft2 drops ``out``).
-    np.fft.ifft(spectrum, axis=1, out=spectrum)
-    np.fft.ifft(spectrum, axis=0, out=spectrum)
-    base = spectrum.real
+    np.conjugate(half[top:], out=half[top:])
+    half[self_conjugate] = amp[self_conjugate] * signs
+    del amp
+    base = np.fft.irfft2(half, s=(height, width))
+    del half
     scale = float(base.std())
     if scale > 0:
         base /= scale

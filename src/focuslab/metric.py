@@ -104,19 +104,18 @@ class Camera:
     min(shape groups, usable CPUs) lanes: it groups them by the FFT shape
     ``convolve`` will use and deals whole groups, largest first, each to the
     lane with the fewest blurs, so a lane transforms the zone once per
-    shape. The calling thread runs the first lane on the zone, with the
-    identity kernels; each other lane is one pool task that blurs its own
-    crop of the zone, so no two threads write one memo. A lane task not yet
-    started when the calling thread is done with its own lane is cancelled
-    and run inline, so lanes queued behind draws cost no wait. The calling
-    thread then applies the draws first in first out and measures each
-    capture in plan order, so no value depends on the worker count, the
-    lanes or which task finishes first.
+    shape. The calling thread runs the first lane on the zone; each other
+    lane is one pool task that blurs its own crop of the zone, so no two
+    threads write one memo. A lane task not yet started when the calling
+    thread is done with its own lane is cancelled and run inline, so lanes
+    queued behind draws cost no wait. The lane tasks end with the call: it
+    cancels or awaits them before it returns or raises, and an error on any
+    lane reaches the caller. The calling thread then applies the draws first
+    in first out and measures each capture in plan order, so no value
+    depends on the worker count, the lanes or which task finishes first.
 
-    A ``readings`` call cancels or awaits its lane tasks before it returns
-    or raises, and an error on any lane reaches the caller. Leaving the
-    camera, a context manager, cancels the queued draws and lane tasks,
-    awaits the running ones and ends the plan, so no task outlives its call.
+    Leaving the camera, a context manager, cancels the queued draws, awaits
+    the running ones and ends the plan, so no task outlives its call.
     A camera serves the thread that builds it: a ``readings`` call from any
     other thread raises RuntimeError naming both threads, before it touches
     the plan. Workers never submit work to the pool or wait on it, so
@@ -147,7 +146,6 @@ class Camera:
         self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
         self._draws: deque[Future] = deque()
-        self._lanes: list[Future] = []
         workers = _usable_cpus()
         prefix = (zone.origin[1] + zone.height) * zone.frame_size[0]
         self._max_draws = max(workers, workers * prefix // (zone.height * zone.width))
@@ -156,12 +154,11 @@ class Camera:
         return self
 
     def __exit__(self, *exc) -> None:
-        """End the plan, cancel the queued draws and blur lanes and await the running ones."""
+        """End the plan, cancel the queued draws and await the running ones."""
         self._next_row = len(self._plan)
         self._unsubmitted = iter(())
-        futures = [*self._draws, *self._lanes]
-        self._draws, self._lanes = deque(), []
-        _settle(futures)
+        draws, self._draws = self._draws, deque()
+        _settle(draws)
 
     def readings(self, zs: Sequence[float], kind: MetricKind) -> list[list[list[int]]]:
         """``[i][t][k]``: the metric of window k in trial t of the capture at ``zs[i]``.
@@ -217,27 +214,25 @@ class Camera:
 
     def _blur(self, radii: Iterable[float]) -> None:
         """Cache the zone blurred at each radius, on the blur lanes of the class docstring."""
-        groups: dict[tuple[int, int] | None, list[float]] = {}
+        groups: dict[tuple[int, int], list[float]] = {}
         for radius in radii:
-            size = pillbox_size(radius)
-            shape = _fft_shape(self._zone.height, self._zone.width, size) if size > 1 else None
+            shape = _fft_shape(self._zone.height, self._zone.width, pillbox_size(radius))
             groups.setdefault(shape, []).append(radius)
-        own = groups.pop(None, [])  # identity kernels, which return the zone itself
         lanes: list[list[float]] = [[] for _ in range(min(len(groups), _usable_cpus()))]
         for group in sorted(groups.values(), key=len, reverse=True):
             min(lanes, key=len).extend(group)
-        if lanes:
-            own += lanes.pop(0)
-        tasks = [(self._zone.crop(*self._box), lane) for lane in lanes]
-        self._lanes = [_capture_pool().submit(_blur_lane, *task) for task in tasks]
+        own, *others = lanes or [[]]
+        tasks = [(self._zone.crop(*self._box), lane) for lane in others]
+        futures: list[Future] = []
         try:
+            for task in tasks:
+                futures.append(_capture_pool().submit(_blur_lane, *task))
             blurred = _blur_lane(self._zone, own)
-            waiting = [not future.cancel() for future in self._lanes]
-            for running, future, task in zip(waiting, self._lanes, tasks):
+            waiting = [not future.cancel() for future in futures]
+            for running, future, task in zip(waiting, futures, tasks):
                 blurred.update(future.result() if running else _blur_lane(*task))
         finally:
-            _settle(self._lanes)
-            self._lanes = []
+            _settle(futures)
         for radius, image in blurred.items():
             self._blurred[radius] = image, {}
 
@@ -255,7 +250,7 @@ def _blur_lane(zone: Image, radii: Sequence[float]) -> dict[float, Image]:
     return {radius: convolve(zone, make_pillbox_psf(radius)) for radius in radii}
 
 
-def _settle(futures: list[Future]) -> None:
+def _settle(futures: Sequence[Future]) -> None:
     """Cancel the tasks that have not started and await the others, dropping their errors."""
     for future in futures:
         future.cancel()

@@ -23,8 +23,7 @@ whole-frame capture cropped to it:
   spectrum. ``convolve`` keeps the last (shape, spectrum) on the image it
   blurs, in a private field outside ``==`` and ``repr``, so a blur at the
   cached shape costs one kernel transform and one inverse. ``_fft_shape``
-  is the one rule for L, and ``metric.Camera`` groups a call's radii by it,
-  so each blur lane transforms its crop once per shape.
+  is the one rule for L.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -47,10 +46,7 @@ whole-frame capture cropped to it:
   inverts within the kernel's spectrum and runs the inverse's last pass on
   the box's rows.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
-- Caches, noise draws and blur lanes. See ``metric.Camera``. Each lane
-  blurs its own crop of the zone, so no two threads write one memo; only
-  the memo on an image passed to ``convolve`` or ``capture`` directly
-  outlives a study call.
+- Caches, noise draws and blur lanes. See ``metric.Camera``.
 """
 
 from __future__ import annotations
@@ -335,10 +331,7 @@ class EdgeResponse:
 
     def __post_init__(self) -> None:
         span = _edge_half_span(self.half_span_px, self.psf.radius_px)
-        half = self.psf.size // 2
-        full = np.zeros(2 * span + 1, dtype=np.float64)
-        full[span - half : span + half + 1] = line_spread(self.psf)
-        values = np.cumsum(full)
+        values = np.cumsum(np.pad(line_spread(self.psf), span - self.psf.size // 2))
         values /= values[-1]
         positions = np.arange(-span, span + 1)
         positions.setflags(write=False)

@@ -52,6 +52,45 @@ def naive_pillbox_counts(radius_px: float, supersample: int) -> np.ndarray:
     return counts
 
 
+def naive_texture(width: int, height: int, seed: int) -> np.ndarray:
+    """``make_texture``'s pixels from the same draws, one spectrum bin at a time.
+
+    The draws are, in order: a phase per pixel, a sign coin per pixel and a
+    grain sample per pixel. Bin (j, i) has amplitude 1/f, 0 at f = 0. It is
+    real and +-amp if it is its own mirror (-j mod height, -i mod width),
+    amp * exp(i phase) if it comes before its mirror in row-major order, and
+    the mirror's conjugate otherwise, so the spectrum is Hermitian. The real
+    part of its inverse, scaled to unit std, plus 0.8 grain, is stretched
+    from its 2nd to its 98th percentile over 0..255 and rounded.
+    """
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, (height, width))
+    coins = rng.random((height, width))
+    grain = rng.standard_normal((height, width))
+    fy, fx = np.fft.fftfreq(height), np.fft.fftfreq(width)
+    spectrum = np.zeros((height, width), dtype=np.complex128)
+    for j in range(height):
+        for i in range(width):
+            freq = np.hypot(fy[j], fx[i])
+            amp = 1.0 / freq if freq > 0 else 0.0
+            mirror = (-j % height, -i % width)
+            if mirror == (j, i):
+                spectrum[j, i] = -amp if coins[j, i] < 0.5 else amp
+            elif (j, i) < mirror:
+                spectrum[j, i] = np.exp(1j * phases[j, i]) * amp
+            else:
+                spectrum[j, i] = np.conj(spectrum[mirror])
+    base = np.fft.ifft2(spectrum).real
+    scale = float(base.std())
+    if scale > 0:
+        base = base / scale
+    field = grain * 0.8 + base
+    lo, hi = np.percentile(field, [2.0, 98.0])
+    if hi <= lo:
+        return np.full((height, width), 128, dtype=np.uint8)
+    return np.clip(np.rint((field - lo) * (255.0 / (hi - lo))), 0, 255).astype(np.uint8)
+
+
 def naive_add_noise(pixels: np.ndarray, sigma: float, seed: int) -> np.ndarray:
     """Whole-frame sensor noise: add, round and clamp ``normal(0, sigma)`` draws.
 

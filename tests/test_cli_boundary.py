@@ -9,14 +9,19 @@ fractional and edge values, with small counts so each run stays cheap.
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focuslab import Image, save_pgm
+import focuslab
+from focuslab import Image, make_texture, save_pgm
 from focuslab.cli import main
 
 INF, NAN = math.inf, math.nan
@@ -129,3 +134,25 @@ def test_a_run_succeeds_with_finite_output_or_fails_naming_a_flag(tmp_path_facto
         assert code == 1 and out == "", (argv, code, out)
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
         assert re.search(r"--[a-z]", err), (argv, err)
+
+
+def test_a_run_that_does_not_fit_in_memory_fails_naming_its_flag(tmp_path):
+    # A 256 MiB address-space cap, set in the child before it starts, leaves
+    # room for the interpreter and numpy on one thread but not for 10^8 z values.
+    resource = pytest.importorskip("resource")  # POSIX only
+    cap = 256 * 2**20
+    scene = tmp_path / "t32.pgm"
+    save_pgm(make_texture(32, 32, 1), scene)
+    threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(focuslab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "focuslab.cli", "sweep", "--in", str(scene),
+         "--z-count", "100000000"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: bad z grid (") and "--z-count" in line, line
+    assert "does not fit in memory" in line, line

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import focuslab
@@ -29,7 +29,7 @@ from focuslab import (
     sweep,
 )
 
-from _oracles import naive_add_noise
+from _oracles import naive_add_noise, naive_texture
 
 
 class TestImage:
@@ -298,6 +298,15 @@ class TestTexture:
     def test_pixel_bytes_are_pinned(self, width, height, seed, digest):
         pixels = make_texture(width, height, seed).pixels
         assert hashlib.sha256(pixels.tobytes()).hexdigest() == digest
+
+    @settings(max_examples=60)
+    @given(width=st.integers(1, 70), height=st.integers(1, 70), seed=st.integers(0, 2**63 - 1))
+    @example(width=1, height=70, seed=3)
+    @example(width=70, height=1, seed=4)
+    @example(width=69, height=67, seed=5)
+    def test_matches_the_full_spectrum_oracle(self, width, height, seed):
+        pixels = make_texture(width, height, seed).pixels
+        assert np.array_equal(pixels, naive_texture(width, height, seed))
 
 
 class TestNoise:
