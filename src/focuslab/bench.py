@@ -94,8 +94,7 @@ def stability_study(
     if not sizes:
         raise ValueError("sizes must be nonempty")
     windows = [WindowSpec(*center, n) for n in sizes]
-    plan = [[noise.derived(r) for r in range(repeats)]]
-    with Camera(scene, cfg, windows, plan) as camera:
+    with Camera(scene, cfg, windows, noise, [()], repeats) as camera:
         (readings,) = camera.readings([lens.z_mm], MetricKind.SQUARED)
     per_window = zip(*readings)  # [repeat][window] -> [window][repeat]
     return StabilityReport(
@@ -167,6 +166,6 @@ def compare_metrics(
                 MetricTimingRow(kind=kind, n=w.n, mean_ns_per_eval=elapsed / repeats_for_timing)
             )
 
-    with Camera(scene, cfg, [window], [[NoiseSpec(0.0)]] * (len(kinds) * len(zs))) as camera:
+    with Camera(scene, cfg, [window], NoiseSpec(0.0), [()] * (len(kinds) * len(zs)), 1) as camera:
         argmax = {kind: best_probe(camera.probes(zs, kind)).z_mm for kind in kinds}
     return MetricBenchReport(tuple(timings), argmax)

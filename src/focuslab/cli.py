@@ -20,6 +20,8 @@ _DEF_D_MAX = 100.0
 
 _WINDOW = "window (--cx/--cy/--n)"
 _LENS = "lens (--z)"
+_SEARCH = ("search interval (--z-min/--z-max) and count "
+           "(--coarse-steps/--refine-iterations/--trials-per-eval)")
 
 
 def _checked(flags: str, build, *args, **kwargs):
@@ -108,11 +110,14 @@ def _z_values(args: argparse.Namespace) -> list[float]:
 
 
 def _z_grid(z_min: float, z_max: float, count: int) -> list[float]:
+    # Checking the bounds first names a non-finite one as given, not as the nan
+    # of 0 * inf, nor as a nan bound unequal to itself.
+    for bound in (z_min, z_max):
+        metric.z_list([bound])
     if count == 1:
         if z_min != z_max:
             raise ValueError("--z-count 1 requires --z-min == --z-max")
         return [z_min]
-    # Checking the bounds first names a non-finite one as given, not as the nan of 0 * inf.
     z_min, z_max = metric.z_list([z_min, z_max])
     step = (z_max - z_min) / (count - 1)
     if not math.isfinite(step):
@@ -172,13 +177,11 @@ def cmd_autofocus(args: argparse.Namespace) -> None:
     scene = image.load_pgm(args.in_path)
     window = _window_spec(args, scene)
     params = _checked(
-        "search (--z-min/--z-max/--coarse-steps/--refine-iterations/--trials-per-eval)",
-        search.SearchParams, z_min=args.z_min, z_max=args.z_max,
+        _SEARCH, search.SearchParams, z_min=args.z_min, z_max=args.z_max,
         coarse_steps=args.coarse_steps, refine_iterations=args.refine_iterations,
         trials_per_eval=args.trials_per_eval, metric=metric.MetricKind(args.metric),
     )
-    result = _checked("search interval (--z-min/--z-max)", search.autofocus,
-                      scene, cfg, window, noise, params)
+    result = _checked(_SEARCH, search.autofocus, scene, cfg, window, noise, params)
     if args.trace_out is not None:
         result.write_trace_csv(args.trace_out)
     if result.at_boundary:

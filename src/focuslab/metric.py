@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from concurrent.futures import Future
 
 __all__ = [
-    "MetricKind", "FocusSample", "FocusCurve", "Camera", "probe_noise", "resolution", "sweep",
+    "MetricKind", "FocusSample", "FocusCurve", "Camera", "resolution", "sweep",
 ]
 
 P = TypeVar("P")
@@ -73,10 +73,13 @@ class Camera:
     zone (see ``optics``). ``readings`` is the one capture route: sweeps,
     searches and both ``bench`` studies use it.
 
-    Noise plan. ``noise[i]`` holds the spec of each trial at the i-th z the
-    camera captures, counted over all its ``readings`` calls. A call for more
-    z values than the plan has rows left raises ValueError before any blur,
-    and a call that raises ends the plan.
+    Noise plan. The i-th z the camera captures, counted over all its
+    ``readings`` calls, is captured ``trials`` times, and trial t is noised
+    with ``noise.derived(*paths[i], t)``. A spec is derived only when its
+    draw is queued, so building a camera costs the same for any trial
+    count; with sigma = 0 every spec is the identity, and a row derives
+    only its first. A call for more z values than ``paths`` has left
+    raises ValueError before any blur, and a call that raises ends the plan.
 
     Cache. The camera keeps one entry per blur radius for its life: the
     blurred zone and the noiseless readings of that zone by kind. Captures
@@ -92,8 +95,8 @@ class Camera:
 
     Pool. One module-wide thread pool, sized to the usable CPUs, runs two
     kinds of task; numpy releases the GIL while it draws and transforms.
-    A draw depends only on its spec, not on the blur, so the draws of the
-    plan's noisy specs are queued in plan order, one ``draw_noise(spec,
+    A draw depends only on its spec, not on the blur, so with sigma > 0 the
+    plan's draws are queued in plan order, one ``draw_noise(spec,
     zone)`` task per capture: before a call's blurs, and again after each
     draw is applied. The draws submitted and not yet applied are capped at
     ``workers * (y0 + h) * W`` samples, at least one field per worker: the
@@ -124,8 +127,9 @@ class Camera:
 
     def __init__(
         self, scene: Image, cfg: OpticalConfig, windows: Sequence[WindowSpec],
-        noise: Sequence[Sequence[NoiseSpec]],
+        noise: NoiseSpec, paths: Sequence[tuple[int, ...]], trials: int,
     ):
+        self._trials = require_int(trials, "trials", 1)
         self._windows = tuple(windows)
         if not self._windows:
             raise ValueError("windows must be nonempty")
@@ -138,13 +142,12 @@ class Camera:
         self._box = min(x0s), min(y0s), max(x1s), max(y1s)
         self._zone = zone = scene.crop(*self._box)
         self._cfg = cfg
-        self._plan = [tuple(row) for row in noise]
-        if not all(self._plan):
-            raise ValueError("every row of the noise plan must hold at least one spec")
+        self._noise, self._paths = noise, paths
         self._next_row = 0
         self._owner = threading.current_thread()
         self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
-        self._unsubmitted = (spec for row in self._plan for spec in row if spec.sigma)
+        self._unsubmitted = (noise.derived(*path, t) for path in paths
+                             for t in range(self._trials)) if noise.sigma else iter(())
         self._draws: deque[Future] = deque()
         workers = _usable_cpus()
         prefix = (zone.origin[1] + zone.height) * zone.frame_size[0]
@@ -155,7 +158,7 @@ class Camera:
 
     def __exit__(self, *exc) -> None:
         """End the plan, cancel the queued draws and await the running ones."""
-        self._next_row = len(self._plan)
+        self._next_row = len(self._paths)
         self._unsubmitted = iter(())
         draws, self._draws = self._draws, deque()
         _settle(draws)
@@ -163,18 +166,18 @@ class Camera:
     def readings(self, zs: Sequence[float], kind: MetricKind) -> list[list[list[int]]]:
         """``[i][t][k]``: the metric of window k in trial t of the capture at ``zs[i]``.
 
-        The trials at ``zs[i]`` are noised with the plan's next row.
+        The trials at ``zs[i]`` take the plan's next path (see the class docstring).
         """
         thread = threading.current_thread()
         if thread is not self._owner:
             raise RuntimeError(f"thread {thread.name!r} called a camera that serves "
                                f"thread {self._owner.name!r}")
         first, end = self._next_row, self._next_row + len(zs)
-        if end > len(self._plan):
+        if end > len(self._paths):
             raise ValueError(f"{len(zs)} z values need more rows than the "
-                             f"{len(self._plan) - first} left in the noise plan")
+                             f"{len(self._paths) - first} left in the noise plan")
         # A call that raises ends the plan: its queue may be part way through a row.
-        self._next_row = len(self._plan)
+        self._next_row = len(self._paths)
         radii = [blur_radius(self._cfg, LensState(z)).px for z in zs]
         new: dict[float, None] = {}
         for z, radius in zip(zs, radii):
@@ -184,15 +187,17 @@ class Camera:
         self._submit()
         self._blur(new)
         values = []
-        for radius, row in zip(radii, self._plan[first:end]):
+        for radius, path in zip(radii, self._paths[first:end]):
             zone, noiseless = self._blurred[radius]
             trials = []
-            for spec in row:
-                if spec.sigma:
+            if self._noise.sigma:
+                for _ in range(self._trials):
                     capture = add_noise(zone, self._draws.popleft().result())
                     trials.append([resolution(capture, w, kind) for w in self._windows])
                     self._submit()
-                else:  # passes add_noise too, but each (radius, kind) is measured once
+            else:  # every spec is the identity: derive one, and measure each (radius, kind) once
+                spec = self._noise.derived(*path, 0)
+                for _ in range(self._trials):
                     capture = add_noise(zone, spec)
                     if kind not in noiseless:
                         noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
@@ -257,16 +262,6 @@ def _settle(futures: Sequence[Future]) -> None:
     for future in futures:
         if not future.cancelled():
             future.exception()
-
-
-def probe_noise(noise: NoiseSpec, count: int, trials: int) -> list[list[NoiseSpec]]:
-    """The ``Camera`` noise plan of ``count`` probes of ``trials`` captures each.
-
-    Trial t of probe i gets ``noise.derived(i, t)``, so a probe's noise
-    depends only on its index, not on what else was probed.
-    """
-    trials = require_int(trials, "trials", 1)
-    return [[noise.derived(i, t) for t in range(trials)] for i in range(count)]
 
 
 def _usable_cpus() -> int:
@@ -374,7 +369,7 @@ def sweep(
     metric (``Camera.probes``).
     """
     zs = z_list(z_values)
-    with Camera(scene, cfg, [window], probe_noise(noise, len(zs), trials)) as camera:
+    with Camera(scene, cfg, [window], noise, [(i,) for i in range(len(zs))], trials) as camera:
         return FocusCurve(tuple(camera.probes(zs, kind)))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, require_int
-from .metric import Camera, MetricKind, best_probe, probe_noise
+from .metric import Camera, MetricKind, best_probe
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
@@ -98,16 +98,18 @@ def autofocus(
     steps on the bracket formed by the winner's neighbors. Every probe
     averages ``trials_per_eval`` captures, each with a noise seed derived
     from (probe index, trial index), so the whole search is deterministic.
-    The camera is built with the noise of every probe the search may make,
-    so their draws are queued on the capture pool ahead of their blurs
-    (``Camera``); the draws it does not use end with the call.
+    The camera's plan holds a path for every probe the search may make, so
+    a probe's draws are queued on the capture pool ahead of its blur, before
+    its z is known (``Camera``); the queued draws it does not use end with
+    the call.
     Raises ValueError before the first probe if the blur at the far end of
     [z_min, z_max] needs a kernel larger than the scene.
     """
     # Every probe the search can make, coarse ones first: a probe's noise
     # depends only on its index, so it is planned before its z is known.
     probes = params.coarse_steps + 2 + params.refine_iterations
-    camera = Camera(scene, cfg, [window], probe_noise(noise, probes, params.trials_per_eval))
+    paths = [(i,) for i in range(probes)]
+    camera = Camera(scene, cfg, [window], noise, paths, params.trials_per_eval)
     reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
     check_kernel_fits(reach, scene.frame_size, "z_min/z_max reach")
     trace: list[TracePoint] = []

@@ -9,6 +9,8 @@ and seed.
 import re
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from focuslab import (
     convolve,
     make_pillbox_psf,
     make_texture,
-    probe_noise,
     resolution,
     stability_study,
     sweep,
@@ -185,21 +186,22 @@ def windows(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     ws=st.lists(windows(), min_size=1, max_size=3),
-    probes=st.lists(st.tuples(st.floats(0.0, 23.0), st.integers(1, 3)), min_size=1, max_size=2),
+    radii=st.lists(st.floats(0.0, 23.0), min_size=1, max_size=2),
+    trials=st.integers(1, 3),
     sigma=st.sampled_from([0.0, 1.5]),
     kind=st.sampled_from(MetricKind),
     seed=st.integers(0, 2**63),
 )
-def test_camera_readings_equal_the_whole_frame_capture(ws, probes, sigma, kind, seed):
+def test_camera_readings_equal_the_whole_frame_capture(ws, radii, trials, sigma, kind, seed):
     noise = NoiseSpec(sigma, seed)
-    zs = [radius / PX_PER_MM for radius, _ in probes]
-    plan = [[noise.derived(i, t) for t in range(n)] for i, (_, n) in enumerate(probes)]
-    with Camera(SMALL, CFG, ws, plan) as camera:
+    zs = [radius / PX_PER_MM for radius in radii]
+    paths = [(i,) for i in range(len(zs))]
+    with Camera(SMALL, CFG, ws, noise, paths, trials) as camera:
         readings = camera.readings(zs, kind)
-    assert [len(trials) for trials in readings] == [n for _, n in probes]
-    for z, row, trials in zip(zs, plan, readings):
-        for spec, values in zip(row, trials):
-            whole = capture(SMALL, CFG, LensState(z), spec)
+    assert [len(row) for row in readings] == [trials] * len(zs)
+    for z, path, row in zip(zs, paths, readings):
+        for t, values in enumerate(row):
+            whole = capture(SMALL, CFG, LensState(z), noise.derived(*path, t))
             assert values == [resolution(whole, w, kind) for w in ws]
 
 
@@ -327,7 +329,7 @@ def test_stability_reads_every_window_size_from_the_same_captures(monkeypatch):
 
 def test_noiseless_readings_are_cached_by_radius_and_kind(monkeypatch, texture_256):
     windows = (WindowSpec(100, 100, 31), WindowSpec(150, 140, 9))
-    camera = Camera(texture_256, CFG, windows, [[NoiseSpec(0.0)] * 2] * 8)
+    camera = Camera(texture_256, CFG, windows, NoiseSpec(0.0), [()] * 8, 2)
     metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
     for z in (0.1, -0.1, 0.0, 0.2):
         whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
@@ -341,14 +343,14 @@ def test_noiseless_readings_are_cached_by_radius_and_kind(monkeypatch, texture_2
 def test_probes_reject_bad_trials_before_any_capture(monkeypatch, trials):
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
     with pytest.raises(ValueError, match="trials"):
-        Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], probe_noise(NoiseSpec(1.0, 3), 2, trials))
+        Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(1.0, 3), [(0,), (1,)], trials)
     assert blurs == []
 
 
 def test_probes_need_a_camera_with_one_window(monkeypatch):
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
     windows = [WindowSpec(20, 20, 9), WindowSpec(40, 20, 5)]
-    camera = Camera(SMALL, CFG, windows, [[NoiseSpec(0.0)]])
+    camera = Camera(SMALL, CFG, windows, NoiseSpec(0.0), [()], 1)
     with pytest.raises(ValueError, match="one window"):
         camera.probes([0.0], MetricKind.SQUARED)
     assert blurs == []
@@ -356,8 +358,8 @@ def test_probes_need_a_camera_with_one_window(monkeypatch):
 
 def test_a_camera_refuses_more_z_values_than_its_plan_has_left(monkeypatch):
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
-    plan = probe_noise(NoiseSpec(1.0, 3), 2, 2)
-    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], plan) as camera:
+    paths = [(0,), (1,)]
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(1.0, 3), paths, 2) as camera:
         with pytest.raises(ValueError, match="the 2 left in the noise plan"):
             camera.readings([0.0, 0.1, 0.2], MetricKind.SQUARED)
         assert blurs == []
@@ -377,8 +379,8 @@ def test_a_call_whose_last_z_needs_an_oversized_kernel_builds_no_kernel(monkeypa
     radius = blur_radius(CFG, LensState(too_far)).px
     message = (f"z={too_far} mm reaches a blur radius of {radius:.4g}px, whose 81x81 kernel "
                "exceeds the 64x48 scene")
-    plan = probe_noise(NoiseSpec(1.0, 3), 3, 2)
-    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], plan) as camera:
+    paths = [(0,), (1,), (2,)]
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(1.0, 3), paths, 2) as camera:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             camera.readings([0.05, 0.1, too_far], MetricKind.SQUARED)
     assert built == [] and blurs == []
@@ -386,8 +388,8 @@ def test_a_call_whose_last_z_needs_an_oversized_kernel_builds_no_kernel(monkeypa
 
 def test_a_readings_call_that_raises_ends_the_plan(monkeypatch):
     # The failed call took a draw from the queue part way through its row.
-    plan = probe_noise(NoiseSpec(2.0, 11), 3, 2)
-    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], plan) as camera:
+    paths = [(0,), (1,), (2,)]
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(2.0, 11), paths, 2) as camera:
         with monkeypatch.context() as patch:
             patch.setattr(focuslab.metric, "resolution", lambda *args: 1 / 0)
             with pytest.raises(ZeroDivisionError):
@@ -396,24 +398,93 @@ def test_a_readings_call_that_raises_ends_the_plan(monkeypatch):
             camera.readings([0.2], MetricKind.SQUARED)
 
 
-def test_a_noise_plan_row_without_specs_is_refused():
-    with pytest.raises(ValueError, match="at least one spec"):
-        Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], [[NoiseSpec(0.0)], []])
-
-
 # 0.4 blur px per 0.01 mm: kernels stay within a 96 px scene over +-1 mm.
 SEARCH_CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.02, d_max=100.0)
 
 
+def _derivations(monkeypatch):
+    """Record each ``NoiseSpec.derived`` call as (path, the spec it returned)."""
+    made = []
+    derive = NoiseSpec.derived
+
+    def recording(noise, *path):
+        made.append((path, derive(noise, *path)))
+        return made[-1][1]
+
+    monkeypatch.setattr(NoiseSpec, "derived", recording)
+    return made
+
+
+def _queued_draws(monkeypatch, derived):
+    """Record each draw submitted to the capture pool as (its spec, derivations made by then)."""
+    queued = []
+    pool = focuslab.metric._capture_pool()
+
+    class Recording:
+        def submit(self, task, *args):
+            if task is focuslab.metric.draw_noise:
+                queued.append((args[0], len(derived)))
+            return pool.submit(task, *args)
+
+    monkeypatch.setattr(focuslab.metric, "_capture_pool", Recording)
+    return queued
+
+
+def test_a_camera_costs_the_same_for_any_trial_count(monkeypatch):
+    # A camera that derived its plan when built would fail here, not exhaust memory.
+    monkeypatch.setattr(NoiseSpec, "derived", lambda *args: pytest.fail("derived when built"))
+    paths = [(i,) for i in range(25)]
+
+    def build():
+        return Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(2.0, 11), paths, 10**9)
+
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        build()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        with build():
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert min(times) < 0.01
+    assert peak < 64 * 1024
+
+
+def test_a_camera_derives_each_spec_as_it_queues_the_draw(monkeypatch):
+    derived = _derivations(monkeypatch)
+    queued = _queued_draws(monkeypatch, derived)
+    paths = [(i,) for i in range(25)]
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(2.0, 11), paths, 5) as camera:
+        assert derived == []
+        camera.readings([0.0], MetricKind.SQUARED)
+    assert len(derived) >= 5
+    # The first draw is queued after one derivation, the k-th after k of them.
+    assert [count for _, count in queued] == list(range(1, len(queued) + 1))
+    assert [spec for spec, _ in queued] == [spec for _, spec in derived]
+    planned = [(i, t) for i in range(25) for t in range(5)]
+    assert [path for path, _ in derived] == planned[: len(derived)]
+
+
 @pytest.mark.parametrize("z_min, at_boundary", [(-1.0, False), (0.0, True)])
 def test_an_autofocus_derives_each_planned_spec_once(monkeypatch, z_min, at_boundary):
-    derived = _count_calls(monkeypatch, NoiseSpec, "derived")
+    # This zone holds at most 11 draws per worker, fewer than the 6 unused
+    # probes of 2 trials per worker that a stop at the boundary leaves.
+    trials = 2 * focuslab.metric._usable_cpus()
+    derived = _derivations(monkeypatch)
+    queued = _queued_draws(monkeypatch, derived)
     params = SearchParams(z_min=z_min, z_max=0.8, coarse_steps=7, refine_iterations=4,
-                          trials_per_eval=3)
+                          trials_per_eval=trials)
     result = autofocus(make_texture(96, 80, 31), SEARCH_CFG, WindowSpec(50, 40, 21),
                        NoiseSpec(2.0, 11), params)
     assert result.at_boundary == at_boundary
-    assert len(derived) == (7 + 2 + 4) * 3
+    planned = [(i, t) for i in range(7 + 2 + 4) for t in range(trials)]
+    paths = [path for path, _ in derived]
+    assert paths == planned[: len(paths)]
+    assert [spec for spec, _ in queued] == [spec for _, spec in derived]
+    assert (len(paths) < len(planned)) == at_boundary
 
 
 def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):

@@ -282,7 +282,8 @@ def test_non_finite_z_grid_fails_naming_finiteness(capsys, texture_pgm, bounds):
 @pytest.mark.parametrize("bounds, given", [
     (["--z-max", "inf"], "inf"),
     (["--z-min", "-inf", "--z-max", "1"], "-inf"),
-], ids=["inf", "minus-inf"])
+    (["--z-count", "1", "--z-min", "nan", "--z-max", "nan"], "nan"),
+], ids=["inf", "minus-inf", "one-nan"])
 def test_a_non_finite_z_bound_is_named_as_given(capsys, texture_pgm, command, bounds, given):
     code, stdout, err = run(capsys, command, "--in", str(texture_pgm), *bounds)
     assert _one_error_line(code, stdout, err), err

@@ -136,23 +136,38 @@ def test_a_run_succeeds_with_finite_output_or_fails_naming_a_flag(tmp_path_facto
         assert re.search(r"--[a-z]", err), (argv, err)
 
 
-def test_a_run_that_does_not_fit_in_memory_fails_naming_its_flag(tmp_path):
-    # A 256 MiB address-space cap, set in the child before it starts, leaves
-    # room for the interpreter and numpy on one thread but not for 10^8 z values.
+def _run_in_256_mib(tmp_path, command, *flags):
+    """Run ``focuslab <command> --in <32x32 texture> <flags>`` in a child whose
+    address space is capped at 256 MiB, set before it starts: room for the
+    interpreter and numpy on one thread, but not for a run of 10^8 of anything."""
     resource = pytest.importorskip("resource")  # POSIX only
     cap = 256 * 2**20
     scene = tmp_path / "t32.pgm"
     save_pgm(make_texture(32, 32, 1), scene)
     threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
     env = {**os.environ, **threads, "PYTHONPATH": str(Path(focuslab.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "focuslab.cli", "sweep", "--in", str(scene),
-         "--z-count", "100000000"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "focuslab.cli", command, "--in", str(scene), *flags],
+        env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def test_a_run_that_does_not_fit_in_memory_fails_naming_its_flag(tmp_path):
+    proc = _run_in_256_mib(tmp_path, "sweep", "--z-count", "100000000")
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: bad z grid (") and "--z-count" in line, line
+    assert "does not fit in memory" in line, line
+
+
+def test_a_search_that_does_not_fit_in_memory_names_its_trial_count(tmp_path):
+    # The readings of 10^8 trials per probe outgrow the cap part way through the coarse scan.
+    proc = _run_in_256_mib(tmp_path, "autofocus", "--trials-per-eval", "100000000",
+                           "--z-min=-0.1", "--z-max", "0.1", "--n", "9")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: bad search interval (") and "--trials-per-eval" in line, line
     assert "does not fit in memory" in line, line

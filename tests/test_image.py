@@ -412,7 +412,7 @@ def test_non_integer_counts_and_seeds_rejected(build):
     (lambda: make_step_edge(4.5, 2, 1, 0, 255), "width must be an integer"),
     (lambda: make_pillbox_psf(float("inf")), "radius must be finite"),
     (lambda: make_pillbox_psf(float("nan")), "radius must be finite"),
-    (lambda: Camera(_SCENE, _CFG, [], [[NoiseSpec(0.0)]]), "windows must be nonempty"),
+    (lambda: Camera(_SCENE, _CFG, [], NoiseSpec(0.0), [()], 1), "windows must be nonempty"),
     (lambda: _SCENE.crop(1.5, 0, 3, 3), r"box \[1\.5, 3\) x \[0, 3\) bound must be an integer"),
     (lambda: Image(_PX, origin=(0.7, 0), frame_size=(4, 4)), "image origin must be an integer"),
     (lambda: Image(_PX, origin=("1", 0), frame_size=(4, 4)), "image origin must be an integer"),

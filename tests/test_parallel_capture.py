@@ -42,7 +42,6 @@ from focuslab import (
     blur_radius,
     capture,
     make_texture,
-    probe_noise,
     resolution,
     stability_study,
     sweep,
@@ -121,7 +120,7 @@ def test_concurrent_callers_each_get_their_serial_result():
 
 def test_a_camera_refuses_a_second_thread_by_name():
     kind = MetricKind.SQUARED
-    plan = probe_noise(NOISE, len(ZS), 2)
+    paths = [(i,) for i in range(len(ZS))]
     refused = []
 
     def intrude(camera):
@@ -130,7 +129,7 @@ def test_a_camera_refuses_a_second_thread_by_name():
         except RuntimeError as exc:
             refused.append(str(exc))
 
-    with Camera(SCENE, CFG, [WINDOW], plan) as camera:
+    with Camera(SCENE, CFG, [WINDOW], NOISE, paths, 2) as camera:
         first = camera.readings(ZS[:1], kind)
         intruder = threading.Thread(target=intrude, args=(camera,), name="intruder")
         intruder.start()
@@ -138,14 +137,15 @@ def test_a_camera_refuses_a_second_thread_by_name():
         rest = camera.readings(ZS[1:], kind)
     owner = threading.current_thread().name
     assert len(refused) == 1 and "'intruder'" in refused[0] and f"'{owner}'" in refused[0]
-    for z, row, trials in zip(ZS, plan, first + rest):
-        for spec, values in zip(row, trials):
+    for z, path, trials in zip(ZS, paths, first + rest):
+        for t, values in enumerate(trials):
+            spec = NOISE.derived(*path, t)
             assert values == [resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
 
 
 def test_a_camera_serves_the_thread_that_builds_it():
     kind = MetricKind.SQUARED
-    plan = probe_noise(NOISE, len(ZS), 2)
+    paths = [(i,) for i in range(len(ZS))]
     refused = []
 
     def intrude(camera):
@@ -154,7 +154,7 @@ def test_a_camera_serves_the_thread_that_builds_it():
         except RuntimeError as exc:
             refused.append(str(exc))
 
-    with Camera(SCENE, CFG, [WINDOW], plan) as camera:
+    with Camera(SCENE, CFG, [WINDOW], NOISE, paths, 2) as camera:
         intruder = threading.Thread(target=intrude, args=(camera,), name="intruder")
         intruder.start()  # the first call to read the camera, from another thread
         intruder.join(timeout=60)
@@ -162,8 +162,9 @@ def test_a_camera_serves_the_thread_that_builds_it():
         readings = camera.readings(ZS, kind)
     owner = threading.current_thread().name
     assert refused == [f"thread 'intruder' called a camera that serves thread '{owner}'"]
-    for z, row, trials in zip(ZS, plan, readings):  # the plan starts at its first row
-        for spec, values in zip(row, trials):
+    for z, path, trials in zip(ZS, paths, readings):  # the plan starts at its first row
+        for t, values in enumerate(trials):
+            spec = NOISE.derived(*path, t)
             assert values == [resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
 
 
@@ -438,7 +439,7 @@ def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
     height, width = _zone_shape(ws)
     assume(len({_fft_shape(height, width, pillbox_size(r)) for r in radii
                 if pillbox_size(r) > 1}) >= 3)
-    plan = probe_noise(NoiseSpec(sigma, seed), len(zs), 2)
+    noise, paths = NoiseSpec(sigma, seed), [(i,) for i in range(len(zs))]
     built, blurred = [], []
     with _lanes(cpus) as patch:
         build, blur = focuslab.metric.make_pillbox_psf, focuslab.metric.convolve
@@ -446,12 +447,12 @@ def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
                       lambda radius: built.append(radius) or build(radius))
         patch.setattr(focuslab.metric, "convolve",
                       lambda scene, psf: blurred.append(psf.radius_px) or blur(scene, psf))
-        with Camera(SCENE, CFG, ws, plan) as camera:
+        with Camera(SCENE, CFG, ws, noise, paths, 2) as camera:
             readings = [trials for call in calls for trials in camera.readings(call, kind)]
     assert sorted(built) == sorted(blurred) == sorted(set(radii))
-    for z, row, trials in zip(zs, plan, readings):
-        for spec, values in zip(row, trials):
-            whole = capture(SCENE, CFG, LensState(z), spec)
+    for z, path, trials in zip(zs, paths, readings):
+        for t, values in enumerate(trials):
+            whole = capture(SCENE, CFG, LensState(z), noise.derived(*path, t))
             assert values == [resolution(whole, w, kind) for w in ws]
 
 
