@@ -77,9 +77,10 @@ class Camera:
     ``readings`` calls, is captured ``trials`` times, and trial t is noised
     with ``noise.derived(*paths[i], t)``. A spec is derived only when its
     draw is queued, so building a camera costs the same for any trial
-    count; with sigma = 0 every spec is the identity, and a row derives
-    only its first. A call for more z values than ``paths`` has left
-    raises ValueError before any blur, and a call that raises ends the plan.
+    count; with sigma = 0 every spec is the identity, and the camera
+    derives one, its first row's first, when it reads that row. A call for
+    more z values than ``paths`` has left raises ValueError before any
+    blur, and a call that raises ends the plan.
 
     Cache. The camera keeps one entry per blur radius for its life: the
     blurred zone and the noiseless readings of that zone by kind. Captures
@@ -144,6 +145,7 @@ class Camera:
         self._cfg = cfg
         self._noise, self._paths = noise, paths
         self._next_row = 0
+        self._identity: NoiseSpec | None = None
         self._owner = threading.current_thread()
         self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         self._unsubmitted = (noise.derived(*path, t) for path in paths
@@ -195,10 +197,11 @@ class Camera:
                     capture = add_noise(zone, self._draws.popleft().result())
                     trials.append([resolution(capture, w, kind) for w in self._windows])
                     self._submit()
-            else:  # every spec is the identity: derive one, and measure each (radius, kind) once
-                spec = self._noise.derived(*path, 0)
+            else:  # every spec is the identity: one per camera, each (radius, kind) measured once
+                if self._identity is None:
+                    self._identity = self._noise.derived(*path, 0)
                 for _ in range(self._trials):
-                    capture = add_noise(zone, spec)
+                    capture = add_noise(zone, self._identity)
                     if kind not in noiseless:
                         noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
                     trials.append(list(noiseless[kind]))

@@ -303,6 +303,18 @@ def test_noiseless_sweep_transforms_once_per_shape_and_measures_once_per_radius(
         assert entry.d_stddev == 0.0 and entry.n_trials == trials
 
 
+@pytest.mark.parametrize("trials", (1, 3))
+def test_a_noiseless_sweep_derives_one_spec_and_noises_every_capture(monkeypatch, trials):
+    zs = _sweep_zs(7.5 / PX_PER_MM)
+    derived = _derivations(monkeypatch)
+    noise_calls = _count_calls(monkeypatch, focuslab.metric, "add_noise")
+    sweep(make_texture(64, 64, 21), CFG, WindowSpec(32, 32, 63), MetricKind.SQUARED, zs,
+          NoiseSpec(0.0), trials)
+    assert [path for path, _ in derived] == [(0, 0)]
+    assert len(noise_calls) == trials * len(zs)
+    assert {spec for _, spec in noise_calls} == {derived[0][1]}
+
+
 def test_noisy_sweep_measures_every_capture(monkeypatch):
     scene = make_texture(64, 64, 21)
     zs = _sweep_zs(7.5 / PX_PER_MM, half_count=3)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import focuslab
@@ -28,8 +28,9 @@ from focuslab import (
     resolution,
     theoretical_resolution,
 )
+from focuslab.optics import _fft_shape, _kernel_spectrum
 
-from _oracles import naive_convolve, naive_pillbox_counts
+from _oracles import exact_blur, naive_convolve, naive_pillbox_counts
 
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
 
@@ -135,6 +136,12 @@ class TestPillboxPsf:
         weights = make_pillbox_psf(radius).weights
         assert np.array_equal(weights, counts / counts.sum())
 
+    @given(radius=st.floats(0.0, 252.0))
+    def test_weights_are_exactly_mirror_symmetric_on_each_axis(self, radius):
+        # The blur's real kernel spectrum rests on this.
+        w = make_pillbox_psf(radius).weights
+        assert np.array_equal(w, w[::-1]) and np.array_equal(w, w[:, ::-1])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             make_pillbox_psf(-0.1)
@@ -179,6 +186,53 @@ class TestConvolve:
             reference = naive_convolve(pixels, psf.weights)
             got = convolve(Image(pixels), psf).pixels.astype(np.float64)
             assert np.max(np.abs(got - reference)) <= 0.5 + 1e-6
+
+    @pytest.mark.parametrize("radius", (0.5, 1.0, 4.2, 17.0, 60.3))
+    @pytest.mark.parametrize("box", ((31, 31), (40, 27), (27, 41), (1, 12)))
+    def test_kernel_spectrum_is_the_phase_shifted_rfft2(self, radius, box):
+        # rfft2 puts the kernel's centre at (h, h); the helper's is at (0, 0),
+        # so the two differ by a linear phase, and the helper keeps rows 0..L_y // 2.
+        weights = make_pillbox_psf(radius).weights
+        h = weights.shape[0] // 2
+        shape = _fft_shape(*box, weights.shape[0])
+        fy = np.arange(shape[0] // 2 + 1)[:, None] / shape[0]
+        fx = np.arange(shape[1] // 2 + 1)[None, :] / shape[1]
+        shifted = np.fft.rfft2(weights, s=shape)[: shape[0] // 2 + 1]
+        shifted *= np.exp(2j * np.pi * h * (fy + fx))
+        out = np.empty((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+        assert np.max(np.abs(_kernel_spectrum(weights, shape, out) - shifted)) <= 1e-12
+
+    def test_crops_blur_to_the_exact_bytes_at_every_fft_parity(self):
+        # The product's rows past L_y // 2 mirror the kernel's half spectrum,
+        # a slice that differs for odd and even L_y; so the draws cover odd
+        # and even lengths on each axis, and crops on every edge and inside.
+        width, height = 64, 57
+        scene = make_texture(width, height, 5)
+        parities, edges = set(), set()
+
+        @settings(max_examples=80)
+        @given(radius=st.floats(0.5, 12.0), data=st.data())
+        def blurs_exactly(radius, data):
+            size = make_pillbox_psf(radius).size
+            w, h = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30))
+            shape = _fft_shape(h, w, size)
+            assume(w != h and shape[0] != shape[1])
+            x0 = data.draw(st.sampled_from((0, width - w)) | st.integers(1, width - w - 1))
+            y0 = data.draw(st.sampled_from((0, height - h)) | st.integers(1, height - h - 1))
+            box = (x0, y0, x0 + w, y0 + h)
+            got = convolve(scene.crop(*box), make_pillbox_psf(radius)).pixels
+            counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+            assert np.array_equal(got, exact_blur(scene.pixels, counts, box))
+            parities.add((shape[0] % 2, shape[1] % 2))
+            edges.update(name for name, on in (
+                ("left", x0 == 0), ("right", x0 + w == width), ("top", y0 == 0),
+                ("bottom", y0 + h == height),
+                ("inside", 0 < x0 < x0 + w < width and 0 < y0 < y0 + h < height),
+            ) if on)
+
+        blurs_exactly()
+        assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert edges == {"left", "right", "top", "bottom", "inside"}
 
     def test_output_range_is_valid(self):
         img = make_texture(32, 32, 4)

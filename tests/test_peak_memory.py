@@ -43,7 +43,8 @@ def test_the_largest_autofocus_pillbox_peaks_at_6_mib_or_less():
 
 def test_a_memo_miss_blur_of_the_autofocus_zone_peaks_at_8_mib_or_less(texture_512):
     # The 31x31 window at the centre of the 512x512 scene; a fresh crop has
-    # no zone spectrum yet, so each blur also transforms the zone.
+    # no zone spectrum yet, so each blur also transforms the zone. It peaks
+    # at 5.0 MiB.
     psf = make_pillbox_psf(247.0)
     assert traced_peak(lambda: convolve(texture_512.crop(241, 241, 272, 272), psf)) <= 8.0 * MIB
 
@@ -52,8 +53,8 @@ def test_a_sweep_256_blurs_on_two_lanes_in_5_5_mib_or_less(monkeypatch, texture_
     # The sweep-256 shape: 33 noiseless z values out to a 30 px radius and a
     # 255x255 window on a 256x256 scene, so 16 kernels in four FFT shapes.
     # One lane peaks at 2.9 MiB, the 17 cached blurs included, and two at
-    # 4.2-4.9 MiB. All four groups at once peaked at 6.1-7.7 MiB on two
-    # workers and 7.3-9.0 MiB on four.
+    # 4.2-4.9 MiB. All four groups at once peaked at 6.4-7.7 MiB on two
+    # workers and 7.4-8.5 MiB on four.
     focuslab.metric._capture_pool()  # built for the host before the lane count is set
     monkeypatch.setattr(focuslab.metric, "_usable_cpus", lambda: 2)
     px_per_mm = blur_radius(bench_config, LensState(1.0)).px
