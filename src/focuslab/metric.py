@@ -89,7 +89,9 @@ class Camera:
     checks that the kernel of every radius it has not blurred yet fits the
     frame before it builds any kernel. Every noiseless capture is the
     blurred zone itself, so a radius is measured once per kind however many
-    probes and trials read it. The cache ends with the camera, and so do the
+    probes and trials read it: by the call's kind on the lane that blurs it,
+    and by any other kind on the calling thread when a later call reads it
+    by that kind. The cache ends with the camera, and so do the
     zone-transform memos of ``optics.convolve``: the zone's, and each blur
     lane's on its own crop, which ends with the call. Only a memo on an
     image passed to ``convolve`` or ``optics.capture`` directly lives on.
@@ -106,17 +108,21 @@ class Camera:
 
     Blur lanes. Before it captures, a call blurs its new radii on
     min(shape groups, usable CPUs) lanes: it groups them by the FFT shape
-    ``convolve`` will use and deals whole groups, largest first, each to the
-    lane with the fewest blurs, so a lane transforms the zone once per
-    shape. The calling thread runs the first lane on the zone; each other
-    lane is one pool task that blurs its own crop of the zone, so no two
-    threads write one memo. A lane task not yet started when the calling
-    thread is done with its own lane is cancelled and run inline, so lanes
-    queued behind draws cost no wait. The lane tasks end with the call: it
-    cancels or awaits them before it returns or raises, and an error on any
-    lane reaches the caller. The calling thread then applies the draws first
-    in first out and measures each capture in plan order, so no value
-    depends on the worker count, the lanes or which task finishes first.
+    ``convolve`` will use and queues the groups, largest shape first, on
+    one queue that every lane takes whole groups from until it is empty, so
+    a lane transforms the zone once per shape it takes. The calling thread
+    runs one lane on the zone; each other lane is one pool task that blurs
+    its own crop of the zone, so no two threads write one memo. With sigma
+    = 0 a lane also measures each zone it blurs, through every window by
+    the call's kind; with sigma > 0 it only blurs. A lane task not yet
+    started when the calling thread finds the queue empty is cancelled,
+    having nothing left to take, so lanes queued behind draws cost no wait.
+    A lane that raises clears the queue, so the others stop after the group
+    they hold. The lane tasks end with the call: it cancels or awaits them
+    before it returns or raises, and an error on any lane reaches the
+    caller. The calling thread then applies the draws first in first out
+    and measures each noisy capture in plan order, so no value depends on
+    the worker count, the lanes or which task finishes first.
 
     Leaving the camera, a context manager, cancels the queued draws, awaits
     the running ones and ends the plan, so no task outlives its call.
@@ -187,7 +193,7 @@ class Camera:
                 check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
                 new[radius] = None
         self._submit()
-        self._blur(new)
+        self._blur(new, None if self._noise.sigma else kind)
         values = []
         for radius, path in zip(radii, self._paths[first:end]):
             zone, noiseless = self._blurred[radius]
@@ -213,36 +219,32 @@ class Camera:
         """Metric mean and population std of the one window over the trials at each z."""
         if len(self._windows) != 1:
             raise ValueError(f"probes need a camera with one window, got {len(self._windows)}")
-        samples = []
-        for z, trials in zip(zs, self.readings(zs, kind)):
-            values = [reading for (reading,) in trials]
-            samples.append(FocusSample(z, float(np.mean(values)), float(np.std(values)),
-                                       len(values)))
-        return samples
+        values = np.array(self.readings(zs, kind), dtype=np.int64).reshape(len(zs), self._trials)
+        means, stds = np.mean(values, axis=1).tolist(), np.std(values, axis=1).tolist()
+        return [FocusSample(z, mean, std, self._trials) for z, mean, std in zip(zs, means, stds)]
 
-    def _blur(self, radii: Iterable[float]) -> None:
-        """Cache the zone blurred at each radius, on the blur lanes of the class docstring."""
+    def _blur(self, radii: Iterable[float], kind: MetricKind | None) -> None:
+        """Cache the zone blurred at each radius, on the blur lanes of the class docstring.
+
+        With ``kind`` set, the lanes also measure each blurred zone by that kind.
+        """
         groups: dict[tuple[int, int], list[float]] = {}
         for radius in radii:
             shape = _fft_shape(self._zone.height, self._zone.width, pillbox_size(radius))
             groups.setdefault(shape, []).append(radius)
-        lanes: list[list[float]] = [[] for _ in range(min(len(groups), _usable_cpus()))]
-        for group in sorted(groups.values(), key=len, reverse=True):
-            min(lanes, key=len).extend(group)
-        own, *others = lanes or [[]]
-        tasks = [(self._zone.crop(*self._box), lane) for lane in others]
+        queue = deque(groups[shape] for shape in sorted(groups, key=math.prod, reverse=True))
         futures: list[Future] = []
         try:
-            for task in tasks:
-                futures.append(_capture_pool().submit(_blur_lane, *task))
-            blurred = _blur_lane(self._zone, own)
-            waiting = [not future.cancel() for future in futures]
-            for running, future, task in zip(waiting, futures, tasks):
-                blurred.update(future.result() if running else _blur_lane(*task))
+            for _ in range(min(len(groups), _usable_cpus()) - 1):
+                futures.append(_capture_pool().submit(
+                    _blur_lane, self._zone.crop(*self._box), queue, self._windows, kind))
+            blurred = _blur_lane(self._zone, queue, self._windows, kind)
+            for future in futures:
+                if not future.cancel():  # a lane not started now has nothing left to take
+                    blurred.update(future.result())
         finally:
             _settle(futures)
-        for radius, image in blurred.items():
-            self._blurred[radius] = image, {}
+        self._blurred.update(blurred)
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
@@ -253,9 +255,28 @@ class Camera:
             self._draws.append(_capture_pool().submit(draw_noise, spec, self._zone))
 
 
-def _blur_lane(zone: Image, radii: Sequence[float]) -> dict[float, Image]:
-    """``zone`` blurred at each radius, keyed by radius."""
-    return {radius: convolve(zone, make_pillbox_psf(radius)) for radius in radii}
+def _blur_lane(
+    zone: Image, queue: deque[list[float]], windows: Sequence[WindowSpec], kind: MetricKind | None,
+) -> dict[float, tuple[Image, dict[MetricKind, list[int]]]]:
+    """Blur ``zone`` at each radius of the groups it pops from ``queue`` until it is empty.
+
+    Each radius maps to its blurred zone and, with ``kind`` set, that zone's
+    readings through ``windows`` by kind. An error clears the queue, so the
+    other lanes take no further group.
+    """
+    blurred = {}
+    try:
+        while True:
+            try:
+                group = queue.popleft()
+            except IndexError:
+                return blurred
+            for radius in group:
+                image = convolve(zone, make_pillbox_psf(radius))
+                readings = {kind: [resolution(image, w, kind) for w in windows]} if kind else {}
+                blurred[radius] = image, readings
+    finally:
+        queue.clear()
 
 
 def _settle(futures: Sequence[Future]) -> None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from focuslab import (
+    Camera,
     FocusCurve,
     FocusSample,
     Image,
@@ -209,6 +210,33 @@ class TestSweep:
             sweep(texture_256, CFG, w, MetricKind.SQUARED, [0.2, 0.1], NoiseSpec(0.0), trials=1)
         with pytest.raises(ValueError, match="trials"):
             sweep(texture_256, CFG, w, MetricKind.SQUARED, [0.0], NoiseSpec(0.0), trials=0)
+
+
+@st.composite
+def probe_readings(draw):
+    """Each probe's readings of one window: 1-40 probes of 1-64 trials, up to 2**40."""
+    trials = draw(st.integers(1, 64))
+    row = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials)
+    return trials, draw(st.lists(row, min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=probe_readings())
+def test_probes_give_the_bits_of_each_probes_own_mean_and_std(case):
+    trials, rows = case
+    zs = [0.01 * i for i in range(len(rows))]
+    paths = [(i,) for i in range(len(rows))]
+    scene = Image(np.zeros((8, 8), dtype=np.uint8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Camera, "readings",
+                      lambda camera, zs, kind: [[[value] for value in row] for row in rows])
+        with Camera(scene, CFG, [WindowSpec(3, 3, 3)], NoiseSpec(0.0), paths, trials) as camera:
+            samples = camera.probes(zs, MetricKind.SQUARED)
+    assert len(samples) == len(rows)
+    for z, row, sample in zip(zs, rows, samples):
+        assert (sample.z_mm, sample.n_trials) == (z, trials)
+        assert sample.d_mean.hex() == float(np.mean(row)).hex()
+        assert sample.d_stddev.hex() == float(np.std(row)).hex()
 
 
 @st.composite

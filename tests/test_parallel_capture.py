@@ -3,11 +3,14 @@
 ``metric.Camera`` draws the noise of each noisy capture of a sweep, search
 or stability study as one task on a module-wide thread pool, queued ahead of
 the blur, and blurs a call's new radii on lanes, one per FFT shape group up
-to one per CPU: the calling thread runs one and the pool the others. The
-calling thread applies each draw and measures the capture in capture
-order. Results must not depend on the pool: every study equals the serial
-oracle, concurrent callers each get their own result, errors reach the
-caller, a camera refuses every thread but the one that built it, no draw or
+to one per CPU: the calling thread runs one and the pool the others, each
+taking whole groups from one shared queue. In a noiseless call a lane also
+measures each zone it blurs; in a noisy one the calling thread applies each
+draw and measures the capture in capture order. Results must not depend on
+the pool: every study equals the serial oracle, each radius is blurred and
+measured once whichever lane takes it, concurrent callers each get their
+own result, errors reach the caller and a lane that raises stops the
+others, a camera refuses every thread but the one that built it, no draw or
 blur lane outlives its call and no draw exceeds the camera's bound, a
 forked child builds its own pool, and importing the package starts no
 thread.
@@ -41,6 +44,7 @@ from focuslab import (
     autofocus,
     blur_radius,
     capture,
+    compare_metrics,
     make_texture,
     resolution,
     stability_study,
@@ -331,7 +335,7 @@ def test_a_blur_that_raises_on_a_pool_lane_reaches_the_caller():
 @pytest.mark.parametrize("pool_busy", (False, True))
 def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
     # With the pool busy, the lane task is still queued when the calling
-    # thread is done: it is cancelled, and run inline unless the call failed.
+    # thread has emptied the queue: it is cancelled, having nothing to take.
     # With the pool free, the lane runs on a worker while the caller blurs.
     # Noiseless, so that no draw waits behind the busy pool.
     workers = focuslab.metric._usable_cpus()
@@ -359,6 +363,104 @@ def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
     assert ("pool" in log.threads) == (not pool_busy)
     if not fail_on:
         assert started == len({blur_radius(CFG, LensState(z)).px for z in ZS})
+
+
+# 33 noiseless +-z values: the identity and 16 kernels in seven FFT shapes of the 21 px zone.
+_POSITIVE = [0.6 * k / 16 for k in range(1, 17)]
+SWEEP_ZS = [-z for z in reversed(_POSITIVE)] + [0.0] + _POSITIVE
+SWEEP_RADII = {blur_radius(CFG, LensState(z)).px for z in SWEEP_ZS}
+
+
+def _noiseless_sweep(zs=SWEEP_ZS):
+    return sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, zs, NoiseSpec(0.0), 1)
+
+
+def _calls(patch, name: str) -> list[tuple[str, tuple]]:
+    """Wrap the camera's binding ``name``; list each call's thread, "caller" or "pool", and args."""
+    calls, fn, caller = [], getattr(focuslab.metric, name), threading.current_thread()
+
+    def calling(*args):
+        calls.append(("caller" if threading.current_thread() is caller else "pool", args))
+        return fn(*args)
+
+    patch.setattr(focuslab.metric, name, calling)
+    return calls
+
+
+def test_the_33_value_sweep_needs_more_shapes_than_lanes():
+    # The lane tests below rely on more FFT shape groups than the four lanes.
+    assert len(SWEEP_RADII) == 17
+    assert len({_fft_shape(21, 21, pillbox_size(r)) for r in SWEEP_RADII}) > 4
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 4))
+def test_a_noiseless_sweep_blurs_and_measures_each_radius_once_on_its_lanes(cpus):
+    expected = _noiseless_sweep()
+    with _lanes(cpus) as patch:
+        blurs, readings = _calls(patch, "convolve"), _calls(patch, "resolution")
+        assert _noiseless_sweep() == expected
+    assert sorted(psf.radius_px for _, (_, psf) in blurs) == sorted(SWEEP_RADII)
+    assert len(readings) == len(SWEEP_RADII)
+    if cpus == 1:
+        assert {thread for thread, _ in blurs + readings} == {"caller"}
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 4))
+def test_compare_metrics_measures_its_second_kind_on_the_calling_thread(cpus):
+    with _lanes(cpus) as patch:
+        readings = _calls(patch, "resolution")
+        compare_metrics(SCENE, CFG, WINDOW, SWEEP_ZS, repeats_for_timing=10, sizes=(5,))
+    first = [thread for thread, (_, _, kind) in readings if kind is MetricKind.SQUARED]
+    second = [thread for thread, (_, _, kind) in readings if kind is MetricKind.ABSOLUTE]
+    assert len(first) == len(SWEEP_RADII)
+    assert second == ["caller"] * len(SWEEP_RADII)
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 4))
+def test_a_noisy_call_measures_on_the_calling_thread_only(cpus):
+    expected = _noisy_sweep(11)
+    with _lanes(cpus) as patch:
+        readings = _calls(patch, "resolution")
+        assert _noisy_sweep(11) == expected
+    assert [thread for thread, _ in readings] == ["caller"] * len(ZS) * 3
+
+
+def test_a_group_that_raises_clears_the_queue():
+    # The calling thread's first blur waits for the pool lane's first blur,
+    # which raises. So the calling thread holds one group when the queue is
+    # cleared: it finishes that group and takes no other.
+    failed, lock = threading.Event(), threading.Lock()
+    radii: dict[str, list[float]] = {"caller": [], "pool": []}
+    finished = []
+    with _lanes(2) as patch:
+        blur, caller = focuslab.metric.convolve, threading.current_thread()
+
+        def blurring(scene, psf):
+            thread = "caller" if threading.current_thread() is caller else "pool"
+            with lock:
+                radii[thread].append(psf.radius_px)
+            try:
+                if thread == "pool":
+                    failed.set()
+                    raise ValueError("blur failed on a pool lane")
+                assert failed.wait(30)
+                return blur(scene, psf)
+            finally:
+                with lock:
+                    finished.append(psf.radius_px)
+
+        patch.setattr(focuslab.metric, "convolve", blurring)
+        with pytest.raises(ValueError, match="^blur failed on a pool lane$"):
+            _noiseless_sweep()
+        started = len(radii["caller"]) + len(radii["pool"])
+        assert len(finished) == started  # none running
+    _drain_pool()
+    assert len(radii["caller"]) + len(radii["pool"]) == started  # none queued
+    shape = lambda r: _fft_shape(21, 21, pillbox_size(r))
+    assert len(radii["pool"]) == 1
+    (held,) = {shape(r) for r in radii["caller"]}
+    assert sorted(radii["caller"]) == sorted(r for r in SWEEP_RADII if shape(r) == held)
+    assert shape(radii["pool"][0]) != held
 
 
 def test_concurrent_callers_blurring_on_lanes_each_get_their_serial_result():

@@ -52,9 +52,9 @@ def test_a_memo_miss_blur_of_the_autofocus_zone_peaks_at_8_mib_or_less(texture_5
 def test_a_sweep_256_blurs_on_two_lanes_in_5_5_mib_or_less(monkeypatch, texture_256, bench_config):
     # The sweep-256 shape: 33 noiseless z values out to a 30 px radius and a
     # 255x255 window on a 256x256 scene, so 16 kernels in four FFT shapes.
-    # One lane peaks at 2.9 MiB, the 17 cached blurs included, and two at
-    # 4.2-4.9 MiB. All four groups at once peaked at 6.4-7.7 MiB on two
-    # workers and 7.4-8.5 MiB on four.
+    # One lane peaks at 2.9 MiB, the 17 cached blurs and their readings
+    # included, and two lanes sharing one group queue at 4.2-4.9 MiB. Four
+    # lanes on a four-worker pool peaked at 7.9-8.8 MiB.
     focuslab.metric._capture_pool()  # built for the host before the lane count is set
     monkeypatch.setattr(focuslab.metric, "_usable_cpus", lambda: 2)
     px_per_mm = blur_radius(bench_config, LensState(1.0)).px
