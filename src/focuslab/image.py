@@ -6,7 +6,8 @@ so concurrent use needs no locking. The one mutable part of an ``Image`` is
 a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
 a pure function of the pixels, replaced whole by one attribute store. A
 reader sees either the old entry or the new one, both correct, so it needs
-no lock either. ``draw_noise`` reads only its spec and the place and shape
+no lock either: a camera's blur lanes all read and replace the one memo of
+its zone. ``draw_noise`` reads only its spec and the place and shape
 of its image, and writes only the field it returns, so it can run on any
 thread; the ``metric.Camera`` docstring says which threads run it.
 """

@@ -22,8 +22,8 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, require_int
-from .optics import LensState, OpticalConfig, _fft_shape, blur_radius, check_kernel_fits
-from .optics import convolve, make_pillbox_psf, pillbox_size
+from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits, convolve
+from .optics import make_pillbox_psf
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -91,10 +91,11 @@ class Camera:
     blurred zone itself, so a radius is measured once per kind however many
     probes and trials read it: by the call's kind on the lane that blurs it,
     and by any other kind on the calling thread when a later call reads it
-    by that kind. The cache ends with the camera, and so do the
-    zone-transform memos of ``optics.convolve``: the zone's, and each blur
-    lane's on its own crop, which ends with the call. Only a memo on an
-    image passed to ``convolve`` or ``optics.capture`` directly lives on.
+    by that kind. The cache ends with the camera, and so does the zone's
+    zone-transform memo of ``optics.convolve``, which every lane of every
+    call reads, so a call can blur through the spectrum an earlier call left.
+    Only a memo on an image passed to ``convolve`` or ``optics.capture``
+    directly lives on.
 
     Pool. One module-wide thread pool, sized to the usable CPUs, runs two
     kinds of task; numpy releases the GIL while it draws and transforms.
@@ -106,23 +107,26 @@ class Camera:
     prefix each in-flight draw allocates anyway, for a zone of h x w at row
     y0 of a frame W wide.
 
-    Blur lanes. Before it captures, a call blurs its new radii on
-    min(shape groups, usable CPUs) lanes: it groups them by the FFT shape
-    ``convolve`` will use and queues the groups, largest shape first, on
-    one queue that every lane takes whole groups from until it is empty, so
-    a lane transforms the zone once per shape it takes. The calling thread
-    runs one lane on the zone; each other lane is one pool task that blurs
-    its own crop of the zone, so no two threads write one memo. With sigma
-    = 0 a lane also measures each zone it blurs, through every window by
-    the call's kind; with sigma > 0 it only blurs. A lane task not yet
-    started when the calling thread finds the queue empty is cancelled,
-    having nothing left to take, so lanes queued behind draws cost no wait.
-    A lane that raises clears the queue, so the others stop after the group
-    they hold. The lane tasks end with the call: it cancels or awaits them
-    before it returns or raises, and an error on any lane reaches the
-    caller. The calling thread then applies the draws first in first out
-    and measures each noisy capture in plan order, so no value depends on
-    the worker count, the lanes or which task finishes first.
+    Blur lanes. Before it captures, a call blurs its new radii largest
+    first, on lanes that all blur the zone itself and so read its one zone
+    spectrum. The calling thread blurs the largest radius first, which
+    leaves a spectrum at that kernel's FFT shape or one that covers it;
+    every later blur whose own shape it covers within twice the area reuses
+    it (see ``optics``), and one that transforms replaces it, so a lane
+    reads the old entry or the new, both correct (see ``image``). Only then
+    does the call start min(radii left, usable CPUs) - 1 pool tasks, and
+    the calling thread and each of them pop one radius at a time from one
+    queue until it is empty. With sigma = 0 a lane also measures each zone
+    it blurs, through every window by the call's kind; with sigma > 0 it
+    only blurs. A lane task not yet started when the calling thread finds
+    the queue empty is cancelled, having nothing left to take, so lanes
+    queued behind draws cost no wait. A lane that raises clears the queue,
+    so the others stop after the radius they hold. The lane tasks end with
+    the call: it cancels or awaits them before it returns or raises, and an
+    error on any lane reaches the caller. The calling thread then applies
+    the draws first in first out and measures each noisy capture in plan
+    order, so no value depends on the worker count, the lanes or which task
+    finishes first.
 
     Leaving the camera, a context manager, cancels the queued draws, awaits
     the running ones and ends the plan, so no task outlives its call.
@@ -146,8 +150,7 @@ class Camera:
             x0, y0 = window.origin()
             boxes.append((x0, y0, x0 + window.n, y0 + window.n))
         x0s, y0s, x1s, y1s = zip(*boxes)
-        self._box = min(x0s), min(y0s), max(x1s), max(y1s)
-        self._zone = zone = scene.crop(*self._box)
+        self._zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self._cfg = cfg
         self._noise, self._paths = noise, paths
         self._next_row = 0
@@ -228,17 +231,18 @@ class Camera:
 
         With ``kind`` set, the lanes also measure each blurred zone by that kind.
         """
-        groups: dict[tuple[int, int], list[float]] = {}
-        for radius in radii:
-            shape = _fft_shape(self._zone.height, self._zone.width, pillbox_size(radius))
-            groups.setdefault(shape, []).append(radius)
-        queue = deque(groups[shape] for shape in sorted(groups, key=math.prod, reverse=True))
+        queue = deque(sorted(radii, reverse=True))
+        if not queue:
+            return
+        # The largest blur, on the calling thread, sets the zone spectrum that
+        # every other blur of the call reads.
+        blurred = _blur_lane(self._zone, deque([queue.popleft()]), self._windows, kind)
         futures: list[Future] = []
         try:
-            for _ in range(min(len(groups), _usable_cpus()) - 1):
+            for _ in range(min(len(queue), _usable_cpus()) - 1):
                 futures.append(_capture_pool().submit(
-                    _blur_lane, self._zone.crop(*self._box), queue, self._windows, kind))
-            blurred = _blur_lane(self._zone, queue, self._windows, kind)
+                    _blur_lane, self._zone, queue, self._windows, kind))
+            blurred.update(_blur_lane(self._zone, queue, self._windows, kind))
             for future in futures:
                 if not future.cancel():  # a lane not started now has nothing left to take
                     blurred.update(future.result())
@@ -256,25 +260,24 @@ class Camera:
 
 
 def _blur_lane(
-    zone: Image, queue: deque[list[float]], windows: Sequence[WindowSpec], kind: MetricKind | None,
+    zone: Image, queue: deque[float], windows: Sequence[WindowSpec], kind: MetricKind | None,
 ) -> dict[float, tuple[Image, dict[MetricKind, list[int]]]]:
-    """Blur ``zone`` at each radius of the groups it pops from ``queue`` until it is empty.
+    """Blur ``zone`` at each radius it pops from ``queue`` until it is empty.
 
     Each radius maps to its blurred zone and, with ``kind`` set, that zone's
     readings through ``windows`` by kind. An error clears the queue, so the
-    other lanes take no further group.
+    other lanes take no further radius.
     """
     blurred = {}
     try:
         while True:
             try:
-                group = queue.popleft()
+                radius = queue.popleft()
             except IndexError:
                 return blurred
-            for radius in group:
-                image = convolve(zone, make_pillbox_psf(radius))
-                readings = {kind: [resolution(image, w, kind) for w in windows]} if kind else {}
-                blurred[radius] = image, readings
+            image = convolve(zone, make_pillbox_psf(radius))
+            readings = {kind: [resolution(image, w, kind) for w in windows]} if kind else {}
+            blurred[radius] = image, readings
     finally:
         queue.clear()
 

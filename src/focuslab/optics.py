@@ -14,8 +14,9 @@ whole-frame capture cropped to it:
   plus a halo from the scene with clipped indices, which is edge replication
   without padding the frame, and keeps only the box. A whole image is the
   crop whose box is the frame.
-- Halo from the FFT shape. Per axis the FFT length L is box plus kernel
-  side minus 1, rounded up to a 5-smooth length, and the halo fills it:
+- Halo from the FFT shape. Per axis the FFT length L is at least box plus
+  kernel side minus 1, rounded up to a 5-smooth length; ``_fft_shape``
+  gives that minimum, the kernel's own shape. The halo fills L:
   H = (L - n) // 2 >= the kernel half-width h. One circular FFT blurs the
   patch with the kernel centred on index 0; wrap-around reaches only the
   halo's outputs, and the box's are [H, H + n).
@@ -25,11 +26,14 @@ whole-frame capture cropped to it:
   h + 1 rows and one real ``rfft`` down the columns, and ``convolve`` reads
   the rows past L_y // 2 as the mirror of rows 1..(L_y - 1) // 2. That is
   half the kernel-transform work of a full ``rfft2`` of the kernel.
-- Zone-transform memo. Every radius with the same L shares one zone
-  spectrum. ``convolve`` keeps the last (shape, spectrum) on the image it
-  blurs, in a private field outside ``==`` and ``repr``, so a blur at the
-  cached shape costs one kernel transform and one inverse. ``_fft_shape``
-  is the one rule for L.
+- Zone-transform memo. ``convolve`` keeps the last (shape, spectrum) on
+  the image it blurs, in a private field outside ``==`` and ``repr``. A
+  blur runs at the cached shape, with its halo, when that shape is at least
+  the kernel's own on both axes and under twice its area
+  (``_REUSE_AREA``), and costs one kernel transform and one inverse there;
+  otherwise it transforms the zone at its own shape and caches that. So a
+  call that blurs its largest radius first serves every radius down to
+  half that shape's area from one zone transform.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -261,6 +265,21 @@ def _fft_shape(height: int, width: int, kernel_size: int) -> tuple[int, int]:
     return _fast_len(height + kernel_size - 1), _fast_len(width + kernel_size - 1)
 
 
+# A blur runs at the zone spectrum's larger FFT shape only while that
+# shape's area is under this many times its own. A 2-D real FFT round trip
+# costs about the same per point for L from 256 to 640 (10-13 ns, and 19-30
+# ns in a slow phase, on a 2-vCPU Xeon host with numpy 2.4), and a zone
+# transform costs about one blur at its shape. So the larger shape pays
+# while its extra area is under the transform it saves.
+_REUSE_AREA = 2
+
+
+def _reuses(memo_shape: tuple[int, int], own: tuple[int, int]) -> bool:
+    """Whether a blur whose own FFT shape is ``own`` runs at the memo's shape instead."""
+    (my, mx), (oy, ox) = memo_shape, own
+    return my >= oy and mx >= ox and my * mx < _REUSE_AREA * oy * ox
+
+
 def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
     """The box plus hy rows and hx columns of surround on each side, edges replicated."""
     (width, height), (x0, y0) = scene.frame_size, scene.origin
@@ -299,8 +318,9 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
     the same pixels as the whole frame's blur cropped to its box; a crop
     without its surround can only take the identity kernel. The scene keeps
-    its last zone spectrum, so the next blur at the same FFT shape skips
-    that transform; the kernel's spectrum is built from its quadrant (see
+    its last zone spectrum, and a later blur whose own FFT shape that
+    spectrum covers within twice the area runs at its shape and skips the
+    zone transform; the kernel's spectrum is built from its quadrant (see
     the module docstring).
     """
     check_kernel_fits(psf.radius_px, scene.frame_size, "the PSF has")
@@ -309,15 +329,17 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     if scene.surround is None:
         raise ValueError("a crop can only be blurred with its surround: cut it with Image.crop")
     # Circular convolution at a 5-smooth length >= box plus kernel per axis,
-    # with a halo H >= h that fills it. The kernel is centred on index 0, so
-    # the box's outputs are [H, H + n).
-    shape = _fft_shape(scene.height, scene.width, psf.size)
-    hy, hx = (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
+    # the kernel's own or the memo's, with a halo H >= h that fills it. The
+    # kernel is centred on index 0, so the box's outputs are [H, H + n).
+    own = _fft_shape(scene.height, scene.width, psf.size)
     memo = scene._spectrum  # read once: another thread may replace it
-    if memo is None or memo[0] != shape:
+    if memo is not None and not _reuses(memo[0], own):
+        memo = None
+    shape = own if memo is None else memo[0]
+    hy, hx = (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
+    if memo is None:
         # Drop the stale spectrum first. The patch's row pass fills the
         # zero-padded spectrum, and its column pass runs there in place.
-        memo = None
         object.__setattr__(scene, "_spectrum", None)
         zone = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
         patch_rows = zone[: scene.height + 2 * hy]

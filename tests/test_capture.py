@@ -40,9 +40,10 @@ from focuslab import (
     stability_study,
     sweep,
 )
-from focuslab.optics import DEFAULT_SUPERSAMPLE, _fast_len, pillbox_size
+from focuslab.optics import DEFAULT_SUPERSAMPLE, _fast_len, _fft_shape, pillbox_size
 
 from _oracles import exact_blur, naive_pillbox_counts
+from test_parallel_capture import _lanes
 
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
 PX_PER_MM = blur_radius(CFG, LensState(1.0)).px
@@ -219,42 +220,122 @@ def _zone_transforms(monkeypatch):
     return halos
 
 
-def _fft_shape(n: int, radius: float) -> int:
-    return _fast_len(n + pillbox_size(radius) - 1)
+def _reuse_model(height: int, width: int, radii) -> tuple[list, list]:
+    """The halo of each zone transform, and the FFT shape of each blur, that
+    blurring a fresh height x width box at these radii in order takes.
+
+    A blur runs at the last transform's shape when that is at least its own
+    on both axes and under twice its own area, and transforms at its own
+    shape otherwise; the identity kernel does neither.
+    """
+    halos, shapes, memo = [], [], None
+    for radius in radii:
+        k = pillbox_size(radius)
+        if k == 1:
+            continue
+        own = (_fast_len(height + k - 1), _fast_len(width + k - 1))
+        if (memo is None or memo[0] < own[0] or memo[1] < own[1]
+                or memo[0] * memo[1] >= 2 * own[0] * own[1]):
+            memo = own
+            halos.append(((own[0] - height) // 2, (own[1] - width) // 2))
+        shapes.append(memo)
+    return halos, shapes
 
 
-# A sweep's blurs in z order (radius falling; the +z half reuses them), then a
-# large radius that misses the memo, then a small one that returns to an
-# earlier FFT shape.
+def _blur_by_the_rule(frame, box, radii, transforms) -> list[tuple[int, int]]:
+    """Blur a fresh crop of ``frame`` at each radius in order, each equal to
+    ``exact_blur``, with the transforms and shapes of ``_reuse_model``.
+
+    ``transforms`` is a ``_zone_transforms`` list, empty at the call.
+    Returns the FFT shape each blur ran at, read from the crop's memo.
+    """
+    crop = frame.crop(*box)
+    shapes = []
+    for radius in radii:
+        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
+        got = convolve(crop, make_pillbox_psf(radius)).pixels
+        assert np.array_equal(got, exact_blur(frame.pixels, counts, box)), radius
+        if pillbox_size(radius) > 1:
+            shapes.append(crop._spectrum[0])
+    assert (transforms, shapes) == _reuse_model(crop.height, crop.width, radii)
+    return shapes
+
+
+# A sweep's blurs in z order (radius falling; each reuses the last spectrum
+# while it is under twice its own area), then a large radius that the last
+# spectrum is too small for, then a small one whose own area the large
+# spectrum is more than twice.
 MEMO_RADII = [31.5 * k / 16 for k in range(16, 0, -1)] + [120.25, 2.0]
 
 
 def test_memo_hits_misses_and_returns_equal_exact_blur(monkeypatch, texture_512):
     transforms = _zone_transforms(monkeypatch)
-    box = (240, 240, 271, 271)
-    crop = texture_512.crop(*box)
-    for radius in MEMO_RADII:
-        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
-        got = convolve(crop, make_pillbox_psf(radius)).pixels
-        assert np.array_equal(got, exact_blur(texture_512.pixels, counts, box)), radius
-    shapes = [_fft_shape(31, r) for r in MEMO_RADII]
-    changes = 1 + sum(a != b for a, b in zip(shapes, shapes[1:]))
-    assert shapes[-1] in shapes[:-2] and changes < len(MEMO_RADII)
-    assert len(transforms) == changes
+    _blur_by_the_rule(texture_512, (240, 240, 271, 271), MEMO_RADII, transforms)
+    assert transforms == [(32, 32), (16, 16), (7, 7), (128, 128), (2, 2)]
+
+
+# A 36 x 33 frame: a 33 px kernel, radius 16, fits it.
+RULE_FRAME = make_texture(36, 33, 23)
+
+
+@st.composite
+def _edge_boxes(draw):
+    """The whole of ``RULE_FRAME``, or a box of it touching a drawn edge."""
+    width, height = RULE_FRAME.frame_size
+    x0, y0 = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    x1, y1 = draw(st.integers(x0 + 1, width)), draw(st.integers(y0 + 1, height))
+    edge = draw(st.sampled_from(("frame", "left", "top", "right", "bottom")))
+    if edge == "frame":
+        return 0, 0, width, height
+    x0, y0 = 0 if edge == "left" else x0, 0 if edge == "top" else y0
+    x1, y1 = width if edge == "right" else x1, height if edge == "bottom" else y1
+    return x0, y0, x1, y1
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=_edge_boxes(), radii=st.lists(st.floats(0.0, 16.0), min_size=1, max_size=5),
+       descending=st.booleans())
+def test_every_blur_by_the_reuse_rule_equals_exact_blur(box, radii, descending):
+    if descending:
+        radii = sorted(radii, reverse=True)
+    with pytest.MonkeyPatch.context() as patch:
+        _blur_by_the_rule(RULE_FRAME, box, radii, _zone_transforms(patch))
+
+
+def test_the_reuse_rule_at_twice_the_area_and_at_every_parity(monkeypatch):
+    transforms = _zone_transforms(monkeypatch)
+    # The 8 x 10 spectrum of radius 3 is exactly twice the 5 x 8 of radius 2
+    # on a 1 x 4 box, so radius 2 transforms.
+    shapes = _blur_by_the_rule(RULE_FRAME, (10, 0, 14, 1), [3.0, 2.0], transforms)
+    assert shapes == [(8, 10), (5, 8)] and transforms == [(3, 3), (2, 2)]
+    # The 45 x 45 spectrum of radius 16 is 1.98 times the 32 x 32 of radius 11
+    # on a 9 x 9 box, so radius 11 reuses it.
+    transforms.clear()
+    shapes += _blur_by_the_rule(RULE_FRAME, (27, 24, 36, 33), [16.0, 11.0], transforms)
+    assert shapes[2:] == [(45, 45)] * 2 and transforms == [(18, 18)]
+    transforms.clear()
+    shapes += _blur_by_the_rule(RULE_FRAME, (0, 20, 3, 21), [3.0], transforms)
+    assert {(ly % 2, lx % 2) for ly, lx in shapes} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # The 15 x 15 spectrum of radius 6 is one short of radius 7's own on one
+    # axis of a 1 x 2 box, and of a 2 x 1 box, so radius 7 transforms.
+    for box, own in (((5, 32, 7, 33), (15, 16)), ((35, 5, 36, 7), (16, 15))):
+        transforms.clear()
+        assert _blur_by_the_rule(RULE_FRAME, box, [6.0, 7.0], transforms) == [(15, 15), own]
 
 
 PERSISTENT = make_texture(120, 104, 7)
 
 
 def test_whole_frame_memo_survives_between_calls(monkeypatch):
-    # 3.0 and 3.4 px share the 120 x 128 FFT shape (halo 8 x 4), 9.0 px needs
-    # 125 x 144 (halo 10 x 12), and the identity kernel leaves the memo alone.
+    # 3.0 and 3.4 px share the 120 x 128 FFT shape (halo 8 x 4) and 9.0 px
+    # needs 125 x 144 (halo 10 x 12), which the later blurs reuse: it is 1.17
+    # times their own area. The identity kernel leaves the memo alone.
     transforms = _zone_transforms(monkeypatch)
     for radius in (3.0, 3.4, 9.0, 3.0, 0.0, 3.4):
         counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
         got = convolve(PERSISTENT, make_pillbox_psf(radius)).pixels
         assert np.array_equal(got, exact_blur(PERSISTENT.pixels, counts, (0, 0, 120, 104))), radius
-    assert transforms == [(8, 4), (10, 12), (8, 4)]
+    assert transforms == [(8, 4), (10, 12)]
     # The memo is private: equality and repr do not see it.
     assert PERSISTENT == make_texture(120, 104, 7)
     assert repr(PERSISTENT) == repr(make_texture(120, 104, 7))
@@ -279,8 +360,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("trials", (1, 3))
-def test_noiseless_sweep_transforms_once_per_shape_and_measures_once_per_radius(
-    monkeypatch, trials
+@pytest.mark.parametrize("cpus", (1, 2, 4))
+def test_a_noiseless_sweep_transforms_its_zone_once_and_measures_once_per_radius(
+    monkeypatch, cpus, trials
 ):
     scene = make_texture(64, 64, 21)
     window = WindowSpec(32, 32, 63)
@@ -289,12 +371,15 @@ def test_noiseless_sweep_transforms_once_per_shape_and_measures_once_per_radius(
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
     metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
     noise_calls = _count_calls(monkeypatch, focuslab.metric, "add_noise")
-    curve = sweep(scene, CFG, window, MetricKind.SQUARED, zs, NoiseSpec(0.0), trials)
+    with _lanes(cpus):
+        curve = sweep(scene, CFG, window, MetricKind.SQUARED, zs, NoiseSpec(0.0), trials)
 
     radii = {blur_radius(CFG, LensState(z)).px for z in zs}
-    shapes = {_fft_shape(63, r) for r in radii if pillbox_size(r) > 1}
+    shapes = {_fft_shape(63, 63, pillbox_size(r)) for r in radii if pillbox_size(r) > 1}
     assert len(zs) == 33 and len(radii) == 17 and 1 < len(shapes) < len(blurs)
-    assert len(transforms) == len(shapes)
+    # The largest kernel's 80 x 80 spectrum is under twice every other's own.
+    assert _reuse_model(63, 63, sorted(radii, reverse=True))[0] == [(8, 8)]
+    assert transforms == [(8, 8)]
     assert len(metric_calls) == len(radii)
     assert len(noise_calls) == trials * len(zs)  # sigma = 0 still passes through the noise layer
     for entry in curve.entries:
@@ -517,7 +602,8 @@ def test_threads_sharing_one_frame_and_its_memo_blur_correctly():
     # Threads blurring one image race on its memo; whichever entry a thread
     # reads, its blur must equal the exact one.
     scene = make_texture(64, 48, 9)
-    radii = (1.0, 3.0, 6.0, 9.5)  # four FFT shapes, so the memo keeps changing
+    # Four FFT shapes; the largest is over twice the others' area, so the memo keeps changing.
+    radii = (1.0, 3.0, 6.0, 20.0)
     expected = {
         r: exact_blur(scene.pixels, naive_pillbox_counts(r, DEFAULT_SUPERSAMPLE), (0, 0, 64, 48))
         for r in radii

@@ -2,18 +2,19 @@
 
 ``metric.Camera`` draws the noise of each noisy capture of a sweep, search
 or stability study as one task on a module-wide thread pool, queued ahead of
-the blur, and blurs a call's new radii on lanes, one per FFT shape group up
-to one per CPU: the calling thread runs one and the pool the others, each
-taking whole groups from one shared queue. In a noiseless call a lane also
-measures each zone it blurs; in a noisy one the calling thread applies each
-draw and measures the capture in capture order. Results must not depend on
-the pool: every study equals the serial oracle, each radius is blurred and
-measured once whichever lane takes it, concurrent callers each get their
-own result, errors reach the caller and a lane that raises stops the
-others, a camera refuses every thread but the one that built it, no draw or
-blur lane outlives its call and no draw exceeds the camera's bound, a
-forked child builds its own pool, and importing the package starts no
-thread.
+the blur, and blurs a call's new radii largest first on lanes that all read
+one zone spectrum: the calling thread blurs the largest radius, which sets
+that spectrum, and only then starts a pool lane per further radius up to
+one lane per CPU, each lane taking one radius at a time from one shared
+queue. In a noiseless call a lane also measures each zone it blurs; in a
+noisy one the calling thread applies each draw and measures the capture in
+capture order. Results must not depend on the pool: every study equals the
+serial oracle, each radius is blurred and measured once whichever lane
+takes it, concurrent callers each get their own result, errors reach the
+caller and a lane that raises stops the others, a camera refuses every
+thread but the one that built it, no draw or blur lane outlives its call
+and no draw exceeds the camera's bound, a forked child builds its own pool,
+and importing the package starts no thread.
 """
 
 import multiprocessing
@@ -285,7 +286,8 @@ class _BlurLog:
     """Wraps the camera's ``convolve`` binding to follow each blur and the thread it runs on.
 
     ``blur_s`` slows each blur. A blur on a thread of kind ``fail_on``,
-    "caller" or "pool", sleeps ``blur_s`` and then raises.
+    "caller" or "pool", other than the first blur logged, sleeps ``blur_s``
+    and then raises.
     """
 
     def __init__(self, patch, blur_s: float = 0.0, fail_on: str | None = None):
@@ -299,9 +301,10 @@ class _BlurLog:
             with lock:
                 self.started += 1
                 self.threads.append(kind)
+                first = self.started == 1
             try:
                 time.sleep(blur_s)
-                if kind == fail_on:
+                if kind == fail_on and not first:
                     raise ValueError(f"blur failed on a {kind} lane")
                 return blur(scene, psf)
             finally:
@@ -311,17 +314,21 @@ class _BlurLog:
         patch.setattr(focuslab.metric, "convolve", blurring)
 
 
+def _kernels(radii) -> set[float]:
+    """The radii whose kernel is not the identity."""
+    return {r for r in radii if pillbox_size(r) > 1}
+
+
 def test_the_sweep_radii_fill_two_lanes():
-    # The lane tests below rely on ZS's radii needing more than one FFT shape.
-    radii = {blur_radius(CFG, LensState(z)).px for z in ZS}
-    shapes = {_fft_shape(21, 21, pillbox_size(r)) for r in radii if pillbox_size(r) > 1}
-    assert len(shapes) >= 2
+    # The lane tests below rely on ZS having more new radii to blur than two lanes.
+    assert len(_kernels(blur_radius(CFG, LensState(z)).px for z in ZS)) > 2
 
 
 def test_a_blur_that_raises_on_a_pool_lane_reaches_the_caller():
     expected = _noisy_sweep(11)
     with _lanes(2) as patch:
-        # The calling thread's blurs are slow, so the pool lane starts first.
+        # The pool lane starts once the calling thread's first blur ends, and
+        # its first blur raises.
         log = _BlurLog(patch, blur_s=0.05, fail_on="pool")
         with pytest.raises(ValueError, match="^blur failed on a pool lane$"):
             _noisy_sweep(11)
@@ -334,10 +341,12 @@ def test_a_blur_that_raises_on_a_pool_lane_reaches_the_caller():
 @pytest.mark.parametrize("fail_on", (None, "caller"))
 @pytest.mark.parametrize("pool_busy", (False, True))
 def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
+    # The calling thread's first blur ends before the lane task is queued.
     # With the pool busy, the lane task is still queued when the calling
-    # thread has emptied the queue: it is cancelled, having nothing to take.
-    # With the pool free, the lane runs on a worker while the caller blurs.
-    # Noiseless, so that no draw waits behind the busy pool.
+    # thread has emptied the queue, or raised on its second blur: it is
+    # cancelled, having nothing to take. With the pool free, the lane runs on
+    # a worker while the caller blurs. Noiseless, so that no draw waits behind
+    # the busy pool.
     workers = focuslab.metric._usable_cpus()
     noiseless = lambda: sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, ZS, NoiseSpec(0.0), 1)
     expected = noiseless()
@@ -360,12 +369,13 @@ def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
         blocker.result()
     _drain_pool()
     assert log.started == started  # none queued: a cancelled lane never starts
+    assert log.threads[0] == "caller"
     assert ("pool" in log.threads) == (not pool_busy)
     if not fail_on:
         assert started == len({blur_radius(CFG, LensState(z)).px for z in ZS})
 
 
-# 33 noiseless +-z values: the identity and 16 kernels in seven FFT shapes of the 21 px zone.
+# 33 noiseless +-z values: the identity and 16 kernels.
 _POSITIVE = [0.6 * k / 16 for k in range(1, 17)]
 SWEEP_ZS = [-z for z in reversed(_POSITIVE)] + [0.0] + _POSITIVE
 SWEEP_RADII = {blur_radius(CFG, LensState(z)).px for z in SWEEP_ZS}
@@ -387,10 +397,35 @@ def _calls(patch, name: str) -> list[tuple[str, tuple]]:
     return calls
 
 
-def test_the_33_value_sweep_needs_more_shapes_than_lanes():
-    # The lane tests below rely on more FFT shape groups than the four lanes.
+def test_the_33_value_sweep_has_more_new_radii_than_lanes():
+    # The lane tests below rely on more radii to blur than the four lanes.
     assert len(SWEEP_RADII) == 17
-    assert len({_fft_shape(21, 21, pillbox_size(r)) for r in SWEEP_RADII}) > 4
+    assert len(_kernels(SWEEP_RADII)) > 4
+
+
+@pytest.mark.parametrize("sigma", (0.0, 2.0))
+@pytest.mark.parametrize("cpus", (2, 4))
+def test_the_first_blur_ends_on_the_calling_thread_before_any_lane_blurs(cpus, sigma):
+    events, lock = [], threading.Lock()
+    with _lanes(cpus) as patch:
+        blur, caller = focuslab.metric.convolve, threading.current_thread()
+
+        def blurring(scene, psf):
+            thread = "caller" if threading.current_thread() is caller else "pool"
+            with lock:
+                events.append(("start", thread))
+            time.sleep(0.005)
+            try:
+                return blur(scene, psf)
+            finally:
+                with lock:
+                    events.append(("end", thread))
+
+        patch.setattr(focuslab.metric, "convolve", blurring)
+        sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, SWEEP_ZS, NoiseSpec(sigma, 5), 1)
+    assert events[:2] == [("start", "caller"), ("end", "caller")]
+    assert ("start", "pool") in events
+    assert len(events) == 2 * len(SWEEP_RADII)
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 4))
@@ -425,10 +460,11 @@ def test_a_noisy_call_measures_on_the_calling_thread_only(cpus):
     assert [thread for thread, _ in readings] == ["caller"] * len(ZS) * 3
 
 
-def test_a_group_that_raises_clears_the_queue():
-    # The calling thread's first blur waits for the pool lane's first blur,
-    # which raises. So the calling thread holds one group when the queue is
-    # cleared: it finishes that group and takes no other.
+def test_a_lane_that_raises_clears_the_queue():
+    # The calling thread blurs the largest radius, starts the pool lane, and
+    # its second blur waits for the pool lane's first blur, which raises. So
+    # each lane holds one radius when the queue is cleared: the calling
+    # thread finishes its radius and takes no other.
     failed, lock = threading.Event(), threading.Lock()
     radii: dict[str, list[float]] = {"caller": [], "pool": []}
     finished = []
@@ -443,7 +479,8 @@ def test_a_group_that_raises_clears_the_queue():
                 if thread == "pool":
                     failed.set()
                     raise ValueError("blur failed on a pool lane")
-                assert failed.wait(30)
+                if len(radii["caller"]) > 1:
+                    assert failed.wait(30)
                 return blur(scene, psf)
             finally:
                 with lock:
@@ -456,11 +493,10 @@ def test_a_group_that_raises_clears_the_queue():
         assert len(finished) == started  # none running
     _drain_pool()
     assert len(radii["caller"]) + len(radii["pool"]) == started  # none queued
-    shape = lambda r: _fft_shape(21, 21, pillbox_size(r))
-    assert len(radii["pool"]) == 1
-    (held,) = {shape(r) for r in radii["caller"]}
-    assert sorted(radii["caller"]) == sorted(r for r in SWEEP_RADII if shape(r) == held)
-    assert shape(radii["pool"][0]) != held
+    largest = sorted(SWEEP_RADII, reverse=True)
+    assert radii["caller"][0] == largest[0]
+    assert len(radii["caller"]) == 2 and len(radii["pool"]) == 1
+    assert sorted(radii["caller"][1:] + radii["pool"], reverse=True) == largest[1:3]
 
 
 def test_concurrent_callers_blurring_on_lanes_each_get_their_serial_result():

@@ -51,10 +51,11 @@ def test_a_memo_miss_blur_of_the_autofocus_zone_peaks_at_8_mib_or_less(texture_5
 
 def test_a_sweep_256_blurs_on_two_lanes_in_5_5_mib_or_less(monkeypatch, texture_256, bench_config):
     # The sweep-256 shape: 33 noiseless z values out to a 30 px radius and a
-    # 255x255 window on a 256x256 scene, so 16 kernels in four FFT shapes.
-    # One lane peaks at 2.9 MiB, the 17 cached blurs and their readings
-    # included, and two lanes sharing one group queue at 4.2-4.9 MiB. Four
-    # lanes on a four-worker pool peaked at 7.9-8.8 MiB.
+    # 255x255 window on a 256x256 scene, so 16 kernels, all blurred at the
+    # largest one's 320x320 FFT shape through one zone spectrum. One lane
+    # peaks at 3.3 MiB, the 17 cached blurs and their readings included, and
+    # two lanes sharing one radius queue at 4.4-4.8 MiB. Four lanes on a
+    # four-worker pool peaked at 6.6-7.5 MiB.
     focuslab.metric._capture_pool()  # built for the host before the lane count is set
     monkeypatch.setattr(focuslab.metric, "_usable_cpus", lambda: 2)
     px_per_mm = blur_radius(bench_config, LensState(1.0)).px
