@@ -96,10 +96,7 @@ def stability_study(
     windows = [WindowSpec(*center, n) for n in sizes]
     with Camera(scene, cfg, windows, noise, [()], repeats) as camera:
         (readings,) = camera.readings([lens.z_mm], MetricKind.SQUARED)
-    per_window = zip(*readings)  # [repeat][window] -> [window][repeat]
-    return StabilityReport(
-        tuple(StabilityRow.from_measurements(w.n, v) for w, v in zip(windows, per_window))
-    )
+    return StabilityReport(tuple(map(StabilityRow.from_measurements, sizes, readings.T)))
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,8 @@ class Camera:
     all of them; the zone is their bounding box, which must fit the scene.
     A capture blurs the zone plus a halo, draws noise only through the zone's
     last row, and yields the whole-frame ``optics.capture`` cropped to the
-    zone (see ``optics``). ``readings`` is the one capture route: sweeps,
-    searches and both ``bench`` studies use it.
+    zone (see ``optics``). ``readings``, the one capture route of sweeps,
+    searches and both ``bench`` studies, fills one int64 array per call.
 
     Noise plan. The i-th z the camera captures, counted over all its
     ``readings`` calls, is captured ``trials`` times, and trial t is noised
@@ -79,8 +79,8 @@ class Camera:
     draw is queued, so building a camera costs the same for any trial
     count; with sigma = 0 every spec is the identity, and the camera
     derives one, its first row's first, when it reads that row. A call for
-    more z values than ``paths`` has left raises ValueError before any
-    blur, and a call that raises ends the plan.
+    more z values than ``paths`` has left (ValueError) or more readings than
+    memory holds (MemoryError) raises before any blur. A call that raises ends the plan.
 
     Cache. The camera keeps one entry per blur radius for its life: the
     blurred zone and the noiseless readings of that zone by kind. Captures
@@ -174,8 +174,8 @@ class Camera:
         draws, self._draws = self._draws, deque()
         _settle(draws)
 
-    def readings(self, zs: Sequence[float], kind: MetricKind) -> list[list[list[int]]]:
-        """``[i][t][k]``: the metric of window k in trial t of the capture at ``zs[i]``.
+    def readings(self, zs: Sequence[float], kind: MetricKind) -> np.ndarray:
+        """int64 ``[i, t, k]``: the metric of window k in trial t of the capture at ``zs[i]``.
 
         The trials at ``zs[i]`` take the plan's next path (see the class docstring).
         """
@@ -195,16 +195,18 @@ class Camera:
             if radius not in self._blurred and radius not in new:
                 check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
                 new[radius] = None
+        try:
+            values = np.empty((len(zs), self._trials, len(self._windows)), dtype=np.int64)
+        except ValueError:  # numpy's "array is too big": its byte count overflows
+            raise MemoryError("the readings do not fit in memory") from None
         self._submit()
         self._blur(new, None if self._noise.sigma else kind)
-        values = []
-        for radius, path in zip(radii, self._paths[first:end]):
+        for row, radius, path in zip(values, radii, self._paths[first:end]):
             zone, noiseless = self._blurred[radius]
-            trials = []
             if self._noise.sigma:
-                for _ in range(self._trials):
+                for trial in row:
                     capture = add_noise(zone, self._draws.popleft().result())
-                    trials.append([resolution(capture, w, kind) for w in self._windows])
+                    trial[:] = [resolution(capture, w, kind) for w in self._windows]
                     self._submit()
             else:  # every spec is the identity: one per camera, each (radius, kind) measured once
                 if self._identity is None:
@@ -213,8 +215,7 @@ class Camera:
                     capture = add_noise(zone, self._identity)
                     if kind not in noiseless:
                         noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
-                    trials.append(list(noiseless[kind]))
-            values.append(trials)
+                row[:] = noiseless[kind]
         self._next_row = end
         return values
 
@@ -222,7 +223,7 @@ class Camera:
         """Metric mean and population std of the one window over the trials at each z."""
         if len(self._windows) != 1:
             raise ValueError(f"probes need a camera with one window, got {len(self._windows)}")
-        values = np.array(self.readings(zs, kind), dtype=np.int64).reshape(len(zs), self._trials)
+        values = self.readings(zs, kind)[..., 0]
         means, stds = np.mean(values, axis=1).tolist(), np.std(values, axis=1).tolist()
         return [FocusSample(z, mean, std, self._trials) for z, mean, std in zip(zs, means, stds)]
 

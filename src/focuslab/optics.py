@@ -130,6 +130,8 @@ class OpticalConfig:
         for name in ("g", "pixel_pitch_mm", "d_max"):
             if (value := getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(px_per_mm := blur_radius(self, LensState(1.0)).px):
+            raise ValueError(f"the blur radius per mm of z must be finite, got {px_per_mm} px")
 
 
 @dataclass(frozen=True)

@@ -199,11 +199,12 @@ def test_camera_readings_equal_the_whole_frame_capture(ws, radii, trials, sigma,
     paths = [(i,) for i in range(len(zs))]
     with Camera(SMALL, CFG, ws, noise, paths, trials) as camera:
         readings = camera.readings(zs, kind)
+    assert readings.dtype == np.int64 and readings.shape == (len(zs), trials, len(ws))
     assert [len(row) for row in readings] == [trials] * len(zs)
     for z, path, row in zip(zs, paths, readings):
         for t, values in enumerate(row):
             whole = capture(SMALL, CFG, LensState(z), noise.derived(*path, t))
-            assert values == [resolution(whole, w, kind) for w in ws]
+            assert values.tolist() == [resolution(whole, w, kind) for w in ws]
 
 
 def _zone_transforms(monkeypatch):
@@ -432,7 +433,7 @@ def test_noiseless_readings_are_cached_by_radius_and_kind(monkeypatch, texture_2
         whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
         for kind in MetricKind:
             expected = [resolution(whole, window, kind) for window in windows]
-            assert camera.readings([z], kind) == [[expected] * 2], (z, kind)
+            assert camera.readings([z], kind).tolist() == [[expected] * 2], (z, kind)
     assert len(metric_calls) == 3 * 2 * 2  # radii x kinds x windows
 
 
@@ -481,6 +482,30 @@ def test_a_call_whose_last_z_needs_an_oversized_kernel_builds_no_kernel(monkeypa
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             camera.readings([0.05, 0.1, too_far], MetricKind.SQUARED)
     assert built == [] and blurs == []
+
+
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+def test_readings_too_large_to_address_raise_memory_error_before_any_blur(monkeypatch, sigma):
+    # 3 x 2**62 int64 readings: numpy cannot even count their bytes. A kernel
+    # build, blur or draw raises here, so a call that reached one fails at once
+    # rather than fill its trials without bound.
+    started = []
+
+    def refuse(name):
+        def call(*args):
+            started.append(name)
+            raise AssertionError(f"{name} ran before the readings were allocated")
+        return call
+
+    for name in ("make_pillbox_psf", "convolve", "draw_noise"):
+        monkeypatch.setattr(focuslab.metric, name, refuse(name))
+    paths = [(0,), (1,), (2,), (3,)]
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(sigma, 3), paths, 2**62) as camera:
+        with pytest.raises(MemoryError):
+            camera.readings([0.0, 0.05, 0.1], MetricKind.SQUARED)
+        with pytest.raises(ValueError, match="the 0 left in the noise plan"):
+            camera.readings([0.0], MetricKind.SQUARED)  # the failed call ended the plan
+    assert started == []
 
 
 def test_a_readings_call_that_raises_ends_the_plan(monkeypatch):

@@ -163,7 +163,8 @@ def test_a_run_that_does_not_fit_in_memory_fails_naming_its_flag(tmp_path):
 
 
 def test_a_search_that_does_not_fit_in_memory_names_its_trial_count(tmp_path):
-    # The readings of 10^8 trials per probe outgrow the cap part way through the coarse scan.
+    # The coarse scan's readings of 10^8 trials per probe outgrow the cap when they are
+    # allocated, before its first blur.
     proc = _run_in_256_mib(tmp_path, "autofocus", "--trials-per-eval", "100000000",
                            "--z-min=-0.1", "--z-max", "0.1", "--n", "9")
     assert proc.returncode == 1, proc.stderr
@@ -171,3 +172,35 @@ def test_a_search_that_does_not_fit_in_memory_names_its_trial_count(tmp_path):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: bad search interval (") and "--trials-per-eval" in line, line
     assert "does not fit in memory" in line, line
+
+
+@pytest.mark.parametrize(("command", "flag"), [("sweep", "--trials"), ("stability", "--repeats")])
+def test_readings_too_large_to_address_fail_naming_their_flag(tmp_path, command, flag):
+    # 2**62 readings per z: numpy cannot count their bytes, so the array is
+    # refused when it is allocated, before any capture.
+    z_grid = ["--z-count", "3", "--z-min=-0.01", "--z-max", "0.01"] if command == "sweep" else []
+    proc = _run_in_256_mib(tmp_path, command, flag, str(2**62), *z_grid)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: bad {command} (") and flag in line, line
+    assert "does not fit in memory" in line, line
+
+
+@pytest.mark.parametrize("flag", ["--g", "--pixel-pitch-mm"])
+@pytest.mark.parametrize("command", ["blur", "sweep", "autofocus"])
+def test_optics_whose_blur_per_mm_overflows_fail_naming_the_optics(tmp_path, command, flag):
+    # Finite and positive, yet (a - f) / a / (2 g) / pitch overflows to inf.
+    scene = tmp_path / "t64.pgm"
+    save_pgm(make_texture(64, 64, 1), scene)
+    argv = [command, "--in", str(scene), flag, "1e-320", *{
+        "blur": ["--z", "0", "--out", str(tmp_path / "o.pgm")],
+        "sweep": ["--z-count", "3", "--z-min=-0.1", "--z-max", "0.1"],
+        "autofocus": ["--z-min=-0.1", "--z-max", "0.1"],
+    }[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1 and out.getvalue() == "", (argv, code)
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith("error: bad optics ("), line

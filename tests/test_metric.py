@@ -229,7 +229,7 @@ def test_probes_give_the_bits_of_each_probes_own_mean_and_std(case):
     scene = Image(np.zeros((8, 8), dtype=np.uint8))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Camera, "readings",
-                      lambda camera, zs, kind: [[[value] for value in row] for row in rows])
+                      lambda camera, zs, kind: np.array(rows, dtype=np.int64)[..., None])
         with Camera(scene, CFG, [WindowSpec(3, 3, 3)], NoiseSpec(0.0), paths, trials) as camera:
             samples = camera.probes(zs, MetricKind.SQUARED)
     assert len(samples) == len(rows)

@@ -142,10 +142,11 @@ def test_a_camera_refuses_a_second_thread_by_name():
         rest = camera.readings(ZS[1:], kind)
     owner = threading.current_thread().name
     assert len(refused) == 1 and "'intruder'" in refused[0] and f"'{owner}'" in refused[0]
-    for z, path, trials in zip(ZS, paths, first + rest):
+    for z, path, trials in zip(ZS, paths, [*first, *rest]):
         for t, values in enumerate(trials):
             spec = NOISE.derived(*path, t)
-            assert values == [resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
+            assert values.tolist() == [
+                resolution(capture(SCENE, CFG, LensState(z), spec), WINDOW, kind)]
 
 
 def test_a_camera_serves_the_thread_that_builds_it():
@@ -591,7 +592,7 @@ def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
     for z, path, trials in zip(zs, paths, readings):
         for t, values in enumerate(trials):
             whole = capture(SCENE, CFG, LensState(z), noise.derived(*path, t))
-            assert values == [resolution(whole, w, kind) for w in ws]
+            assert values.tolist() == [resolution(whole, w, kind) for w in ws]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")

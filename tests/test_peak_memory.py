@@ -7,6 +7,9 @@ untraced first, so one-off set-up is not counted.
 
 import tracemalloc
 
+import numpy as np
+import pytest
+
 import focuslab.metric
 from focuslab import (
     LensState,
@@ -65,3 +68,18 @@ def test_a_sweep_256_blurs_on_two_lanes_in_5_5_mib_or_less(monkeypatch, texture_
     peak = traced_peak(lambda: sweep(texture_256, bench_config, window, MetricKind.SQUARED, zs,
                                      NoiseSpec(0.0), 1))
     assert peak <= 5.5 * MIB
+
+
+@pytest.mark.parametrize(("sigma", "trials"), ((0.0, 20_000), (2.0, 2_000)))
+def test_a_sweep_holds_32_bytes_or_less_per_trial(monkeypatch, bench_config, sigma, trials):
+    # A 15x15 window on a 64x64 texture over 11 z values: the readings take
+    # 8 B per trial and probes' std one float64 temporary of the same size.
+    # A sigma = 0 sweep peaks at 16 B per trial and a sigma = 2 sweep, its
+    # draws in flight on two workers included, at 22 B.
+    focuslab.metric._capture_pool()  # built for the host before the worker count is set
+    monkeypatch.setattr(focuslab.metric, "_usable_cpus", lambda: 2)
+    scene, window = make_texture(64, 64, 5), WindowSpec(32, 32, 15)
+    zs = np.linspace(-0.2, 0.2, 11).tolist()
+    peak = traced_peak(lambda: sweep(scene, bench_config, window, MetricKind.SQUARED, zs,
+                                     NoiseSpec(sigma, 7), trials))
+    assert peak <= 32 * len(zs) * trials
