@@ -9,7 +9,6 @@ given its flags: all randomness sits behind explicit --seed values.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import bench, image, metric, optics, search
@@ -104,26 +103,9 @@ def _sizes(args: argparse.Namespace) -> list[int]:
 
 
 def _z_values(args: argparse.Namespace) -> list[float]:
-    """The --z-count grid over [--z-min, --z-max]; ``metric.z_list`` checks it."""
-    return _checked("z grid (--z-min/--z-max/--z-count)", _z_grid,
+    """The --z-count grid over [--z-min, --z-max] (``metric.z_grid``)."""
+    return _checked("z grid (--z-min/--z-max/--z-count)", metric.z_grid,
                     args.z_min, args.z_max, args.z_count)
-
-
-def _z_grid(z_min: float, z_max: float, count: int) -> list[float]:
-    # Checking the bounds first names a non-finite one as given, not as the nan
-    # of 0 * inf, nor as a nan bound unequal to itself.
-    for bound in (z_min, z_max):
-        metric.z_list([bound])
-    if count == 1:
-        if z_min != z_max:
-            raise ValueError("--z-count 1 requires --z-min == --z-max")
-        return [z_min]
-    z_min, z_max = metric.z_list([z_min, z_max])
-    step = (z_max - z_min) / (count - 1)
-    if not math.isfinite(step):
-        raise ValueError(f"z_values must be finite, but the span from {z_min} to {z_max} "
-                         "overflows a float")
-    return [z_min + i * step for i in range(count)]
 
 
 def _write_or_stdout(writer, out_path: str | None) -> None:

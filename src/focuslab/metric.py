@@ -77,10 +77,10 @@ class Camera:
     ``readings`` calls, is captured ``trials`` times, and trial t is noised
     with ``noise.derived(*paths[i], t)``. A spec is derived only when its
     draw is queued, so building a camera costs the same for any trial
-    count; with sigma = 0 every spec is the identity, and the camera
-    derives one, its first row's first, when it reads that row. A call for
-    more z values than ``paths`` has left (ValueError) or more readings than
-    memory holds (MemoryError) raises before any blur. A call that raises ends the plan.
+    count; with sigma = 0 every spec is the identity: the camera derives one, its first
+    row's first, when it reads that row, and noises each row by it once. A call for more
+    z values than ``paths`` has left (ValueError) or more readings than memory holds
+    (MemoryError) raises before any blur. A call that raises ends the plan.
 
     Cache. The camera keeps one entry per blur radius for its life: the
     blurred zone and the noiseless readings of that zone by kind. Captures
@@ -211,10 +211,9 @@ class Camera:
             else:  # every spec is the identity: one per camera, each (radius, kind) measured once
                 if self._identity is None:
                     self._identity = self._noise.derived(*path, 0)
-                for _ in range(self._trials):
-                    capture = add_noise(zone, self._identity)
-                    if kind not in noiseless:
-                        noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
+                capture = add_noise(zone, self._identity)
+                if kind not in noiseless:
+                    noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
                 row[:] = noiseless[kind]
         self._next_row = end
         return values
@@ -402,7 +401,7 @@ def sweep(
 
 
 def z_list(z_values: Iterable[float]) -> list[float]:
-    """``z_values`` as floats; a ValueError unless nonempty, finite and strictly increasing."""
+    """Given z values as floats; a ValueError unless nonempty, finite and strictly increasing."""
     zs = [float(z) for z in z_values]
     if not zs:
         raise ValueError("z_values must be nonempty")
@@ -412,3 +411,25 @@ def z_list(z_values: Iterable[float]) -> list[float]:
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z_values must be strictly increasing")
     return zs
+
+
+def z_grid(z_min: float, z_max: float, count: int) -> list[float]:
+    """``np.linspace(z_min, z_max, count)`` as floats, both ends exact: the one z grid builder.
+
+    A ValueError names a non-finite bound as given, a count below 1, unequal
+    bounds for one value, and, for more, bounds that do not increase or whose span
+    overflows. A count numpy cannot address raises MemoryError, allocating nothing.
+    """
+    (z_min,), (z_max,) = z_list([z_min]), z_list([z_max])  # a bad bound first, named as given
+    if (count := require_int(count, "count", 1)) == 1:
+        if z_min != z_max:
+            raise ValueError(f"a count of 1 needs z_min == z_max, got [{z_min}, {z_max}]")
+        return [z_min]
+    z_list([z_min, z_max])
+    if not math.isfinite(z_max - z_min):
+        raise ValueError(f"z_values must be finite, but the span from {z_min} to {z_max} "
+                         "overflows a float")
+    if count > np.iinfo(np.intp).max // 16:  # numpy cannot address it as linspace's float count
+        raise MemoryError("the z grid does not fit in memory")
+    with np.errstate(over="ignore"):  # only the last value can overflow; linspace sets it to z_max
+        return np.linspace(z_min, z_max, count).tolist()

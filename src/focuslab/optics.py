@@ -77,7 +77,6 @@ __all__ = [
     "PsfKernel",
     "EdgeResponse",
     "BlurRadius",
-    "DEFAULT_SUPERSAMPLE",
     "blur_radius",
     "pillbox_size",
     "check_kernel_fits",

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, require_int
-from .metric import Camera, MetricKind, best_probe
+from .metric import Camera, MetricKind, best_probe, z_grid
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
 
@@ -102,16 +100,17 @@ def autofocus(
     a probe's draws are queued on the capture pool ahead of its blur, before
     its z is known (``Camera``); the queued draws it does not use end with
     the call.
-    Raises ValueError before the first probe if the blur at the far end of
-    [z_min, z_max] needs a kernel larger than the scene.
+    Before it plans a probe it raises ValueError if z_max - z_min overflows,
+    or if the far end of [z_min, z_max] blurs with a kernel larger than the scene.
     """
+    reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
+    check_kernel_fits(reach, scene.frame_size, "z_min/z_max reach")
+    coarse_z = z_grid(params.z_min, params.z_max, params.coarse_steps)
     # Every probe the search can make, coarse ones first: a probe's noise
     # depends only on its index, so it is planned before its z is known.
     probes = params.coarse_steps + 2 + params.refine_iterations
     paths = [(i,) for i in range(probes)]
     camera = Camera(scene, cfg, [window], noise, paths, params.trials_per_eval)
-    reach = blur_radius(cfg, LensState(max(abs(params.z_min), abs(params.z_max)))).px
-    check_kernel_fits(reach, scene.frame_size, "z_min/z_max reach")
     trace: list[TracePoint] = []
 
     def probe(zs: list[float], phase: str) -> float:
@@ -131,15 +130,13 @@ def autofocus(
         )
 
     with camera:  # the first probe queues the draws; leaving ends those not taken
-        coarse_z = np.linspace(params.z_min, params.z_max, params.coarse_steps)
         # One call: its blurs overlap the draws, queued ahead, of its captures.
-        probe([float(z) for z in coarse_z], "coarse")
+        probe(coarse_z, "coarse")
         best_idx = trace.index(best_probe(trace))
         if best_idx == 0 or best_idx == len(coarse_z) - 1:
             return finish(at_boundary=True)
 
-        lo = float(coarse_z[best_idx - 1])
-        hi = float(coarse_z[best_idx + 1])
+        lo, hi = coarse_z[best_idx - 1], coarse_z[best_idx + 1]
         x1 = hi - _INV_PHI * (hi - lo)
         x2 = lo + _INV_PHI * (hi - lo)
         f1 = probe([x1], "refine")

@@ -294,16 +294,37 @@ def test_one_z_sample_needs_equal_bounds(capsys, texture_pgm):
     code, stdout, err = run(capsys, "sweep", "--in", str(texture_pgm), "--z-count", "1")
     assert _one_error_line(code, stdout, err)
     assert err == ("error: bad z grid (--z-min/--z-max/--z-count) flags: "
-                   "--z-count 1 requires --z-min == --z-max\n")
+                   "a count of 1 needs z_min == z_max, got [-1.0, 1.0]\n")
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_an_overflowing_z_grid_is_refused_as_an_overflow(capsys, texture_pgm, command):
-    # Both bounds are finite, but their span overflows to inf.
-    code, stdout, err = run(capsys, command, "--in", str(texture_pgm),
-                            "--z-min=-1e308", "--z-max", "1e308")
+def test_a_z_count_below_one_is_refused_by_the_z_grid(capsys, texture_pgm, command, count):
+    code, stdout, err = run(capsys, command, "--in", str(texture_pgm), "--z-count", count)
     assert _one_error_line(code, stdout, err), err
-    assert err.startswith("error: bad z grid (--z-min/--z-max/--z-count) flags: ")
+    assert err == ("error: bad z grid (--z-min/--z-max/--z-count) flags: "
+                   f"count must be >= 1, got {count}\n")
+
+
+def test_a_z_count_numpy_cannot_address_fails_at_once(capsys, texture_pgm):
+    code, stdout, err = run(capsys, "sweep", "--in", str(texture_pgm),
+                            "--z-count", "9223372036854775807")
+    assert _one_error_line(code, stdout, err), err
+    assert err.startswith("error: bad z grid (") and "does not fit in memory" in err
+
+
+@pytest.mark.parametrize("command, label", [
+    ("sweep", "z grid (--z-min/--z-max/--z-count) flags: "),
+    ("compare", "z grid (--z-min/--z-max/--z-count) flags: "),
+    ("autofocus", "search interval (--z-min/--z-max) and count ("),
+], ids=["sweep", "compare", "autofocus"])
+def test_an_overflowing_z_grid_is_refused_as_an_overflow(capsys, texture_pgm, command, label):
+    # Both bounds are finite, but their span overflows to inf. At 1e306 mm per
+    # pixel autofocus's reach, 23.75 px, fits the scene, so the span is what fails.
+    code, stdout, err = run(capsys, command, "--in", str(texture_pgm),
+                            "--z-min=-1e308", "--z-max", "1e308", "--pixel-pitch-mm", "1e306")
+    assert _one_error_line(code, stdout, err), err
+    assert err.startswith(f"error: bad {label}")
     assert "overflows" in err and "nan" not in err and "inf" not in err
 
 

@@ -1,8 +1,10 @@
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,6 +22,7 @@ from focuslab import (
     resolution,
     sweep,
 )
+from focuslab.metric import z_grid
 
 from _oracles import naive_resolution
 
@@ -268,3 +271,35 @@ def test_sums_exceed_int32_at_the_largest_window():
     img, w = window_image(px)
     assert resolution(img, w, MetricKind.SQUARED) == 2 * (n - 1) ** 2 * 255**2
     assert resolution(img, w, MetricKind.ABSOLUTE) == 2 * (n - 1) ** 2 * 255
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@example(a=1.0, b=sys.float_info.max, n=63)  # linspace's last product overflows
+@given(a=FINITE, b=FINITE, n=st.integers(2, 64))
+def test_the_z_grid_is_linspace_with_exact_ends(a, b, n):
+    assume(a < b and math.isfinite(b - a))
+    grid = z_grid(a, b, n)
+    with np.errstate(over="ignore"):
+        assert grid == np.linspace(a, b, n).tolist()
+    assert len(grid) == n and grid[0] == a and grid[-1] == b
+    assert all(type(z) is float for z in grid)
+
+
+@pytest.mark.parametrize("args, error, match", [
+    ((0.0, 1.0, 0), ValueError, "count must be >= 1, got 0"),
+    ((0.0, 1.0, 1), ValueError, "a count of 1 needs z_min == z_max"),
+    ((1.0, 0.0, 3), ValueError, "strictly increasing"),
+    ((float("nan"), float("nan"), 1), ValueError, "finite, got nan"),
+    ((-1e308, 1e308, 3), ValueError, "span from -1e\\+308 to 1e\\+308 overflows"),
+    ((0.0, 1.0, 2**62), MemoryError, "does not fit in memory"),
+    ((0.0, 1.0, sys.maxsize), MemoryError, "does not fit in memory"),
+], ids=["count-0", "one-unequal", "decreasing", "nan", "span", "2**62", "maxsize"])
+def test_a_bad_z_grid_is_refused_before_any_allocation(monkeypatch, args, error, match):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(error, match=match):
+        z_grid(*args)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import focuslab
 from focuslab import (
-    DEFAULT_SUPERSAMPLE,
     EdgeResponse,
     Image,
     LensState,
@@ -28,7 +27,7 @@ from focuslab import (
     resolution,
     theoretical_resolution,
 )
-from focuslab.optics import _fft_shape, _kernel_spectrum
+from focuslab.optics import DEFAULT_SUPERSAMPLE, _fft_shape, _kernel_spectrum
 
 from _oracles import exact_blur, naive_convolve, naive_pillbox_counts
 

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,17 @@ class TestAutofocus:
         with pytest.raises(ValueError, match="z_min/z_max .* exceeds the 64x64 scene"):
             autofocus(scene, CFG, WindowSpec(32, 32, 15), NoiseSpec(0.0), params)
 
+    def test_an_overflowing_span_fails_before_probing(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(focuslab.metric, "make_pillbox_psf", no_kernel)
+        # The reach, 23.75 px, fits the scene; the coarse grid's span does not fit a float.
+        cfg = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=1e306, d_max=100.0)
+        params = SearchParams(z_min=-1e308, z_max=1e308)
+        with pytest.raises(ValueError, match="span from -1e\\+308 to 1e\\+308 overflows"):
+            autofocus(SCENE_64, cfg, WindowSpec(32, 32, 15), NoiseSpec(2.0, 3), params)
+
     def test_trace_csv_layout(self):
         scene = make_texture(64, 64, 26)
         window = WindowSpec(32, 32, 15)
@@ -175,6 +190,24 @@ class TestAutofocus:
         assert len(lines) == 1 + len(result.trace)
         phases = [line.split(",")[3] for line in lines[1:]]
         assert phases[:5] == ["coarse"] * 5 and set(phases[5:]) == {"refine"}
+
+
+def test_a_coarse_count_numpy_cannot_address_fails_before_the_plan():
+    # A plan of 2**62 probes would fill the host's memory; under the child's
+    # 256 MiB cap it ends in a bare MemoryError, so the grid's message shows
+    # that the grid was refused first.
+    resource = pytest.importorskip("resource")  # POSIX only
+    cap = 256 * 2**20
+    search = ("import focuslab as f\n"
+              "f.autofocus(f.make_texture(64, 64, 1), f.OpticalConfig(1000, 50, 2, 0.02, 100),\n"
+              "            f.WindowSpec(32, 32, 15), f.NoiseSpec(0.0), f.SearchParams(-0.1, 0.1, 2**62))")
+    threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(focuslab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", search], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.stderr.splitlines()[-1] == "MemoryError: the z grid does not fit in memory"
 
 
 @st.composite
