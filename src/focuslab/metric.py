@@ -417,8 +417,9 @@ def z_grid(z_min: float, z_max: float, count: int) -> list[float]:
     """``np.linspace(z_min, z_max, count)`` as floats, both ends exact: the one z grid builder.
 
     A ValueError names a non-finite bound as given, a count below 1, unequal
-    bounds for one value, and, for more, bounds that do not increase or whose span
-    overflows. A count numpy cannot address raises MemoryError, allocating nothing.
+    bounds for one value, and, for more, bounds that do not increase, whose span
+    overflows, or whose span holds fewer than ``count`` distinct floats. A count
+    numpy cannot address raises MemoryError, allocating nothing.
     """
     (z_min,), (z_max,) = z_list([z_min]), z_list([z_max])  # a bad bound first, named as given
     if (count := require_int(count, "count", 1)) == 1:
@@ -432,4 +433,8 @@ def z_grid(z_min: float, z_max: float, count: int) -> list[float]:
     if count > np.iinfo(np.intp).max // 16:  # numpy cannot address it as linspace's float count
         raise MemoryError("the z grid does not fit in memory")
     with np.errstate(over="ignore"):  # only the last value can overflow; linspace sets it to z_max
-        return np.linspace(z_min, z_max, count).tolist()
+        grid = np.linspace(z_min, z_max, count)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError(f"the span from {z_min} to {z_max} holds fewer than {count} distinct "
+                         "z values")
+    return grid.tolist()

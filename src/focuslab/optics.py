@@ -22,15 +22,25 @@ whole-frame capture cropped to it:
   halo's outputs, and the box's are [H, H + n).
 - Kernel spectrum. A pillbox is mirror-symmetric on each axis, so the
   spectrum of the centred kernel is real and even: ``_kernel_spectrum``
-  builds its rows 0..L_y // 2 from the kernel's quadrant, a row ``rfft`` of
-  h + 1 rows and one real ``rfft`` down the columns, and ``convolve`` reads
-  the rows past L_y // 2 as the mirror of rows 1..(L_y - 1) // 2. That is
-  half the kernel-transform work of a full ``rfft2`` of the kernel.
+  builds its rows 0..L_y // 2 as C_Ly @ Q @ C_Lxᵀ, where Q is the kernel's
+  (h + 1)² quadrant and C_L holds 2 cos(2 pi k y / L) for frequencies
+  k <= L // 2 and offsets y <= h (1 at y = 0, the centre), and ``convolve``
+  reads the rows past L_y // 2 as the mirror of rows 1..(L_y - 1) // 2.
+  Each axis's sums run over the h + 1 offsets, where a zero-padded FFT pass
+  would run over all L (Markel, "FFT pruning", 1971). On a 2-vCPU Xeon
+  host with numpy 2.4 and one BLAS thread, a spectrum at 270² to 320² with
+  h <= 32 took 53-162 us against 386-481 us for two ``rfft`` passes. The
+  products grow as h³ and the passes as h² log h, so from about h = 170
+  (432²) the products cost more: 3.4 ms against 2.8 ms at h = 246 (540²).
+- One BLAS thread. The capture lanes are the parallelism, and OpenBLAS's own
+  threads spin after a product and take CPU from them, so ``_product`` cuts
+  each product into tiles small enough that OpenBLAS runs them on the
+  calling thread, whatever thread count the process set.
 - Zone-transform memo. ``convolve`` keeps the last (shape, spectrum) on
   the image it blurs, in a private field outside ``==`` and ``repr``. A
   blur runs at the cached shape, with its halo, when that shape is at least
   the kernel's own on both axes and under twice its area
-  (``_REUSE_AREA``), and costs one kernel transform and one inverse there;
+  (``_REUSE_AREA``), and costs one kernel spectrum and one inverse there;
   otherwise it transforms the zone at its own shape and caches that. So a
   call that blurs its largest radius first serves every radius down to
   half that shape's area from one zone transform.
@@ -52,11 +62,10 @@ whole-frame capture cropped to it:
   total, summed from the quadrant, and mirrors the weights into one array.
 - Memory. No stage makes a full-size temporary it does not need: the PSF
   build fills one weight array; a zone transform drops the stale spectrum
-  first and runs both passes within the new one; and a blur builds the
-  kernel's real half spectrum in the first rows of one new array,
-  multiplies the zone's spectrum into it there and into its mirrored rows,
-  so no copy of the half is left for the inverse, inverts within that
-  array and runs the inverse's last pass on the box's rows.
+  first and runs both passes within the new one; and a blur multiplies the
+  zone's spectrum by the kernel's real half spectrum into one new array,
+  its mirrored rows included, inverts within that array and runs the
+  inverse's last pass on the box's rows.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
 - Caches, noise draws and blur lanes. See ``metric.Camera``.
 """
@@ -289,26 +298,56 @@ def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
     return scene.surround.take(rows, axis=0).take(cols, axis=1).astype(np.float64)
 
 
-def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, int], out: np.ndarray) -> np.ndarray:
+# OpenBLAS runs a matrix product whose m * n * k is at most 65536 x its
+# GEMM_MULTITHREAD_THRESHOLD (4) on the calling thread. Above that it may
+# wake its own threads, which spin after the product and take CPU from the
+# capture lanes, whatever thread count the process set. A one-row tile runs
+# as a matrix-vector product, which OpenBLAS 0.3.31 kept on the calling
+# thread up to m * n = 435,600 when measured, above this bound.
+_ONE_THREAD_MNK = 2**18
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, in tiles of a's rows and b's columns whose m * n * k is at most ``_ONE_THREAD_MNK``.
+
+    So each product runs on the calling thread, for any inner dimension up
+    to ``_ONE_THREAD_MNK``.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    cols = min(n, max(1, math.isqrt(_ONE_THREAD_MNK // k)))
+    rows = max(1, _ONE_THREAD_MNK // (k * cols))
+    out = np.empty((m, n))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            np.matmul(a[i : i + rows], b[:, j : j + cols], out=out[i : i + rows, j : j + cols])
+    return out
+
+
+def _cosines(n: int, h: int) -> np.ndarray:
+    """The (n // 2 + 1) x (h + 1) matrix of 2 cos(2 pi k y / n) over k and y, its y = 0 column 1.
+
+    Each entry is read from one length-n table at (k y) mod n.
+    """
+    table = 2 * np.cos(2 * np.pi / n * np.arange(n))
+    matrix = table[np.multiply.outer(np.arange(n // 2 + 1), np.arange(h + 1)) % n]
+    matrix[:, 0] = 1
+    return matrix
+
+
+def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Rows 0..L_y // 2 of the centred kernel's real spectrum at FFT shape (L_y, L_x).
 
     The kernel is mirror-symmetric on each axis, so centred on index 0 its
-    spectrum is a sum of cosines. Per axis, 2 Re(rfft) of the half from the
-    centre out counts each offset on both sides and the centre twice, so
-    the centre's term is taken off once: a row ``rfft`` of the quadrant's
-    h + 1 rows, then one ``rfft`` down the columns of that real result.
-    Both transforms write into ``out``, a complex (L_y, L_x // 2 + 1)
-    array; the result is its first L_y // 2 + 1 rows, imaginary parts zeroed.
+    spectrum is a sum of cosines over the quadrant Q of offsets 0..h: with
+    C_L the ``_cosines`` of length L, which count each offset on both sides
+    and the centre once, it is C_Ly @ Q @ C_Lxᵀ, a real
+    (L_y // 2 + 1) x (L_x // 2 + 1) array. The products sum over the h + 1
+    offsets, where a zero-padded transform would sum over all L.
     """
     h = weights.shape[0] // 2
-    quadrant = weights[h:, h:]
-    rows = np.fft.rfft(quadrant, n=shape[1], axis=1, out=out[: h + 1]).real * 2
-    rows -= quadrant[:, :1]
-    half = np.fft.rfft(rows, n=shape[0], axis=0, out=out[: shape[0] // 2 + 1])
-    half.real *= 2
-    half.real -= rows[:1]
-    half.imag = 0
-    return half
+    rows = _cosines(shape[0], h)
+    cols = rows if shape[1] == shape[0] else _cosines(shape[1], h)
+    return _product(_product(rows, weights[h:, h:]), cols.T)
 
 
 def convolve(scene: Image, psf: PsfKernel) -> Image:
@@ -321,8 +360,8 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     without its surround can only take the identity kernel. The scene keeps
     its last zone spectrum, and a later blur whose own FFT shape that
     spectrum covers within twice the area runs at its shape and skips the
-    zone transform; the kernel's spectrum is built from its quadrant (see
-    the module docstring).
+    zone transform; the kernel's spectrum is two cosine products over its
+    quadrant, each on the calling thread (see the module docstring).
     """
     check_kernel_fits(psf.radius_px, scene.frame_size, "the PSF has")
     if psf.size == 1:
@@ -348,16 +387,17 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
         memo = (shape, np.fft.fft(zone, axis=0, out=zone))
         object.__setattr__(scene, "_spectrum", memo)
     # The kernel's spectrum is real and even in the row frequency: its rows
-    # past L_y // 2 mirror rows 1..(L_y - 1) // 2. The half is built in the
-    # product's own first rows, which two slice multiplies then fill. Built
-    # in an array of its own, the half raised the peak and left the product
-    # above its temporaries on the heap, where a sweep-256 op took three to
-    # five times the minor page faults.
-    spectrum = np.empty_like(memo[1])
-    half = _kernel_spectrum(psf.weights, shape, spectrum)
+    # past L_y // 2 mirror rows 1..(L_y - 1) // 2, so two slice multiplies
+    # fill the product from the half. Over 8 fresh sweep-256 processes at
+    # seed 11 an op took 400-440 minor page faults with OPENBLAS_NUM_THREADS=1
+    # and 1-3 with it unset, against 490-980 when FFT passes built the half
+    # in the product's own first rows; freeing the half before the inverse
+    # raised them to 1,850-2,700.
+    half = _kernel_spectrum(psf.weights, shape)
     mid = half.shape[0]
+    spectrum = np.empty_like(memo[1])
+    np.multiply(memo[1][:mid], half, out=spectrum[:mid])
     np.multiply(memo[1][mid:], half[shape[0] - mid : 0 : -1], out=spectrum[mid:])
-    half *= memo[1][:mid]
     # The inverse runs irfft2's column pass in place, then its row pass on the box's rows alone.
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     rows = spectrum[hy : hy + scene.height]

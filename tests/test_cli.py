@@ -328,6 +328,24 @@ def test_an_overflowing_z_grid_is_refused_as_an_overflow(capsys, texture_pgm, co
     assert "overflows" in err and "nan" not in err and "inf" not in err
 
 
+@pytest.mark.parametrize("command, label, count", [
+    ("sweep", "z grid (--z-min/--z-max/--z-count) flags: ", "--z-count"),
+    ("compare", "z grid (--z-min/--z-max/--z-count) flags: ", "--z-count"),
+    ("autofocus", "search interval (--z-min/--z-max) and count (", "--coarse-steps"),
+], ids=["sweep", "compare", "autofocus"])
+def test_a_z_grid_with_repeated_values_is_refused(capsys, tmp_path, texture_pgm, command, label,
+                                                  count):
+    # np.linspace(0, 1e-323, 5) is [0, 0, 5e-324, 1e-323, 1e-323]: five values, three floats.
+    trace = tmp_path / "trace.csv"
+    extra = ["--trace-out", str(trace)] if command == "autofocus" else []
+    code, stdout, err = run(capsys, command, "--in", str(texture_pgm), "--z-min", "0",
+                            "--z-max", "1e-323", count, "5", *extra)
+    assert _one_error_line(code, stdout, err), err
+    assert err.startswith(f"error: bad {label}")
+    assert err.endswith("flags: the span from 0.0 to 1e-323 holds fewer than 5 distinct z values\n")
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("z_min", ["-1e-3", "-2E-1", "-.5e-1", "-1_0e-2"])
 def test_a_spaced_negative_value_reads_like_a_joined_one(capsys, texture_pgm, z_min):
     grid = ["--z-max", "1e-1", "--z-count", "3"]

@@ -277,12 +277,19 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @example(a=1.0, b=sys.float_info.max, n=63)  # linspace's last product overflows
+@example(a=0.0, b=1e-323, n=5)  # three floats for five values
 @given(a=FINITE, b=FINITE, n=st.integers(2, 64))
 def test_the_z_grid_is_linspace_with_exact_ends(a, b, n):
+    # Or a refusal, when linspace's values repeat.
     assume(a < b and math.isfinite(b - a))
-    grid = z_grid(a, b, n)
     with np.errstate(over="ignore"):
-        assert grid == np.linspace(a, b, n).tolist()
+        expected = np.linspace(a, b, n).tolist()
+    if any(lo >= hi for lo, hi in zip(expected, expected[1:])):
+        with pytest.raises(ValueError, match=f"fewer than {n} distinct z values"):
+            z_grid(a, b, n)
+        return
+    grid = z_grid(a, b, n)
+    assert grid == expected
     assert len(grid) == n and grid[0] == a and grid[-1] == b
     assert all(type(z) is float for z in grid)
 
@@ -303,3 +310,19 @@ def test_a_bad_z_grid_is_refused_before_any_allocation(monkeypatch, args, error,
     monkeypatch.setattr(np, "linspace", no_grid)
     with pytest.raises(error, match=match):
         z_grid(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1e-323, 5), "the span from 0.0 to 1e-323 holds fewer than 5 distinct z values"),
+    ((0.0, 5e-324, 3), "the span from 0.0 to 5e-324 holds fewer than 3 distinct z values"),
+    ((1.0, math.nextafter(1.0, 2.0), 3),
+     "the span from 1.0 to 1.0000000000000002 holds fewer than 3 distinct z values"),
+], ids=["subnormal-5", "one-ulp-of-zero", "one-ulp-of-one"])
+def test_a_span_with_fewer_floats_than_the_count_is_refused(args, message):
+    with pytest.raises(ValueError) as refused:
+        z_grid(*args)
+    assert str(refused.value) == message
+
+
+def test_a_span_of_exactly_count_floats_is_a_grid():
+    assert z_grid(0.0, 1e-323, 3) == [0.0, 5e-324, 1e-323]

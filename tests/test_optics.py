@@ -27,7 +27,8 @@ from focuslab import (
     resolution,
     theoretical_resolution,
 )
-from focuslab.optics import DEFAULT_SUPERSAMPLE, _fft_shape, _kernel_spectrum
+from focuslab import optics
+from focuslab.optics import DEFAULT_SUPERSAMPLE, _fft_shape, _kernel_spectrum, _product
 
 from _oracles import exact_blur, naive_convolve, naive_pillbox_counts
 
@@ -198,8 +199,25 @@ class TestConvolve:
         fx = np.arange(shape[1] // 2 + 1)[None, :] / shape[1]
         shifted = np.fft.rfft2(weights, s=shape)[: shape[0] // 2 + 1]
         shifted *= np.exp(2j * np.pi * h * (fy + fx))
-        out = np.empty((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-        assert np.max(np.abs(_kernel_spectrum(weights, shape, out) - shifted)) <= 1e-12
+        assert np.max(np.abs(_kernel_spectrum(weights, shape) - shifted)) <= 1e-12
+
+    def test_kernel_spectrum_is_the_phase_shifted_rfft2_at_any_shape(self):
+        # The test above over radii out to the autofocus kernels' and boxes
+        # of every parity and aspect.
+        parities, aspects = set(), set()
+
+        @settings(max_examples=60)
+        @given(radius=st.floats(0.5, 250.0), height=st.integers(1, 64),
+               width=st.integers(1, 64))
+        def matches(radius, height, width):
+            self.test_kernel_spectrum_is_the_phase_shifted_rfft2(radius, (height, width))
+            shape = _fft_shape(height, width, make_pillbox_psf(radius).size)
+            parities.add((shape[0] % 2, shape[1] % 2))
+            aspects.add(shape[0] == shape[1])
+
+        matches()
+        assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert aspects == {True, False}
 
     def test_crops_blur_to_the_exact_bytes_at_every_fft_parity(self):
         # The product's rows past L_y // 2 mirror the kernel's half spectrum,
@@ -248,6 +266,49 @@ class TestConvolve:
             convolve(make_texture(32, 32, 4), make_pillbox_psf(20.0))
         assert str(refused.value) == ("the PSF has a blur radius of 20px, "
                                       "whose 41x41 kernel exceeds the 32x32 scene")
+
+
+def _matmul_tiles(monkeypatch) -> list[tuple[int, int, int]]:
+    """The (m, n, k) of each product handed to ``np.matmul`` from here on."""
+    tiles, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        tiles.append((a.shape[0], b.shape[1], a.shape[1]))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return tiles
+
+
+class TestProduct:
+    @pytest.mark.parametrize("limit, rows, cols", [
+        (5, [1] * 7, [1] * 6),  # one row and one column per tile
+        (20, [2, 2, 2, 1], [2, 2, 2]),  # an uneven last row block
+        (100, [5, 2], [4, 2]),  # uneven on both axes
+        (210, [7], [6]),  # the whole product at the limit
+        (2**18, [7], [6]),
+    ], ids=["one-row", "uneven-rows", "uneven-both", "at-the-limit", "default"])
+    def test_the_tiled_product_is_matmul_at_the_tile_edges(self, monkeypatch, limit, rows, cols):
+        # Small integers keep every sum exact, in any order.
+        rng = np.random.default_rng(3)
+        a = rng.integers(-8, 9, size=(7, 5)).astype(np.float64)
+        b = rng.integers(-8, 9, size=(5, 6)).astype(np.float64)
+        monkeypatch.setattr(optics, "_ONE_THREAD_MNK", limit)
+        tiles = _matmul_tiles(monkeypatch)
+        assert np.array_equal(_product(a, b), a @ b)
+        assert tiles == [(m, n, 5) for m in rows for n in cols]
+
+    @pytest.mark.parametrize("radius, box", [
+        (247.0, (31, 31)),  # the largest autofocus-512 kernel, at its window
+        (250.0, (512, 512)),  # a whole 512x512 frame at the same reach
+        (30.0, (255, 255)),  # the largest sweep-256 kernel
+        (60.3, (27, 41)),
+    ])
+    def test_no_product_is_larger_than_one_thread_runs(self, monkeypatch, radius, box):
+        weights = make_pillbox_psf(radius).weights
+        tiles = _matmul_tiles(monkeypatch)
+        _kernel_spectrum(weights, _fft_shape(*box, weights.shape[0]))
+        assert tiles and max(m * n * k for m, n, k in tiles) <= optics._ONE_THREAD_MNK
 
 
 class TestKernelFit:

@@ -47,7 +47,7 @@ def test_the_largest_autofocus_pillbox_peaks_at_6_mib_or_less():
 def test_a_memo_miss_blur_of_the_autofocus_zone_peaks_at_8_mib_or_less(texture_512):
     # The 31x31 window at the centre of the 512x512 scene; a fresh crop has
     # no zone spectrum yet, so each blur also transforms the zone. It peaks
-    # at 5.0 MiB.
+    # at 5.2 MiB, the kernel spectrum's cosine products included.
     psf = make_pillbox_psf(247.0)
     assert traced_peak(lambda: convolve(texture_512.crop(241, 241, 272, 272), psf)) <= 8.0 * MIB
 
@@ -56,9 +56,10 @@ def test_a_sweep_256_blurs_on_two_lanes_in_5_5_mib_or_less(monkeypatch, texture_
     # The sweep-256 shape: 33 noiseless z values out to a 30 px radius and a
     # 255x255 window on a 256x256 scene, so 16 kernels, all blurred at the
     # largest one's 320x320 FFT shape through one zone spectrum. One lane
-    # peaks at 3.3 MiB, the 17 cached blurs and their readings included, and
-    # two lanes sharing one radius queue at 4.4-4.8 MiB. Four lanes on a
-    # four-worker pool peaked at 6.6-7.5 MiB.
+    # peaks at 3.5 MiB, the 17 cached blurs and their readings included, and
+    # two lanes sharing one radius queue at 4.3-5.2 MiB, each blur's real
+    # half spectrum included. Four lanes on a four-worker pool peaked at
+    # 7.1-8.4 MiB.
     focuslab.metric._capture_pool()  # built for the host before the lane count is set
     monkeypatch.setattr(focuslab.metric, "_usable_cpus", lambda: 2)
     px_per_mm = blur_radius(bench_config, LensState(1.0)).px
