@@ -10,6 +10,7 @@ it captures only the zone its windows read.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -78,7 +79,7 @@ class Camera:
     with ``noise.derived(*paths[i], t)``. A spec is derived only when its
     draw is queued, so building a camera costs the same for any trial
     count; with sigma = 0 every spec is the identity: the camera derives one, its first
-    row's first, when it reads that row, and noises each row by it once. A call for more
+    row's first, when it is built, and noises each row by it once. A call for more
     z values than ``paths`` has left (ValueError) or more readings than memory holds
     (MemoryError) raises before any blur. A call that raises ends the plan.
 
@@ -86,8 +87,8 @@ class Camera:
     blurred zone and the noiseless readings of that zone by kind. Captures
     that share a radius, such as the +-z halves of a sweep, build one kernel
     and blur once; only the noise is drawn per capture. A ``readings`` call
-    checks that the kernel of every radius it has not blurred yet fits the
-    frame before it builds any kernel. Every noiseless capture is the
+    checks that the kernel of every z, in call order, fits the frame before
+    it builds any kernel. Every noiseless capture is the
     blurred zone itself, so a radius is measured once per kind however many
     probes and trials read it: by the call's kind on the lane that blurs it,
     and by any other kind on the calling thread when a later call reads it
@@ -102,10 +103,10 @@ class Camera:
     A draw depends only on its spec, not on the blur, so with sigma > 0 the
     plan's draws are queued in plan order, one ``draw_noise(spec,
     zone)`` task per capture: before a call's blurs, and again after each
-    draw is applied. The draws submitted and not yet applied are capped at
-    ``workers * (y0 + h) * W`` samples, at least one field per worker: the
-    prefix each in-flight draw allocates anyway, for a zone of h x w at row
-    y0 of a frame W wide.
+    draw is applied. For a zone of h x w at row y0 of a frame W wide, the
+    draws submitted and not yet applied are capped at ``workers * (y0 + h) *
+    W`` samples: the prefix each in-flight draw allocates anyway. That is at
+    least one field per worker, because (y0 + h) * W >= h * w.
 
     Blur lanes. Before it captures, a call blurs its new radii largest
     first, on lanes that all blur the zone itself and so read its one zone
@@ -152,9 +153,8 @@ class Camera:
         x0s, y0s, x1s, y1s = zip(*boxes)
         self._zone = zone = scene.crop(min(x0s), min(y0s), max(x1s), max(y1s))
         self._cfg = cfg
-        self._noise, self._paths = noise, paths
-        self._next_row = 0
-        self._identity: NoiseSpec | None = None
+        self._noise, self._rows_left = noise, len(paths)
+        self._identity = noise.derived(*paths[0], 0) if paths and not noise.sigma else None
         self._owner = threading.current_thread()
         self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         self._unsubmitted = (noise.derived(*path, t) for path in paths
@@ -162,14 +162,14 @@ class Camera:
         self._draws: deque[Future] = deque()
         workers = _usable_cpus()
         prefix = (zone.origin[1] + zone.height) * zone.frame_size[0]
-        self._max_draws = max(workers, workers * prefix // (zone.height * zone.width))
+        self._max_draws = workers * prefix // (zone.height * zone.width)
 
     def __enter__(self) -> Camera:
         return self
 
     def __exit__(self, *exc) -> None:
         """End the plan, cancel the queued draws and await the running ones."""
-        self._next_row = len(self._paths)
+        self._rows_left = 0
         self._unsubmitted = iter(())
         draws, self._draws = self._draws, deque()
         _settle(draws)
@@ -177,31 +177,28 @@ class Camera:
     def readings(self, zs: Sequence[float], kind: MetricKind) -> np.ndarray:
         """int64 ``[i, t, k]``: the metric of window k in trial t of the capture at ``zs[i]``.
 
-        The trials at ``zs[i]`` take the plan's next path (see the class docstring).
+        The trials at ``zs[i]`` take the plan's next row (see the class docstring).
         """
         thread = threading.current_thread()
         if thread is not self._owner:
             raise RuntimeError(f"thread {thread.name!r} called a camera that serves "
                                f"thread {self._owner.name!r}")
-        first, end = self._next_row, self._next_row + len(zs)
-        if end > len(self._paths):
+        if len(zs) > self._rows_left:
             raise ValueError(f"{len(zs)} z values need more rows than the "
-                             f"{len(self._paths) - first} left in the noise plan")
+                             f"{self._rows_left} left in the noise plan")
         # A call that raises ends the plan: its queue may be part way through a row.
-        self._next_row = len(self._paths)
+        rows_left, self._rows_left = self._rows_left - len(zs), 0
         radii = [blur_radius(self._cfg, LensState(z)).px for z in zs]
-        new: dict[float, None] = {}
         for z, radius in zip(zs, radii):
-            if radius not in self._blurred and radius not in new:
-                check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
-                new[radius] = None
+            check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
+        new = set(radii).difference(self._blurred)
         try:
             values = np.empty((len(zs), self._trials, len(self._windows)), dtype=np.int64)
         except ValueError:  # numpy's "array is too big": its byte count overflows
             raise MemoryError("the readings do not fit in memory") from None
         self._submit()
         self._blur(new, None if self._noise.sigma else kind)
-        for row, radius, path in zip(values, radii, self._paths[first:end]):
+        for row, radius in zip(values, radii):
             zone, noiseless = self._blurred[radius]
             if self._noise.sigma:
                 for trial in row:
@@ -209,13 +206,11 @@ class Camera:
                     trial[:] = [resolution(capture, w, kind) for w in self._windows]
                     self._submit()
             else:  # every spec is the identity: one per camera, each (radius, kind) measured once
-                if self._identity is None:
-                    self._identity = self._noise.derived(*path, 0)
                 capture = add_noise(zone, self._identity)
                 if kind not in noiseless:
                     noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
                 row[:] = noiseless[kind]
-        self._next_row = end
+        self._rows_left = rows_left
         return values
 
     def probes(self, zs: Sequence[float], kind: MetricKind) -> list[FocusSample]:
@@ -252,10 +247,7 @@ class Camera:
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
-        while len(self._draws) < self._max_draws:
-            spec = next(self._unsubmitted, None)
-            if spec is None:
-                return
+        for spec in itertools.islice(self._unsubmitted, self._max_draws - len(self._draws)):
             self._draws.append(_capture_pool().submit(draw_noise, spec, self._zone))
 
 

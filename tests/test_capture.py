@@ -590,6 +590,27 @@ def test_a_camera_derives_each_spec_as_it_queues_the_draw(monkeypatch):
     assert [path for path, _ in derived] == planned[: len(derived)]
 
 
+@pytest.mark.parametrize("kind", MetricKind)
+def test_a_noiseless_camera_derives_its_one_spec_when_built(monkeypatch, kind):
+    derived = _derivations(monkeypatch)
+    paths = [(3,), (1,), (2,)]
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(0.0, 11), paths, 2) as camera:
+        assert [path for path, _ in derived] == [(3, 0)]
+        camera.readings([0.0, 0.1], kind)
+        camera.readings([-0.1], kind)
+    assert [path for path, _ in derived] == [(3, 0)]
+
+
+@pytest.mark.parametrize("kind", MetricKind)
+def test_a_noiseless_camera_with_an_empty_plan_derives_no_spec(monkeypatch, kind):
+    derived = _derivations(monkeypatch)
+    with Camera(SMALL, CFG, [WindowSpec(20, 20, 9)], NoiseSpec(0.0, 11), [], 2) as camera:
+        message = "^1 z values need more rows than the 0 left in the noise plan$"
+        with pytest.raises(ValueError, match=message):
+            camera.readings([0.0], kind)
+    assert derived == []
+
+
 @pytest.mark.parametrize("z_min, at_boundary", [(-1.0, False), (0.0, True)])
 def test_an_autofocus_derives_each_planned_spec_once(monkeypatch, z_min, at_boundary):
     # This zone holds at most 11 draws per worker, fewer than the 6 unused

@@ -244,6 +244,8 @@ _VALID = {
     ["gen", "texture", "--seed", "-1"],
     ["gen", "step", "--low", "300"],
     ["gen", "step", "--width", "0"],
+    ["stability", "--sizes", "5,x"],
+    ["compare", "--sizes", "5,x"],
 ])
 def test_rejected_flag_value_exits_1_naming_the_flag(capsys, tmp_path, texture_pgm, argv):
     *base, flag, _ = argv
@@ -415,3 +417,4 @@ def test_d_max_is_an_unknown_flag(capsys, texture_pgm, argv):
         main([*argv, "--in", str(texture_pgm), "--d-max", "100"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --d-max 100" in capsys.readouterr().err
+
