@@ -75,7 +75,7 @@ class Image:
     origin: tuple[int, int] = (0, 0)
     frame_size: tuple[int, int] | None = None
     surround: np.ndarray | None = field(default=None, init=False, repr=False)
-    # (FFT shape, zone spectrum) of the last blur; see ``optics.convolve``.
+    # (FFT shape, zone spectrum, cosine bases) of the last blur; see ``optics.convolve``.
     _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -191,6 +191,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.sigma, (bool, np.bool_)):
+            raise ValueError(f"noise sigma must be a number, not a bool, got {self.sigma!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"noise sigma must be finite and >= 0, got {self.sigma}")
         object.__setattr__(self, "seed", require_int(self.seed, "noise seed", 0))

@@ -49,19 +49,22 @@ def resolution(image: Image, window: WindowSpec, kind: MetricKind) -> int:
     With e the n x n window samples, every interior position contributes
     (e[i,j] - e[i+1,j+1]) and (e[i+1,j] - e[i,j+1]), squared or absolute
     according to ``kind``. Exact integer arithmetic; zero exactly when the
-    window is constant. A term is at most 255^2, so it fits int32; the sums
-    are taken in int64.
+    window is constant. A position's two terms add to at most 2 * 255^2, so
+    they fit int32; the sum over positions is taken in int64.
     """
     e = image.region(window).astype(np.int32)
     d_main = e[:-1, :-1] - e[1:, 1:]
     d_anti = e[1:, :-1] - e[:-1, 1:]
     if kind is MetricKind.SQUARED:
-        terms = (d_main * d_main, d_anti * d_anti)
+        np.multiply(d_main, d_main, out=d_main)
+        np.multiply(d_anti, d_anti, out=d_anti)
     elif kind is MetricKind.ABSOLUTE:
-        terms = (np.abs(d_main), np.abs(d_anti))
+        np.abs(d_main, out=d_main)
+        np.abs(d_anti, out=d_anti)
     else:
         raise TypeError(f"unknown metric kind {kind!r}")
-    return int(terms[0].sum(dtype=np.int64) + terms[1].sum(dtype=np.int64))
+    d_main += d_anti
+    return int(d_main.sum(dtype=np.int64))
 
 
 class Camera:
@@ -79,9 +82,10 @@ class Camera:
     with ``noise.derived(*paths[i], t)``. A spec is derived only when its
     draw is queued, so building a camera costs the same for any trial
     count; with sigma = 0 every spec is the identity: the camera derives one, its first
-    row's first, when it is built, and noises each row by it once. A call for more
-    z values than ``paths`` has left (ValueError) or more readings than memory holds
-    (MemoryError) raises before any blur. A call that raises ends the plan.
+    row's first, when it is built, and noises each row by it once. A call by a kind
+    that is not a ``MetricKind`` (TypeError), for more z values than ``paths`` has
+    left (ValueError) or for more readings than memory holds (MemoryError) raises
+    before any blur. A call that raises ends the plan.
 
     Cache. The camera keeps one entry per blur radius for its life: the
     blurred zone and the noiseless readings of that zone by kind. Captures
@@ -183,6 +187,8 @@ class Camera:
         if thread is not self._owner:
             raise RuntimeError(f"thread {thread.name!r} called a camera that serves "
                                f"thread {self._owner.name!r}")
+        if not isinstance(kind, MetricKind):
+            raise TypeError(f"unknown metric kind {kind!r}")
         if len(zs) > self._rows_left:
             raise ValueError(f"{len(zs)} z values need more rows than the "
                              f"{self._rows_left} left in the noise plan")

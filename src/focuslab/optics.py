@@ -26,6 +26,9 @@ whole-frame capture cropped to it:
   (h + 1)² quadrant and C_L holds 2 cos(2 pi k y / L) for frequencies
   k <= L // 2 and offsets y <= h (1 at y = 0, the centre), and ``convolve``
   reads the rows past L_y // 2 as the mirror of rows 1..(L_y - 1) // 2.
+  The bases C_L are built once per zone transform, over the offsets up to
+  the smaller halo, and every kernel that runs at that shape (h <= halo)
+  reads their first h + 1 columns.
   Each axis's sums run over the h + 1 offsets, where a zero-padded FFT pass
   would run over all L (Markel, "FFT pruning", 1971). On a 2-vCPU Xeon
   host with numpy 2.4 and one BLAS thread, a spectrum at 270² to 320² with
@@ -36,10 +39,10 @@ whole-frame capture cropped to it:
   threads spin after a product and take CPU from them, so ``_product`` cuts
   each product into tiles small enough that OpenBLAS runs them on the
   calling thread, whatever thread count the process set.
-- Zone-transform memo. ``convolve`` keeps the last (shape, spectrum) on
-  the image it blurs, in a private field outside ``==`` and ``repr``. A
-  blur runs at the cached shape, with its halo, when that shape is at least
-  the kernel's own on both axes and under twice its area
+- Zone-transform memo. ``convolve`` keeps the last (shape, spectrum,
+  cosine bases) on the image it blurs, in a private field outside ``==``
+  and ``repr``. A blur runs at the cached shape, with its halo, when that
+  shape is at least the kernel's own on both axes and under twice its area
   (``_REUSE_AREA``), and costs one kernel spectrum and one inverse there;
   otherwise it transforms the zone at its own shape and caches that. So a
   call that blurs its largest radius first serves every radius down to
@@ -48,7 +51,10 @@ whole-frame capture cropped to it:
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
   so the byte does not depend on the FFT size: a crop rounds exactly like
-  the whole frame, exact .5 ties included.
+  the whole frame, exact .5 ties included. The offset rides in the product
+  spectrum's DC bin, so the inverse comes out offset. No clamp is needed:
+  an exact value is a convex combination of samples in [0, 255], so an
+  offset value lies in (0.49, 255.5), where the uint8 cast is the floor.
 - Fit before build. Every capture route calls ``check_kernel_fits`` on a
   blur radius before it builds that pillbox, so a kernel larger than the
   frame is refused before it costs any memory. ``convolve`` refuses a kernel
@@ -65,7 +71,7 @@ whole-frame capture cropped to it:
   first and runs both passes within the new one; and a blur multiplies the
   zone's spectrum by the kernel's real half spectrum into one new array,
   its mirrored rows included, inverts within that array and runs the
-  inverse's last pass on the box's rows.
+  inverse's last pass on the box's rows, which it casts to bytes directly.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
 - Caches, noise draws and blur lanes. See ``metric.Camera``.
 """
@@ -99,10 +105,10 @@ __all__ = [
 
 DEFAULT_SUPERSAMPLE = 8
 
-# Added to a blurred value before the clip and the uint8 cast, whose
-# truncation of a nonnegative value is the floor: rounds to nearest with
-# exact .5 ties going down, the same way at every FFT size (see the module
-# docstring).
+# Added to every blurred value, through the product spectrum's DC bin,
+# before the uint8 cast, whose truncation of a value in (0.49, 255.5) is the
+# floor: rounds to nearest with exact .5 ties going down, the same way at
+# every FFT size, and needs no clamp (see the module docstring).
 _ROUND_HALF_DOWN = 0.5 - 1e-9
 
 
@@ -129,6 +135,8 @@ class OpticalConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a number, not a bool, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.a_mm > self.f_mm > 0:
@@ -334,8 +342,18 @@ def _cosines(n: int, h: int) -> np.ndarray:
     return matrix
 
 
-def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Rows 0..L_y // 2 of the centred kernel's real spectrum at FFT shape (L_y, L_x).
+def _bases(shape: tuple[int, int], halo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C_Ly, C_Lx): the ``_cosines`` of FFT shape (L_y, L_x) over offsets 0..halo.
+
+    One array serves both when L_y = L_x. Every kernel that runs at this
+    shape has h <= halo, so its spectrum reads the bases' first h + 1 columns.
+    """
+    rows = _cosines(shape[0], halo)
+    return rows, rows if shape[1] == shape[0] else _cosines(shape[1], halo)
+
+
+def _kernel_spectrum(weights: np.ndarray, bases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rows 0..L_y // 2 of the centred kernel's real spectrum at the FFT shape of ``_bases``.
 
     The kernel is mirror-symmetric on each axis, so centred on index 0 its
     spectrum is a sum of cosines over the quadrant Q of offsets 0..h: with
@@ -345,23 +363,25 @@ def _kernel_spectrum(weights: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     offsets, where a zero-padded transform would sum over all L.
     """
     h = weights.shape[0] // 2
-    rows = _cosines(shape[0], h)
-    cols = rows if shape[1] == shape[0] else _cosines(shape[1], h)
+    rows, cols = (basis[:, : h + 1] for basis in bases)
     return _product(_product(rows, weights[h:, h:]), cols.T)
 
 
 def convolve(scene: Image, psf: PsfKernel) -> Image:
     """Blur a scene with a PSF kernel, replicating edge pixels at the border.
 
-    Accumulates in float, rounds to nearest with exact .5 ties going down,
-    clamps to [0, 255]. Constant images map to themselves exactly and the
-    1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
+    Accumulates in float and rounds to nearest with exact .5 ties going
+    down. No clamp is needed: each value is a weighted mean of samples in
+    [0, 255], and FFT round-off is far below the rounding offset's margin
+    (see the module docstring). Constant images map to themselves exactly
+    and the 1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
     the same pixels as the whole frame's blur cropped to its box; a crop
     without its surround can only take the identity kernel. The scene keeps
     its last zone spectrum, and a later blur whose own FFT shape that
     spectrum covers within twice the area runs at its shape and skips the
     zone transform; the kernel's spectrum is two cosine products over its
-    quadrant, each on the calling thread (see the module docstring).
+    quadrant, each on the calling thread, with cosine bases the zone
+    transform built (see the module docstring).
     """
     check_kernel_fits(psf.radius_px, scene.frame_size, "the PSF has")
     if psf.size == 1:
@@ -384,28 +404,29 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
         zone = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
         patch_rows = zone[: scene.height + 2 * hy]
         np.fft.rfft(_halo_patch(scene, hy, hx), n=shape[1], axis=1, out=patch_rows)
-        memo = (shape, np.fft.fft(zone, axis=0, out=zone))
+        memo = (shape, np.fft.fft(zone, axis=0, out=zone), _bases(shape, min(hy, hx)))
         object.__setattr__(scene, "_spectrum", memo)
     # The kernel's spectrum is real and even in the row frequency: its rows
     # past L_y // 2 mirror rows 1..(L_y - 1) // 2, so two slice multiplies
-    # fill the product from the half. Over 8 fresh sweep-256 processes at
-    # seed 11 an op took 400-440 minor page faults with OPENBLAS_NUM_THREADS=1
-    # and 1-3 with it unset, against 490-980 when FFT passes built the half
-    # in the product's own first rows; freeing the half before the inverse
-    # raised them to 1,850-2,700.
-    half = _kernel_spectrum(psf.weights, shape)
+    # fill the product from the half. Building the half with FFT passes in
+    # the product's own first rows, or freeing it before the inverse, took
+    # 490-980 and 1,850-2,700 minor page faults per sweep-256 op where this
+    # layout took 400-440. Over 20 fresh sweep-256 processes at
+    # seed 11 with OPENBLAS_NUM_THREADS=1 on a 2-vCPU host (40 ops each after
+    # 3 warm-ups), an op now takes 405-494 faults in 14 and 802-935 in 6.
+    half = _kernel_spectrum(psf.weights, memo[2])
     mid = half.shape[0]
     spectrum = np.empty_like(memo[1])
     np.multiply(memo[1][:mid], half, out=spectrum[:mid])
     np.multiply(memo[1][mid:], half[shape[0] - mid : 0 : -1], out=spectrum[mid:])
+    # Adding c L_y L_x to the DC bin adds c to every inverse value, so the
+    # inverse comes out already offset for the rounding.
+    spectrum[0, 0] += _ROUND_HALF_DOWN * shape[0] * shape[1]
     # The inverse runs irfft2's column pass in place, then its row pass on the box's rows alone.
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     rows = spectrum[hy : hy + scene.height]
     blurred = np.fft.irfft(rows, n=shape[1], axis=1)[:, hx : hx + scene.width]
-    # Clipped values are nonnegative, so the cast's truncation is the floor.
-    blurred += _ROUND_HALF_DOWN
-    pixels = np.clip(blurred, 0, 255, out=blurred).astype(np.uint8)
-    return Image(pixels, scene.origin, scene.frame_size)
+    return Image(blurred.astype(np.uint8), scene.origin, scene.frame_size)
 
 
 def line_spread(psf: PsfKernel) -> np.ndarray:

@@ -314,6 +314,11 @@ class TestNoise:
         img = make_texture(32, 32, 5)
         assert add_noise(img, NoiseSpec(0.0, 99)) is img
 
+    @pytest.mark.parametrize("flag", [True, False, np.False_])
+    def test_a_bool_sigma_is_refused(self, flag):
+        with pytest.raises(ValueError, match="^noise sigma must be a number, not a bool, got"):
+            NoiseSpec(flag)
+
     def test_deterministic_per_seed(self):
         img = make_texture(32, 32, 5)
         spec = NoiseSpec(3.0, 42)

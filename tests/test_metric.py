@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import focuslab.metric
 from focuslab import (
     Camera,
     FocusCurve,
@@ -19,6 +20,7 @@ from focuslab import (
     WindowSpec,
     blur_radius,
     LensState,
+    make_texture,
     resolution,
     sweep,
 )
@@ -138,6 +140,19 @@ def test_unknown_metric_kind_is_a_type_error():
     img = Image(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(TypeError, match="unknown metric kind 'squared'"):
         resolution(img, WindowSpec(2, 2, 3), "squared")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+def test_a_sweep_refuses_an_unknown_kind_before_any_blur(monkeypatch, sigma):
+    blurred, blur = [], focuslab.metric.convolve
+    monkeypatch.setattr(focuslab.metric, "convolve",
+                        lambda scene, psf: blurred.append(psf) or blur(scene, psf))
+    scene, window = make_texture(32, 32, 1), WindowSpec(16, 16, 9)
+    with pytest.raises(TypeError, match="unknown metric kind 'squared'"):
+        sweep(scene, CFG, window, "squared", [-0.05, 0.05], NoiseSpec(sigma, 3), 2)
+    assert blurred == []
+    sweep(scene, CFG, window, MetricKind.SQUARED, [-0.05, 0.05], NoiseSpec(sigma, 3), 2)
+    assert len(blurred) == 1  # the spy sees the blurs of a valid call
 
 
 class TestFocusCurve:

@@ -28,7 +28,7 @@ from focuslab import (
     theoretical_resolution,
 )
 from focuslab import optics
-from focuslab.optics import DEFAULT_SUPERSAMPLE, _fft_shape, _kernel_spectrum, _product
+from focuslab.optics import DEFAULT_SUPERSAMPLE, _bases, _fft_shape, _kernel_spectrum, _product
 
 from _oracles import exact_blur, naive_convolve, naive_pillbox_counts
 
@@ -55,6 +55,13 @@ class TestConfigValidation:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     OpticalConfig(**{**base, name: bad})
+
+    @pytest.mark.parametrize("name", ["a_mm", "f_mm", "g", "pixel_pitch_mm", "d_max"])
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_rejects_a_bool_in_each_field(self, name, flag):
+        base = dict(a_mm=100.0, f_mm=10.0, g=1.0, pixel_pitch_mm=0.01, d_max=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool, got"):
+            OpticalConfig(**{**base, name: flag})
 
     def test_lens_state_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -199,7 +206,7 @@ class TestConvolve:
         fx = np.arange(shape[1] // 2 + 1)[None, :] / shape[1]
         shifted = np.fft.rfft2(weights, s=shape)[: shape[0] // 2 + 1]
         shifted *= np.exp(2j * np.pi * h * (fy + fx))
-        assert np.max(np.abs(_kernel_spectrum(weights, shape) - shifted)) <= 1e-12
+        assert np.max(np.abs(_kernel_spectrum(weights, _bases(shape, h)) - shifted)) <= 1e-12
 
     def test_kernel_spectrum_is_the_phase_shifted_rfft2_at_any_shape(self):
         # The test above over radii out to the autofocus kernels' and boxes
@@ -306,8 +313,9 @@ class TestProduct:
     ])
     def test_no_product_is_larger_than_one_thread_runs(self, monkeypatch, radius, box):
         weights = make_pillbox_psf(radius).weights
+        bases = _bases(_fft_shape(*box, weights.shape[0]), weights.shape[0] // 2)
         tiles = _matmul_tiles(monkeypatch)
-        _kernel_spectrum(weights, _fft_shape(*box, weights.shape[0]))
+        _kernel_spectrum(weights, bases)
         assert tiles and max(m * n * k for m, n, k in tiles) <= optics._ONE_THREAD_MNK
 
 
