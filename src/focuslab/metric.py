@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 import numpy as np
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, require_int
+from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, refuse_bool, require_int
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits, convolve
 from .optics import make_pillbox_psf
 
@@ -109,8 +109,12 @@ class Camera:
     zone)`` task per capture: before a call's blurs, and again after each
     draw is applied. For a zone of h x w at row y0 of a frame W wide, the
     draws submitted and not yet applied are capped at ``workers * (y0 + h) *
-    W`` samples: the prefix each in-flight draw allocates anyway. That is at
-    least one field per worker, because (y0 + h) * W >= h * w.
+    W`` samples of fields: at least one field per worker, because
+    (y0 + h) * W >= h * w. A running draw holds under 64 Ki samples plus
+    its zone's h rows (see ``image.draw_noise``), not that prefix, but the
+    cap stays a whole prefix per worker: it sets how far the
+    draws run ahead of the captures, and so the draw schedule and the draws
+    made per op, which this keeps as they were when each draw held its prefix.
 
     Blur lanes. Before it captures, a call blurs its new radii largest
     first, on lanes that all blur the zone itself and so read its one zone
@@ -332,7 +336,8 @@ class FocusSample:
 
     def __post_init__(self) -> None:
         for name in ("z_mm", "d_mean", "d_stddev"):
-            if not math.isfinite(value := getattr(self, name)):
+            refuse_bool(value := getattr(self, name), name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.d_mean < 0 or self.d_stddev < 0:
             raise ValueError("metric statistics must be nonnegative")

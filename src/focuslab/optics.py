@@ -65,13 +65,19 @@ whole-frame capture cropped to it:
   quadrant holds the whole grid's counts. It subsamples only the quadrant's
   rim pixels; pixels wholly inside or outside get the counts of their nearest
   and farthest subsamples, as a full loop does. It normalizes by the mirrored
-  total, summed from the quadrant, and mirrors the weights into one array.
+  total, summed from the quadrant, and keeps only the normalized quadrant,
+  which is all the blur reads; ``PsfKernel.weights`` mirrors it into the
+  whole kernel for the line spread and the edge response.
 - Memory. No stage makes a full-size temporary it does not need: the PSF
-  build fills one weight array; a zone transform drops the stale spectrum
-  first and runs both passes within the new one; and a blur multiplies the
-  zone's spectrum by the kernel's real half spectrum into one new array,
-  its mirrored rows included, inverts within that array and runs the
-  inverse's last pass on the box's rows, which it casts to bytes directly.
+  build fills one (h + 1)² quadrant, about a quarter of the kernel (a
+  1.6 MiB traced peak at R = 247); a capture's noise draws the whole
+  64 Ki-sample chunks of the frame's rows above its zone into one reused
+  buffer (see ``image.draw_noise``); a zone transform drops the stale
+  spectrum first and runs both passes within the new one; and a blur
+  multiplies the zone's spectrum by the kernel's real half spectrum into
+  one new array, its mirrored rows included, inverts within that array and
+  runs the inverse's last pass on the box's rows, which it casts to bytes
+  directly.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
 - Caches, noise draws and blur lanes. See ``metric.Camera``.
 """
@@ -84,7 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .image import Image, NoiseSpec, add_noise, require_int
+from .image import Image, NoiseSpec, add_noise, refuse_bool, require_int
 
 __all__ = [
     "OpticalConfig",
@@ -134,9 +140,7 @@ class OpticalConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{f.name} must be a number, not a bool, got {value!r}")
+            refuse_bool(value := getattr(self, f.name), f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.a_mm > self.f_mm > 0:
@@ -157,6 +161,7 @@ class LensState:
     z_mm: float
 
     def __post_init__(self) -> None:
+        refuse_bool(self.z_mm, "z_mm")
         if not math.isfinite(self.z_mm):
             raise ValueError(f"lens displacement must be finite, got {self.z_mm}")
 
@@ -182,29 +187,42 @@ def blur_radius(cfg: OpticalConfig, lens: LensState) -> BlurRadius:
 class PsfKernel:
     """Discretized pillbox point-spread function of a blur radius in pixels.
 
-    ``weights`` is a read-only square array of odd side ``size``: each
-    pixel's fraction of the disc's area, estimated with
-    ``DEFAULT_SUPERSAMPLE``^2 subsamples per pixel and normalized to unit
-    sum, so it is nonnegative and 4-fold rotationally symmetric by
-    construction; the centre pixel is the disc's centre. Radii below half a
-    pixel collapse to the 1x1 identity kernel. Kernels compare and print by
-    radius.
+    The kernel is a square of odd side ``size``: each pixel's fraction of
+    the disc's area, estimated with ``DEFAULT_SUPERSAMPLE``^2 subsamples per
+    pixel and normalized to unit sum, so it is nonnegative and 4-fold
+    rotationally symmetric by construction; the centre pixel is the disc's
+    centre. The kernel keeps only ``quarter``, the read-only (h + 1)²
+    quadrant of offsets 0..h from the centre, h = size // 2, which is all a
+    blur reads; ``weights`` mirrors it into the whole square on each access.
+    Radii below half a pixel collapse to the 1x1 identity kernel. Kernels
+    compare and print by radius.
     """
 
     radius_px: float
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    quarter: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius_px) and self.radius_px >= 0):
             raise ValueError(f"radius must be finite and >= 0, got {self.radius_px}")
-        weights = _pillbox_weights(self.radius_px)
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        quarter = _pillbox_weights(self.radius_px)
+        quarter.setflags(write=False)
+        object.__setattr__(self, "quarter", quarter)
 
     @property
     def size(self) -> int:
         """Side of the square kernel, in pixels."""
-        return self.weights.shape[0]
+        return 2 * self.quarter.shape[0] - 1
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The whole read-only size x size kernel, ``quarter`` mirrored on both axes."""
+        quarter, half = self.quarter, self.quarter.shape[0] - 1
+        weights = np.empty((self.size, self.size))
+        weights[half:, half:] = quarter
+        weights[half:, :half] = quarter[:, :0:-1]
+        weights[:half] = weights[:half:-1]
+        weights.setflags(write=False)
+        return weights
 
 
 def pillbox_size(radius_px: float) -> int:
@@ -225,14 +243,14 @@ def check_kernel_fits(radius_px: float, frame_size: tuple[int, int], reach: str)
 
 
 def _pillbox_weights(radius_px: float) -> np.ndarray:
-    """``PsfKernel``'s weights for a finite, nonnegative radius."""
+    """``PsfKernel.quarter`` for a finite, nonnegative radius."""
     size = pillbox_size(radius_px)
     if size == 1:
         return np.array([[1.0]])
 
-    # Count the quadrant of pixels 0..half from the centre, then mirror it.
-    # The subsample offsets are exact negatives of each other, so that is
-    # the whole grid's count.
+    # Count the quadrant of pixels 0..half from the centre. The subsample
+    # offsets are exact negatives of each other, so its mirror is the whole
+    # grid's count.
     n = DEFAULT_SUPERSAMPLE
     half = size // 2
     centers = np.arange(half + 1, dtype=np.float64)
@@ -253,12 +271,7 @@ def _pillbox_weights(radius_px: float) -> np.ndarray:
     # The mirrored grid counts row 0 and column 0 of the quadrant once and
     # every other pixel four times; an integer total, so exact.
     total = 4 * quadrant.sum() - 2 * (quadrant[0].sum() + quadrant[:, 0].sum()) + quadrant[0, 0]
-    quarter = quadrant / float(total)
-    weights = np.empty((size, size))
-    weights[half:, half:] = quarter
-    weights[half:, :half] = quarter[:, :0:-1]
-    weights[:half] = weights[:half:-1]
-    return weights
+    return quadrant / float(total)
 
 
 def make_pillbox_psf(radius_px: float) -> PsfKernel:
@@ -352,19 +365,19 @@ def _bases(shape: tuple[int, int], halo: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, rows if shape[1] == shape[0] else _cosines(shape[1], halo)
 
 
-def _kernel_spectrum(weights: np.ndarray, bases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _kernel_spectrum(quarter: np.ndarray, bases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Rows 0..L_y // 2 of the centred kernel's real spectrum at the FFT shape of ``_bases``.
 
     The kernel is mirror-symmetric on each axis, so centred on index 0 its
-    spectrum is a sum of cosines over the quadrant Q of offsets 0..h: with
-    C_L the ``_cosines`` of length L, which count each offset on both sides
-    and the centre once, it is C_Ly @ Q @ C_Lxᵀ, a real
+    spectrum is a sum of cosines over its quadrant Q, the (h + 1)² ``quarter``
+    of offsets 0..h: with C_L the ``_cosines`` of length L, which count each
+    offset on both sides and the centre once, it is C_Ly @ Q @ C_Lxᵀ, a real
     (L_y // 2 + 1) x (L_x // 2 + 1) array. The products sum over the h + 1
     offsets, where a zero-padded transform would sum over all L.
     """
-    h = weights.shape[0] // 2
+    h = quarter.shape[0] - 1
     rows, cols = (basis[:, : h + 1] for basis in bases)
-    return _product(_product(rows, weights[h:, h:]), cols.T)
+    return _product(_product(rows, quarter), cols.T)
 
 
 def convolve(scene: Image, psf: PsfKernel) -> Image:
@@ -414,7 +427,7 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     # layout took 400-440. Over 20 fresh sweep-256 processes at
     # seed 11 with OPENBLAS_NUM_THREADS=1 on a 2-vCPU host (40 ops each after
     # 3 warm-ups), an op now takes 405-494 faults in 14 and 802-935 in 6.
-    half = _kernel_spectrum(psf.weights, memo[2])
+    half = _kernel_spectrum(psf.quarter, memo[2])
     mid = half.shape[0]
     spectrum = np.empty_like(memo[1])
     np.multiply(memo[1][:mid], half, out=spectrum[:mid])

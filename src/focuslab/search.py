@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._csvio import fmt_num, write_rows
-from .image import Image, NoiseSpec, WindowSpec, require_int
+from .image import Image, NoiseSpec, WindowSpec, refuse_bool, require_int
 from .metric import Camera, MetricKind, best_probe, z_grid
 from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits
 from .optics import convolve  # noqa: F401  (perfbench's tracer swaps this binding)
@@ -36,6 +36,8 @@ class SearchParams:
     metric: MetricKind = MetricKind.SQUARED
 
     def __post_init__(self) -> None:
+        refuse_bool(self.z_min, "z_min")
+        refuse_bool(self.z_max, "z_max")
         if not (math.isfinite(self.z_min) and math.isfinite(self.z_max)):
             raise ValueError(f"z_min and z_max must be finite, got [{self.z_min}, {self.z_max}]")
         if not self.z_min < self.z_max:

@@ -78,8 +78,9 @@ def test_bases_sliced_from_the_memo_give_a_fresh_kernel_spectrum_up_to_the_halo(
     for h in range(halo + 1):
         weights = make_pillbox_psf(float(h)).weights
         assert weights.shape[0] // 2 == h
-        fresh = _kernel_spectrum(weights, (_cosines(shape[0], h), _cosines(shape[1], h)))
-        assert np.max(np.abs(_kernel_spectrum(weights, bases) - fresh)) <= 1e-12, h
+        quarter = weights[h:, h:]
+        fresh = _kernel_spectrum(quarter, (_cosines(shape[0], h), _cosines(shape[1], h)))
+        assert np.max(np.abs(_kernel_spectrum(quarter, bases) - fresh)) <= 1e-12, h
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 4])

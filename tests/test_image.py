@@ -348,6 +348,29 @@ class TestNoise:
         crop = add_noise(img.crop(5, 3, 17, 11), NoiseSpec(sigma, seed))
         assert np.array_equal(crop.pixels, expected[3:11, 5:17])
 
+    @pytest.mark.parametrize(("width", "height", "box"), [
+        (40, 3, (5, 0, 17, 2)),  # nothing skipped: the crop starts at row 0
+        (1, 3, (0, 1, 1, 2)),  # 1 sample skipped
+        (65_535, 2, (0, 1, 65_535, 2)),  # one sample short of a chunk
+        (65_536, 2, (7, 1, 300, 2)),  # one whole chunk
+        (65_537, 2, (65_000, 1, 65_537, 2)),  # one chunk and one sample
+        (65_536, 5, (1, 3, 9, 5)),  # three whole chunks, then two rows
+    ], ids=["0", "1", "chunk-1", "chunk", "chunk+1", "3-chunks"])
+    def test_a_skipped_prefix_of_any_length_keeps_the_whole_frame_draws(self, width, height, box):
+        # Whole 64 Ki-sample chunks of the rows above a crop are drawn into
+        # one reused buffer and the rest with the crop's rows; the crop's
+        # draws must still be the frame's.
+        sigma, seed = 3.0, 2**63
+        x0, y0, x1, y1 = box
+        scene = Image(np.random.default_rng(1).integers(0, 256, (height, width), dtype=np.uint8))
+        crop = scene.crop(*box)
+        draws = np.random.default_rng(seed).standard_normal(y1 * width).reshape(y1, width)
+        field = draw_noise(NoiseSpec(sigma, seed), crop)
+        assert np.array_equal(field.values, draws[y0:, x0:x1] * sigma)
+        expected = naive_add_noise(scene.pixels, sigma, seed)[y0:y1, x0:x1]
+        assert np.array_equal(add_noise(crop, NoiseSpec(sigma, seed)).pixels, expected)
+        assert np.array_equal(add_noise(crop, field).pixels, expected)
+
     def test_a_field_drawn_ahead_gives_the_bytes_of_its_spec(self):
         img = make_texture(40, 24, 3)
         crop = img.crop(5, 3, 17, 11)

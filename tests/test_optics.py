@@ -206,7 +206,8 @@ class TestConvolve:
         fx = np.arange(shape[1] // 2 + 1)[None, :] / shape[1]
         shifted = np.fft.rfft2(weights, s=shape)[: shape[0] // 2 + 1]
         shifted *= np.exp(2j * np.pi * h * (fy + fx))
-        assert np.max(np.abs(_kernel_spectrum(weights, _bases(shape, h)) - shifted)) <= 1e-12
+        got = _kernel_spectrum(weights[h:, h:], _bases(shape, h))
+        assert np.max(np.abs(got - shifted)) <= 1e-12
 
     def test_kernel_spectrum_is_the_phase_shifted_rfft2_at_any_shape(self):
         # The test above over radii out to the autofocus kernels' and boxes
@@ -313,9 +314,10 @@ class TestProduct:
     ])
     def test_no_product_is_larger_than_one_thread_runs(self, monkeypatch, radius, box):
         weights = make_pillbox_psf(radius).weights
-        bases = _bases(_fft_shape(*box, weights.shape[0]), weights.shape[0] // 2)
+        h = weights.shape[0] // 2
+        bases = _bases(_fft_shape(*box, weights.shape[0]), h)
         tiles = _matmul_tiles(monkeypatch)
-        _kernel_spectrum(weights, bases)
+        _kernel_spectrum(weights[h:, h:], bases)
         assert tiles and max(m * n * k for m, n, k in tiles) <= optics._ONE_THREAD_MNK
 
 

@@ -17,6 +17,7 @@ from focuslab import (
     NoiseSpec,
     WindowSpec,
     blur_radius,
+    draw_noise,
     make_pillbox_psf,
     make_texture,
     sweep,
@@ -40,8 +41,19 @@ def test_a_512_texture_peaks_at_80_bytes_per_pixel_or_less():
     assert traced_peak(lambda: make_texture(512, 512, 99)) <= 80 * 512 * 512
 
 
-def test_the_largest_autofocus_pillbox_peaks_at_6_mib_or_less():
-    assert traced_peak(lambda: make_pillbox_psf(247.0)) <= 6.0 * MIB
+def test_the_largest_autofocus_pillbox_peaks_at_2_mib_or_less():
+    # The kernel keeps its 248x248 quadrant, 0.47 MiB, and never builds the
+    # 495x495 whole (1.9 MiB): the build peaks at 1.6 MiB.
+    assert traced_peak(lambda: make_pillbox_psf(247.0)) <= 2.0 * MIB
+
+
+def test_an_autofocus_zone_draw_peaks_at_0_75_mib_or_less(texture_512):
+    # The 31x31 window at the centre of the 512x512 scene: of the 241 rows
+    # of 512 px above it, one whole 64 Ki-sample chunk (0.5 MiB) is skipped
+    # through a buffer, then the rest are drawn with the zone's 31 rows
+    # (0.56 MiB). It peaks at 0.58 MiB; the whole 272-row prefix took 1.08.
+    zone = texture_512.crop(241, 241, 272, 272)
+    assert traced_peak(lambda: draw_noise(NoiseSpec(2.0, 11), zone)) <= 0.75 * MIB
 
 
 def test_a_memo_miss_blur_of_the_autofocus_zone_peaks_at_8_mib_or_less(texture_512):

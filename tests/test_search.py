@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import focuslab.metric
 from focuslab import (
+    FocusSample,
     Image,
     LensState,
     NoiseSpec,
@@ -37,6 +38,27 @@ SCENE_64 = make_texture(64, 64, 28)
 def plateau_halfwidth_mm(cfg) -> float:
     """|z| below which the pillbox collapses to the identity kernel."""
     return 0.5 / blur_radius(cfg, LensState(1.0)).px
+
+
+# Each float field of the lens state, the search interval and a probe's
+# statistics, with valid values for the other fields of its type.
+FLOAT_FIELDS = [
+    (LensState, dict(z_mm=0.5), "z_mm"),
+    (SearchParams, dict(z_min=-1.0, z_max=1.0), "z_min"),
+    (SearchParams, dict(z_min=-1.0, z_max=1.0), "z_max"),
+    (FocusSample, dict(z_mm=0.5, d_mean=1.0, d_stddev=0.0, n_trials=1), "z_mm"),
+    (FocusSample, dict(z_mm=0.5, d_mean=1.0, d_stddev=0.0, n_trials=1), "d_mean"),
+    (FocusSample, dict(z_mm=0.5, d_mean=1.0, d_stddev=0.0, n_trials=1), "d_stddev"),
+]
+
+
+@pytest.mark.parametrize(("cls", "valid", "name"), FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in FLOAT_FIELDS])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_a_bool_in_a_float_field_is_refused(cls, valid, name, flag):
+    cls(**valid)
+    with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool, got"):
+        cls(**{**valid, name: flag})
 
 
 class TestSearchParams:
