@@ -2,14 +2,12 @@
 
 Images are immutable after construction and every function in this module is
 a pure function of its arguments (all randomness is behind explicit seeds),
-so concurrent use needs no locking. The one mutable part of an ``Image`` is
-a private memo ``optics.convolve`` keeps: the last zone spectrum, a cache of
-a pure function of the pixels, replaced whole by one attribute store. A
-reader sees either the old entry or the new one, both correct, so it needs
-no lock either: a camera's blur lanes all read and replace the one memo of
-its zone. ``draw_noise`` reads only its spec and the place and shape
-of its image, and writes only the field it returns, so it can run on any
-thread; the ``metric.Camera`` docstring says which threads run it.
+so concurrent use needs no locking. Nothing is kept on an image that is
+blurred: a zone spectrum is a value of its own (``optics.ZoneSpectrum``),
+which a ``metric.Camera`` plans and holds. ``draw_noise`` reads only its
+spec and the place and shape of its image, and writes only the field it
+returns, so it can run on any thread; the ``metric.Camera`` docstring says
+which threads run it.
 """
 
 from __future__ import annotations
@@ -81,8 +79,6 @@ class Image:
     origin: tuple[int, int] = (0, 0)
     frame_size: tuple[int, int] | None = None
     surround: np.ndarray | None = field(default=None, init=False, repr=False)
-    # (FFT shape, zone spectrum, cosine bases) of the last blur; see ``optics.convolve``.
-    _spectrum: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)

@@ -23,8 +23,8 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, refuse_bool, require_int
-from .optics import LensState, OpticalConfig, blur_radius, check_kernel_fits, convolve
-from .optics import make_pillbox_psf
+from .optics import LensState, OpticalConfig, ZoneSpectrum, blur_radius, check_kernel_fits
+from .optics import _plan, _zone_spectrum, convolve, make_pillbox_psf
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -96,11 +96,10 @@ class Camera:
     blurred zone itself, so a radius is measured once per kind however many
     probes and trials read it: by the call's kind on the lane that blurs it,
     and by any other kind on the calling thread when a later call reads it
-    by that kind. The cache ends with the camera, and so does the zone's
-    zone-transform memo of ``optics.convolve``, which every lane of every
-    call reads, so a call can blur through the spectrum an earlier call left.
-    Only a memo on an image passed to ``convolve`` or ``optics.capture``
-    directly lives on.
+    by that kind. The camera also keeps the zone spectrum its last transform
+    made (``optics.ZoneSpectrum``), so a later call, such as a search's
+    refine probe, blurs through it where its plan allows. Both end with the
+    camera; ``optics.convolve`` keeps nothing.
 
     Pool. One module-wide thread pool, sized to the usable CPUs, runs two
     kinds of task; numpy releases the GIL while it draws and transforms.
@@ -115,17 +114,21 @@ class Camera:
     cap stays a whole prefix per worker: it sets how far the
     draws run ahead of the captures, and so the draw schedule and the draws
     made per op, which this keeps as they were when each draw held its prefix.
+    The cap never binds on the benchmark's autofocus-512 op: its 125
+    captures are under the 289 draws two workers may hold, so all of them
+    are queued at its first call.
 
-    Blur lanes. Before it captures, a call blurs its new radii largest
-    first, on lanes that all blur the zone itself and so read its one zone
-    spectrum. The calling thread blurs the largest radius first, which
-    leaves a spectrum at that kernel's FFT shape or one that covers it;
-    every later blur whose own shape it covers within twice the area reuses
-    it (see ``optics``), and one that transforms replaces it, so a lane
-    reads the old entry or the new, both correct (see ``image``). Only then
-    does the call start min(radii left, usable CPUs) - 1 pool tasks, and
-    the calling thread and each of them pop one radius at a time from one
-    queue until it is empty. With sigma = 0 a lane also measures each zone
+    Blur lanes. Before it captures, a call plans its new radii, largest
+    first (``optics._plan``): from the camera's spectrum, each radius gets
+    the FFT shape it runs at, and each new shape is one zone spectrum. The
+    calling thread builds the first, unless the camera's serves, and only
+    then does the call start min(radii, usable CPUs) - 1 pool tasks. The
+    calling thread and each of them pop one radius at a time from one queue
+    until it is empty, the largest included, and blur it through its
+    planned spectrum; the first lane to pop a radius of a later spectrum
+    builds it, and a lane that pops another radius of it meanwhile waits.
+    So a call's transforms depend on its radii and the camera's spectrum
+    alone, not on the lanes. With sigma = 0 a lane also measures each zone
     it blurs, through every window by the call's kind; with sigma > 0 it
     only blurs. A lane task not yet started when the calling thread finds
     the queue empty is cancelled, having nothing left to take, so lanes
@@ -165,6 +168,7 @@ class Camera:
         self._identity = noise.derived(*paths[0], 0) if paths and not noise.sigma else None
         self._owner = threading.current_thread()
         self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
+        self._spectrum: ZoneSpectrum | None = None
         self._unsubmitted = (noise.derived(*path, t) for path in paths
                              for t in range(self._trials)) if noise.sigma else iter(())
         self._draws: deque[Future] = deque()
@@ -236,12 +240,16 @@ class Camera:
 
         With ``kind`` set, the lanes also measure each blurred zone by that kind.
         """
-        queue = deque(sorted(radii, reverse=True))
+        queue = self._planned(sorted(radii, reverse=True))
         if not queue:
             return
-        # The largest blur, on the calling thread, sets the zone spectrum that
-        # every other blur of the call reads.
-        blurred = _blur_lane(self._zone, deque([queue.popleft()]), self._windows, kind)
+        final = next((spectrum for _, spectrum in reversed(queue) if spectrum), None)
+        if final is not None:
+            # The plan holds the camera's spectrum if it serves; if not, it
+            # is freed before the transform that replaces it.
+            self._spectrum = None
+            queue[0][1].get()  # the first zone transform, on the calling thread
+        blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         futures: list[Future] = []
         try:
             for _ in range(min(len(queue), _usable_cpus()) - 1):
@@ -254,6 +262,24 @@ class Camera:
         finally:
             _settle(futures)
         self._blurred.update(blurred)
+        if final is not None:
+            self._spectrum = final.get()
+
+    def _planned(self, radii: Sequence[float]) -> deque[tuple[float, _Planned | None]]:
+        """Each radius, in order, with the planned spectrum it blurs through (``optics._plan``).
+
+        The identity kernel's radii, the smallest, get None. The camera's
+        spectrum serves the first radii if their shape is its own.
+        """
+        last, zone = self._spectrum, self._zone
+        spectrum = last and _Planned(zone, last.shape, last)
+        shapes = _plan(zone.height, zone.width, radii, last and last.shape)
+        queue: deque[tuple[float, _Planned | None]] = deque()
+        for radius, shape in zip(radii, shapes):
+            if shape is not None and (spectrum is None or spectrum.shape != shape):
+                spectrum = _Planned(zone, shape, None)
+            queue.append((radius, None if shape is None else spectrum))
+        return queue
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
@@ -261,10 +287,25 @@ class Camera:
             self._draws.append(_capture_pool().submit(draw_noise, spec, self._zone))
 
 
+class _Planned:
+    """One zone spectrum of a call's plan: built once, by the first lane that needs it."""
+
+    def __init__(self, zone: Image, shape: tuple[int, int], spectrum: ZoneSpectrum | None):
+        self.shape, self._zone, self._spectrum = shape, zone, spectrum
+        self._lock = threading.Lock()
+
+    def get(self) -> ZoneSpectrum:
+        with self._lock:
+            if self._spectrum is None:
+                self._spectrum = _zone_spectrum(self._zone, self.shape)
+            return self._spectrum
+
+
 def _blur_lane(
-    zone: Image, queue: deque[float], windows: Sequence[WindowSpec], kind: MetricKind | None,
+    zone: Image, queue: deque[tuple[float, _Planned | None]], windows: Sequence[WindowSpec],
+    kind: MetricKind | None,
 ) -> dict[float, tuple[Image, dict[MetricKind, list[int]]]]:
-    """Blur ``zone`` at each radius it pops from ``queue`` until it is empty.
+    """Blur ``zone`` at each radius it pops from ``queue``, through its planned spectrum.
 
     Each radius maps to its blurred zone and, with ``kind`` set, that zone's
     readings through ``windows`` by kind. An error clears the queue, so the
@@ -274,10 +315,10 @@ def _blur_lane(
     try:
         while True:
             try:
-                radius = queue.popleft()
+                radius, spectrum = queue.popleft()
             except IndexError:
                 return blurred
-            image = convolve(zone, make_pillbox_psf(radius))
+            image = convolve(spectrum.get() if spectrum else zone, make_pillbox_psf(radius))
             readings = {kind: [resolution(image, w, kind) for w in windows]} if kind else {}
             blurred[radius] = image, readings
     finally:

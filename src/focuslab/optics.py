@@ -39,14 +39,17 @@ whole-frame capture cropped to it:
   threads spin after a product and take CPU from them, so ``_product`` cuts
   each product into tiles small enough that OpenBLAS runs them on the
   calling thread, whatever thread count the process set.
-- Zone-transform memo. ``convolve`` keeps the last (shape, spectrum,
-  cosine bases) on the image it blurs, in a private field outside ``==``
-  and ``repr``. A blur runs at the cached shape, with its halo, when that
-  shape is at least the kernel's own on both axes and under twice its area
-  (``_REUSE_AREA``), and costs one kernel spectrum and one inverse there;
-  otherwise it transforms the zone at its own shape and caches that. So a
-  call that blurs its largest radius first serves every radius down to
-  half that shape's area from one zone transform.
+- Planned zone spectra. A zone transform is a value, ``ZoneSpectrum``: the
+  shape, the spectrum and the cosine bases, built by ``_zone_spectrum`` and
+  never written after. ``convolve`` given one runs at its shape, with its
+  halo, when that shape is at least the kernel's own on both axes and under
+  twice its area (``_REUSE_AREA``), and costs one kernel spectrum and one
+  inverse there; given an image, it transforms at the kernel's own shape
+  and keeps nothing. ``_plan`` replays that rule over a call's radii,
+  largest first, from their kernels' sides alone: each radius gets the
+  shape it runs at, and each new shape is one transform. So a call serves
+  every radius down to half its largest shape's area from one zone
+  transform, and ``metric.Camera`` builds each planned spectrum once.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -72,12 +75,12 @@ whole-frame capture cropped to it:
   build fills one (h + 1)² quadrant, about a quarter of the kernel (a
   1.6 MiB traced peak at R = 247); a capture's noise draws the whole
   64 Ki-sample chunks of the frame's rows above its zone into one reused
-  buffer (see ``image.draw_noise``); a zone transform drops the stale
-  spectrum first and runs both passes within the new one; and a blur
-  multiplies the zone's spectrum by the kernel's real half spectrum into
-  one new array, its mirrored rows included, inverts within that array and
-  runs the inverse's last pass on the box's rows, which it casts to bytes
-  directly.
+  buffer (see ``image.draw_noise``); a zone transform runs both passes
+  within its own spectrum, and a camera drops its last spectrum before it
+  transforms at another shape; and a blur multiplies the zone's spectrum
+  by the kernel's real half spectrum into one new array, its mirrored rows
+  included, inverts within that array and runs the inverse's last pass on
+  the box's rows, which it casts to bytes directly.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
 - Caches, noise draws and blur lanes. See ``metric.Camera``.
 """
@@ -86,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -305,10 +308,33 @@ def _fft_shape(height: int, width: int, kernel_size: int) -> tuple[int, int]:
 _REUSE_AREA = 2
 
 
-def _reuses(memo_shape: tuple[int, int], own: tuple[int, int]) -> bool:
-    """Whether a blur whose own FFT shape is ``own`` runs at the memo's shape instead."""
-    (my, mx), (oy, ox) = memo_shape, own
+def _reuses(shape: tuple[int, int], own: tuple[int, int]) -> bool:
+    """Whether a blur whose own FFT shape is ``own`` runs at a spectrum's ``shape`` instead."""
+    (my, mx), (oy, ox) = shape, own
     return my >= oy and mx >= ox and my * mx < _REUSE_AREA * oy * ox
+
+
+def _plan(
+    height: int, width: int, radii: Iterable[float], shape: tuple[int, int] | None,
+) -> list[tuple[int, int] | None]:
+    """The FFT shape each radius's blur of a height x width box runs at, blurred in order.
+
+    ``shape`` is the zone spectrum's at the start, or None. A blur runs at
+    the current shape when ``_reuses`` allows it, and otherwise at its own,
+    which becomes the current one: a new zone transform. The identity kernel
+    runs at none. Each kernel's side comes from ``pillbox_size``, so no
+    kernel is built.
+    """
+    shapes = []
+    for radius in radii:
+        if (size := pillbox_size(radius)) == 1:
+            shapes.append(None)
+            continue
+        own = _fft_shape(height, width, size)
+        if shape is None or not _reuses(shape, own):
+            shape = own
+        shapes.append(shape)
+    return shapes
 
 
 def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
@@ -380,7 +406,50 @@ def _kernel_spectrum(quarter: np.ndarray, bases: tuple[np.ndarray, np.ndarray]) 
     return _product(_product(rows, quarter), cols.T)
 
 
-def convolve(scene: Image, psf: PsfKernel) -> Image:
+@dataclass(frozen=True, eq=False)
+class ZoneSpectrum:
+    """A scene's zone transform at one FFT shape, which ``convolve`` takes in place of the scene.
+
+    ``values`` is the (L_y, L_x // 2 + 1) spectrum of the scene's box plus a
+    halo of (L - n) // 2 per axis, and ``bases`` the cosine bases of
+    ``_bases`` over the smaller halo. ``values`` is read-only and
+    ``convolve`` only reads ``bases``, so any number of threads may blur
+    through one spectrum at once. ``pixels`` are the
+    scene's, so what reads a blur's input as an image, such as perfbench's
+    tracer, reads its scene.
+    """
+
+    scene: Image
+    shape: tuple[int, int]
+    values: np.ndarray = field(repr=False)
+    bases: tuple[np.ndarray, np.ndarray] = field(repr=False)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        return self.scene.pixels
+
+
+def _halos(scene: Image, shape: tuple[int, int]) -> tuple[int, int]:
+    """The (rows, columns) halo that fills FFT ``shape`` around the scene's box."""
+    return (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
+
+
+def _zone_spectrum(scene: Image, shape: tuple[int, int]) -> ZoneSpectrum:
+    """Transform the scene's box plus the halo that fills FFT ``shape``: one zone transform.
+
+    The patch's row pass fills the zero-padded spectrum, and its column pass
+    runs there in place.
+    """
+    hy, hx = _halos(scene, shape)
+    values = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    patch_rows = values[: scene.height + 2 * hy]
+    np.fft.rfft(_halo_patch(scene, hy, hx), n=shape[1], axis=1, out=patch_rows)
+    np.fft.fft(values, axis=0, out=values)
+    values.setflags(write=False)
+    return ZoneSpectrum(scene, shape, values, _bases(shape, min(hy, hx)))
+
+
+def convolve(scene: Image | ZoneSpectrum, psf: PsfKernel) -> Image:
     """Blur a scene with a PSF kernel, replicating edge pixels at the border.
 
     Accumulates in float and rounds to nearest with exact .5 ties going
@@ -389,36 +458,30 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     (see the module docstring). Constant images map to themselves exactly
     and the 1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
     the same pixels as the whole frame's blur cropped to its box; a crop
-    without its surround can only take the identity kernel. The scene keeps
-    its last zone spectrum, and a later blur whose own FFT shape that
-    spectrum covers within twice the area runs at its shape and skips the
-    zone transform; the kernel's spectrum is two cosine products over its
-    quadrant, each on the calling thread, with cosine bases the zone
-    transform built (see the module docstring).
+    without its surround can only take the identity kernel. An image is
+    transformed at the kernel's own FFT shape, and nothing is kept. A
+    ``ZoneSpectrum`` of an image blurs that image: at the spectrum's shape,
+    skipping the zone transform, when that shape covers the kernel's own
+    within twice the area, and as the image otherwise. The kernel's spectrum
+    is two cosine products over its quadrant, each on the calling thread,
+    with the zone transform's cosine bases (see the module docstring).
     """
+    spectrum = None
+    if isinstance(scene, ZoneSpectrum):
+        spectrum, scene = scene, scene.scene
     check_kernel_fits(psf.radius_px, scene.frame_size, "the PSF has")
     if psf.size == 1:
         return scene
     if scene.surround is None:
         raise ValueError("a crop can only be blurred with its surround: cut it with Image.crop")
     # Circular convolution at a 5-smooth length >= box plus kernel per axis,
-    # the kernel's own or the memo's, with a halo H >= h that fills it. The
-    # kernel is centred on index 0, so the box's outputs are [H, H + n).
+    # the kernel's own or the spectrum's, with a halo H >= h that fills it.
+    # The kernel is centred on index 0, so the box's outputs are [H, H + n).
     own = _fft_shape(scene.height, scene.width, psf.size)
-    memo = scene._spectrum  # read once: another thread may replace it
-    if memo is not None and not _reuses(memo[0], own):
-        memo = None
-    shape = own if memo is None else memo[0]
-    hy, hx = (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
-    if memo is None:
-        # Drop the stale spectrum first. The patch's row pass fills the
-        # zero-padded spectrum, and its column pass runs there in place.
-        object.__setattr__(scene, "_spectrum", None)
-        zone = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-        patch_rows = zone[: scene.height + 2 * hy]
-        np.fft.rfft(_halo_patch(scene, hy, hx), n=shape[1], axis=1, out=patch_rows)
-        memo = (shape, np.fft.fft(zone, axis=0, out=zone), _bases(shape, min(hy, hx)))
-        object.__setattr__(scene, "_spectrum", memo)
+    if spectrum is None or not _reuses(spectrum.shape, own):
+        spectrum = _zone_spectrum(scene, own)
+    shape, zone = spectrum.shape, spectrum.values
+    hy, hx = _halos(scene, shape)
     # The kernel's spectrum is real and even in the row frequency: its rows
     # past L_y // 2 mirror rows 1..(L_y - 1) // 2, so two slice multiplies
     # fill the product from the half. Building the half with FFT passes in
@@ -427,17 +490,17 @@ def convolve(scene: Image, psf: PsfKernel) -> Image:
     # layout took 400-440. Over 20 fresh sweep-256 processes at
     # seed 11 with OPENBLAS_NUM_THREADS=1 on a 2-vCPU host (40 ops each after
     # 3 warm-ups), an op now takes 405-494 faults in 14 and 802-935 in 6.
-    half = _kernel_spectrum(psf.quarter, memo[2])
+    half = _kernel_spectrum(psf.quarter, spectrum.bases)
     mid = half.shape[0]
-    spectrum = np.empty_like(memo[1])
-    np.multiply(memo[1][:mid], half, out=spectrum[:mid])
-    np.multiply(memo[1][mid:], half[shape[0] - mid : 0 : -1], out=spectrum[mid:])
+    product = np.empty_like(zone)
+    np.multiply(zone[:mid], half, out=product[:mid])
+    np.multiply(zone[mid:], half[shape[0] - mid : 0 : -1], out=product[mid:])
     # Adding c L_y L_x to the DC bin adds c to every inverse value, so the
     # inverse comes out already offset for the rounding.
-    spectrum[0, 0] += _ROUND_HALF_DOWN * shape[0] * shape[1]
+    product[0, 0] += _ROUND_HALF_DOWN * shape[0] * shape[1]
     # The inverse runs irfft2's column pass in place, then its row pass on the box's rows alone.
-    np.fft.ifft(spectrum, axis=0, out=spectrum)
-    rows = spectrum[hy : hy + scene.height]
+    np.fft.ifft(product, axis=0, out=product)
+    rows = product[hy : hy + scene.height]
     blurred = np.fft.irfft(rows, n=shape[1], axis=1)[:, hx : hx + scene.width]
     return Image(blurred.astype(np.uint8), scene.origin, scene.frame_size)
 

@@ -9,6 +9,8 @@ the camera's window-local, pooled captures.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from focuslab import LensState, capture, resolution
@@ -146,6 +148,47 @@ def exact_blur(pixels: np.ndarray, counts: np.ndarray, box) -> np.ndarray:
                 total += int(counts[ky, kx]) * patch[sy : sy + y1 - y0, sx : sx + x1 - x0]
     t = int(counts.sum())
     return np.clip(-((t - 2 * total) // (2 * t)), 0, 255).astype(np.uint8)
+
+
+def naive_plan(height: int, width: int, radii, shape):
+    """The FFT shape each blur of a height x width box runs at, replaying the reuse rule in order.
+
+    ``shape`` is the zone spectrum's (rows, columns) at the start, or None.
+    A kernel of radius r is 1 px wide below r = 0.5, and 2 ceil(r) + 1 px
+    otherwise; the 1 px one runs at no shape and leaves the spectrum alone.
+    A blur's own length per axis is the least number 2^a 3^b 5^c that is at
+    least box plus kernel minus 1. It runs at the spectrum's shape when that
+    is at least its own on both axes and under twice its own area; otherwise
+    its own shape becomes the spectrum's.
+    """
+    shapes = []
+    for radius in radii:
+        kernel = 1 if radius < 0.5 else 2 * math.ceil(radius) + 1
+        if kernel == 1:
+            shapes.append(None)
+            continue
+        own = [min(n for n in _FIVE_SMOOTH if n >= side + kernel - 1) for side in (height, width)]
+        if (shape is None or shape[0] < own[0] or shape[1] < own[1]
+                or shape[0] * shape[1] >= 2 * own[0] * own[1]):
+            shape = tuple(own)
+        shapes.append(shape)
+    return shapes
+
+
+def naive_transforms(height: int, width: int, radii, shape) -> list:
+    """The shapes ``naive_plan`` transforms the zone at, in order: each shape new to the replay."""
+    transforms = []
+    for planned in naive_plan(height, width, radii, shape):
+        if planned is not None and planned != shape:
+            transforms.append(shape := planned)
+    return transforms
+
+
+# Every 2^a 3^b 5^c up to 2^14, more than box plus kernel reaches in the tests.
+_FIVE_SMOOTH = sorted(
+    2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)
+    if 2**a * 3**b * 5**c <= 2**14
+)
 
 
 def naive_probe(scene, cfg, z, noise, path, trials, window, kind) -> list[int]:

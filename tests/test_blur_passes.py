@@ -17,15 +17,13 @@ from focuslab import (
     NoiseSpec,
     WindowSpec,
     blur_radius,
-    convolve,
     make_pillbox_psf,
     make_step_edge,
     sweep,
 )
-from focuslab.optics import DEFAULT_SUPERSAMPLE, _cosines, _fft_shape, _kernel_spectrum
+from focuslab.optics import _cosines, _fft_shape, _kernel_spectrum, _zone_spectrum, pillbox_size
 
-from _oracles import exact_blur, naive_pillbox_counts
-from test_capture import _zone_transforms
+from test_capture import _blur_by_the_rule, _zone_transforms
 from test_parallel_capture import _lanes
 
 WIDTH, HEIGHT = 48, 40
@@ -49,30 +47,24 @@ RADII = (19.0, 16.5, 12.25, 9.0, 7.5, 3.3, 1.0, 0.5)
 
 @pytest.mark.parametrize("box", BOXES.values(), ids=BOXES)
 @pytest.mark.parametrize("scene", EXTREME_SCENES.values(), ids=EXTREME_SCENES)
-def test_unclamped_rounding_equals_exact_blur_at_the_byte_range_ends(scene, box):
+def test_unclamped_rounding_equals_exact_blur_at_the_byte_range_ends(monkeypatch, scene, box):
     # Exact values here are 0, 255 or means of both; the cast of v + 0.5 -
     # 1e-9 must floor them without a clamp, at a blur's own FFT shape and at
-    # a larger reused one.
-    crop = scene.crop(*box)
-    own_shape = reused_shape = False
-    for radius in RADII:
-        psf = make_pillbox_psf(radius)
-        got = convolve(crop, psf).pixels
-        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
-        assert np.array_equal(got, exact_blur(scene.pixels, counts, box)), radius
-        own = _fft_shape(crop.height, crop.width, psf.size)
-        own_shape |= crop._spectrum[0] == own
-        reused_shape |= crop._spectrum[0] != own
-    assert own_shape and reused_shape
+    # a larger planned one.
+    shapes = _blur_by_the_rule(scene, box, RADII, _zone_transforms(monkeypatch))
+    height, width = box[3] - box[1], box[2] - box[0]
+    owns = [_fft_shape(height, width, pillbox_size(r)) for r in RADII if pillbox_size(r) > 1]
+    assert any(shape == own for shape, own in zip(shapes, owns))
+    assert any(shape != own for shape, own in zip(shapes, owns))
 
 
 @pytest.mark.parametrize("box", [(0, 0, 31, 31), (3, 5, 34, 32), (2, 1, 41, 27)],
                          ids=["square-frame-corner", "square-inside", "oblong"])
-def test_bases_sliced_from_the_memo_give_a_fresh_kernel_spectrum_up_to_the_halo(box):
+def test_bases_of_a_zone_spectrum_give_a_fresh_kernel_spectrum_up_to_the_halo(box):
     scene = EXTREME_SCENES["checkerboard"]
     crop = scene.crop(*box)
-    convolve(crop, make_pillbox_psf(4.5))
-    shape, _, bases = crop._spectrum
+    spectrum = _zone_spectrum(crop, _fft_shape(crop.height, crop.width, pillbox_size(4.5)))
+    shape, bases = spectrum.shape, spectrum.bases
     halo = min((shape[0] - crop.height) // 2, (shape[1] - crop.width) // 2)
     assert [basis.shape for basis in bases] == [(n // 2 + 1, halo + 1) for n in shape]
     for h in range(halo + 1):

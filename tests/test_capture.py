@@ -40,9 +40,9 @@ from focuslab import (
     stability_study,
     sweep,
 )
-from focuslab.optics import DEFAULT_SUPERSAMPLE, _fast_len, _fft_shape, pillbox_size
+from focuslab.optics import DEFAULT_SUPERSAMPLE, _fft_shape, _plan, _zone_spectrum, pillbox_size
 
-from _oracles import exact_blur, naive_pillbox_counts
+from _oracles import exact_blur, naive_pillbox_counts, naive_plan, naive_transforms
 from test_parallel_capture import _lanes
 
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.005, d_max=100.0)
@@ -223,42 +223,42 @@ def _zone_transforms(monkeypatch):
 
 def _reuse_model(height: int, width: int, radii) -> tuple[list, list]:
     """The halo of each zone transform, and the FFT shape of each blur, that
-    blurring a fresh height x width box at these radii in order takes.
-
-    A blur runs at the last transform's shape when that is at least its own
-    on both axes and under twice its own area, and transforms at its own
-    shape otherwise; the identity kernel does neither.
+    blurring a height x width box at these radii in order takes, from no
+    spectrum: the replay of ``naive_plan``. The identity kernel takes neither.
     """
-    halos, shapes, memo = [], [], None
-    for radius in radii:
-        k = pillbox_size(radius)
-        if k == 1:
-            continue
-        own = (_fast_len(height + k - 1), _fast_len(width + k - 1))
-        if (memo is None or memo[0] < own[0] or memo[1] < own[1]
-                or memo[0] * memo[1] >= 2 * own[0] * own[1]):
-            memo = own
-            halos.append(((own[0] - height) // 2, (own[1] - width) // 2))
-        shapes.append(memo)
-    return halos, shapes
+    shapes = [shape for shape in naive_plan(height, width, radii, None) if shape is not None]
+    transforms = naive_transforms(height, width, radii, None)
+    return [((ly - height) // 2, (lx - width) // 2) for ly, lx in transforms], shapes
+
+
+def _planned_blurs(crop, radii):
+    """Blur ``crop`` at each radius in order, as a camera does: through a new
+    ``ZoneSpectrum`` at each new shape that ``optics._plan`` gives, from no
+    spectrum. Yields each radius's blurred crop and the shape it ran at.
+    """
+    spectrum = None
+    for radius, shape in zip(radii, _plan(crop.height, crop.width, radii, None)):
+        if shape is not None and (spectrum is None or spectrum.shape != shape):
+            spectrum = _zone_spectrum(crop, shape)
+        yield convolve(crop if shape is None else spectrum, make_pillbox_psf(radius)), shape
 
 
 def _blur_by_the_rule(frame, box, radii, transforms) -> list[tuple[int, int]]:
-    """Blur a fresh crop of ``frame`` at each radius in order, each equal to
-    ``exact_blur``, with the transforms and shapes of ``_reuse_model``.
+    """Blur a crop of ``frame`` at each radius in order through its planned
+    spectrum, each equal to ``exact_blur``, with the transforms and shapes of
+    ``_reuse_model``.
 
     ``transforms`` is a ``_zone_transforms`` list, empty at the call.
-    Returns the FFT shape each blur ran at, read from the crop's memo.
+    Returns the FFT shape each blur ran at.
     """
-    crop = frame.crop(*box)
     shapes = []
-    for radius in radii:
+    for radius, (blurred, shape) in zip(radii, _planned_blurs(frame.crop(*box), radii)):
         counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
-        got = convolve(crop, make_pillbox_psf(radius)).pixels
-        assert np.array_equal(got, exact_blur(frame.pixels, counts, box)), radius
-        if pillbox_size(radius) > 1:
-            shapes.append(crop._spectrum[0])
-    assert (transforms, shapes) == _reuse_model(crop.height, crop.width, radii)
+        assert np.array_equal(blurred.pixels, exact_blur(frame.pixels, counts, box)), radius
+        if shape is not None:
+            shapes.append(shape)
+    x0, y0, x1, y1 = box
+    assert (transforms, shapes) == _reuse_model(y1 - y0, x1 - x0, radii)
     return shapes
 
 
@@ -266,12 +266,12 @@ def _blur_by_the_rule(frame, box, radii, transforms) -> list[tuple[int, int]]:
 # while it is under twice its own area), then a large radius that the last
 # spectrum is too small for, then a small one whose own area the large
 # spectrum is more than twice.
-MEMO_RADII = [31.5 * k / 16 for k in range(16, 0, -1)] + [120.25, 2.0]
+REUSE_RADII = [31.5 * k / 16 for k in range(16, 0, -1)] + [120.25, 2.0]
 
 
-def test_memo_hits_misses_and_returns_equal_exact_blur(monkeypatch, texture_512):
+def test_planned_hits_misses_and_returns_equal_exact_blur(monkeypatch, texture_512):
     transforms = _zone_transforms(monkeypatch)
-    _blur_by_the_rule(texture_512, (240, 240, 271, 271), MEMO_RADII, transforms)
+    _blur_by_the_rule(texture_512, (240, 240, 271, 271), REUSE_RADII, transforms)
     assert transforms == [(32, 32), (16, 16), (7, 7), (128, 128), (2, 2)]
 
 
@@ -327,19 +327,38 @@ def test_the_reuse_rule_at_twice_the_area_and_at_every_parity(monkeypatch):
 PERSISTENT = make_texture(120, 104, 7)
 
 
-def test_whole_frame_memo_survives_between_calls(monkeypatch):
+def test_a_blur_keeps_nothing_on_its_image_and_a_camera_keeps_its_last_spectrum(monkeypatch):
     # 3.0 and 3.4 px share the 120 x 128 FFT shape (halo 8 x 4) and 9.0 px
-    # needs 125 x 144 (halo 10 x 12), which the later blurs reuse: it is 1.17
-    # times their own area. The identity kernel leaves the memo alone.
+    # needs 125 x 144 (halo 10 x 12), which 2.5 px then reuses: it is 1.17
+    # times that one's own area. The identity kernel leaves the spectrum alone.
+    zs = [radius / PX_PER_MM for radius in (3.0, 3.4, 9.0, 0.0, 2.5)]
+    radii = [blur_radius(CFG, LensState(z)).px for z in zs]
+    expected = {
+        radius: exact_blur(PERSISTENT.pixels, naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE),
+                           (0, 0, 120, 104))
+        for radius in radii
+    }
+    attributes = dict(vars(PERSISTENT))
     transforms = _zone_transforms(monkeypatch)
-    for radius in (3.0, 3.4, 9.0, 3.0, 0.0, 3.4):
-        counts = naive_pillbox_counts(radius, DEFAULT_SUPERSAMPLE)
-        got = convolve(PERSISTENT, make_pillbox_psf(radius)).pixels
-        assert np.array_equal(got, exact_blur(PERSISTENT.pixels, counts, (0, 0, 120, 104))), radius
+    for radius in radii:  # an image alone transforms at each kernel's own shape, every time
+        assert np.array_equal(convolve(PERSISTENT, make_pillbox_psf(radius)).pixels,
+                              expected[radius]), radius
+    assert transforms == [(8, 4), (8, 4), (10, 12), (8, 4)]
+    assert vars(PERSISTENT).keys() == attributes.keys()
+    assert all(vars(PERSISTENT)[name] is value for name, value in attributes.items())
+
+    # Two windows whose box is the whole frame: one call per radius, each
+    # blurring through the spectrum the last call left.
+    transforms.clear()
+    windows = [WindowSpec(51, 51, 104), WindowSpec(67, 51, 104)]
+    paths = [(i,) for i in range(len(zs))]
+    with Camera(PERSISTENT, CFG, windows, NoiseSpec(0.0), paths, 1) as camera:
+        for z, radius in zip(zs, radii):
+            values = camera.readings([z], MetricKind.SQUARED)
+            blurred = Image(expected[radius])
+            assert values.tolist() == [[[resolution(blurred, w, MetricKind.SQUARED)
+                                         for w in windows]]], radius
     assert transforms == [(8, 4), (10, 12)]
-    # The memo is private: equality and repr do not see it.
-    assert PERSISTENT == make_texture(120, 104, 7)
-    assert repr(PERSISTENT) == repr(make_texture(120, 104, 7))
 
 
 def _sweep_zs(z_max: float, half_count: int = 16) -> list[float]:
@@ -644,24 +663,28 @@ def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):
     assert report.argmax_z_mm == argmax
 
 
-def test_threads_sharing_one_frame_and_its_memo_blur_correctly():
-    # Threads blurring one image race on its memo; whichever entry a thread
-    # reads, its blur must equal the exact one.
+def test_threads_sharing_one_frame_and_one_spectrum_blur_correctly():
+    # Threads blurring one image through one read-only spectrum, or through
+    # the image alone, each get the exact blur.
     scene = make_texture(64, 48, 9)
-    # Four FFT shapes; the largest is over twice the others' area, so the memo keeps changing.
+    # Four FFT shapes; the largest is over twice the others' area, so only
+    # radius 20 blurs at the spectrum's and the others transform at their own.
     radii = (1.0, 3.0, 6.0, 20.0)
     expected = {
         r: exact_blur(scene.pixels, naive_pillbox_counts(r, DEFAULT_SUPERSAMPLE), (0, 0, 64, 48))
         for r in radii
     }
     psfs = {r: make_pillbox_psf(r) for r in radii}
+    spectrum = _zone_spectrum(scene, _fft_shape(48, 64, psfs[20.0].size))
+    values = spectrum.values.copy()
     wrong = []
 
     def work(offset):
         for i in range(200):
             r = radii[(i + offset) % len(radii)]
             try:
-                if not np.array_equal(convolve(scene, psfs[r]).pixels, expected[r]):
+                blurred = convolve(spectrum if i % 2 else scene, psfs[r])
+                if not np.array_equal(blurred.pixels, expected[r]):
                     wrong.append(r)
             except ValueError as exc:  # e.g. spectra of two shapes multiplied
                 wrong.append(exc)
@@ -678,3 +701,4 @@ def test_threads_sharing_one_frame_and_its_memo_blur_correctly():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+    assert np.array_equal(spectrum.values, values) and not spectrum.values.flags.writeable

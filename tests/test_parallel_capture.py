@@ -2,11 +2,11 @@
 
 ``metric.Camera`` draws the noise of each noisy capture of a sweep, search
 or stability study as one task on a module-wide thread pool, queued ahead of
-the blur, and blurs a call's new radii largest first on lanes that all read
-one zone spectrum: the calling thread blurs the largest radius, which sets
-that spectrum, and only then starts a pool lane per further radius up to
-one lane per CPU, each lane taking one radius at a time from one shared
-queue. In a noiseless call a lane also measures each zone it blurs; in a
+the blur, and blurs a call's new radii largest first on lanes that read the
+zone spectra the camera plans: the calling thread makes the first zone
+transform, and only then starts a pool lane per further radius up to one
+lane per CPU, each lane, the calling thread's included, taking one radius
+at a time from one shared queue. In a noiseless call a lane also measures each zone it blurs; in a
 noisy one the calling thread applies each draw and measures the capture in
 capture order. Results must not depend on the pool: every study equals the
 serial oracle, each radius is blurred and measured once whichever lane
@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 import focuslab
 import focuslab.metric
+import focuslab.optics
 from focuslab import (
     Camera,
     LensState,
@@ -54,7 +55,7 @@ from focuslab import (
 
 from focuslab.optics import _fft_shape, pillbox_size
 
-from _oracles import naive_probe
+from _oracles import naive_probe, naive_transforms
 
 # 0.4 blur px per 0.01 mm: kernels stay within a 96 px scene over +-1 mm.
 CFG = OpticalConfig(a_mm=1000.0, f_mm=50.0, g=2.0, pixel_pitch_mm=0.02, d_max=100.0)
@@ -315,6 +316,24 @@ class _BlurLog:
         patch.setattr(focuslab.metric, "convolve", blurring)
 
 
+def _transforms(radii) -> int:
+    """The zone transforms a call that blurs ``radii`` of a fresh ``WINDOW`` zone takes."""
+    return len(naive_transforms(WINDOW.n, WINDOW.n, sorted(radii, reverse=True), None))
+
+
+def _transform_spy(patch) -> list[tuple[int, int]]:
+    """Wrap the zone-transform builder, the camera's binding and ``convolve``'s; list each shape."""
+    shapes, build = [], focuslab.optics._zone_spectrum
+
+    def building(scene, shape):
+        shapes.append(shape)
+        return build(scene, shape)
+
+    for module in (focuslab.metric, focuslab.optics):
+        patch.setattr(module, "_zone_spectrum", building)
+    return shapes
+
+
 def _kernels(radii) -> set[float]:
     """The radii whose kernel is not the identity."""
     return {r for r in radii if pillbox_size(r) > 1}
@@ -342,12 +361,12 @@ def test_a_blur_that_raises_on_a_pool_lane_reaches_the_caller():
 @pytest.mark.parametrize("fail_on", (None, "caller"))
 @pytest.mark.parametrize("pool_busy", (False, True))
 def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
-    # The calling thread's first blur ends before the lane task is queued.
-    # With the pool busy, the lane task is still queued when the calling
-    # thread has emptied the queue, or raised on its second blur: it is
-    # cancelled, having nothing to take. With the pool free, the lane runs on
-    # a worker while the caller blurs. Noiseless, so that no draw waits behind
-    # the busy pool.
+    # The calling thread's zone transform ends before the lane task is
+    # queued. With the pool busy, the lane task is still queued when the
+    # calling thread has emptied the queue, or raised on its second blur: it
+    # is cancelled, having nothing to take. With the pool free, the lane runs
+    # on a worker while the caller blurs, and either may blur first.
+    # Noiseless, so that no draw waits behind the busy pool.
     workers = focuslab.metric._usable_cpus()
     noiseless = lambda: sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, ZS, NoiseSpec(0.0), 1)
     expected = noiseless()
@@ -370,7 +389,7 @@ def test_no_blur_lane_runs_or_waits_after_readings(fail_on, pool_busy):
         blocker.result()
     _drain_pool()
     assert log.started == started  # none queued: a cancelled lane never starts
-    assert log.threads[0] == "caller"
+    assert "caller" in log.threads
     assert ("pool" in log.threads) == (not pool_busy)
     if not fail_on:
         assert started == len({blur_radius(CFG, LensState(z)).px for z in ZS})
@@ -406,27 +425,33 @@ def test_the_33_value_sweep_has_more_new_radii_than_lanes():
 
 @pytest.mark.parametrize("sigma", (0.0, 2.0))
 @pytest.mark.parametrize("cpus", (2, 4))
-def test_the_first_blur_ends_on_the_calling_thread_before_any_lane_blurs(cpus, sigma):
+def test_the_zone_transform_ends_on_the_calling_thread_before_any_lane_blurs(cpus, sigma):
     events, lock = [], threading.Lock()
     with _lanes(cpus) as patch:
-        blur, caller = focuslab.metric.convolve, threading.current_thread()
+        caller = threading.current_thread()
 
-        def blurring(scene, psf):
-            thread = "caller" if threading.current_thread() is caller else "pool"
-            with lock:
-                events.append(("start", thread))
-            time.sleep(0.005)
-            try:
-                return blur(scene, psf)
-            finally:
+        def logged(name, fn):
+            def logging(*args):
+                thread = "caller" if threading.current_thread() is caller else "pool"
                 with lock:
-                    events.append(("end", thread))
+                    events.append((name, "start", thread))
+                time.sleep(0.005)
+                try:
+                    return fn(*args)
+                finally:
+                    with lock:
+                        events.append((name, "end", thread))
+            return logging
 
-        patch.setattr(focuslab.metric, "convolve", blurring)
+        for name in ("_zone_spectrum", "convolve"):
+            patch.setattr(focuslab.metric, name, logged(name, getattr(focuslab.metric, name)))
         sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, SWEEP_ZS, NoiseSpec(sigma, 5), 1)
-    assert events[:2] == [("start", "caller"), ("end", "caller")]
-    assert ("start", "pool") in events
-    assert len(events) == 2 * len(SWEEP_RADII)
+    transform = [("_zone_spectrum", "start", "caller"), ("_zone_spectrum", "end", "caller")]
+    assert events[:2] == transform
+    starts = [(name, thread) for name, at, thread in events if at == "start"]
+    blurs = [thread for name, thread in starts if name == "convolve"]
+    assert len(blurs) == len(SWEEP_RADII) and {"caller", "pool"} <= set(blurs)
+    assert len(starts) - len(blurs) == _transforms(SWEEP_RADII) == 2
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 4))
@@ -462,10 +487,10 @@ def test_a_noisy_call_measures_on_the_calling_thread_only(cpus):
 
 
 def test_a_lane_that_raises_clears_the_queue():
-    # The calling thread blurs the largest radius, starts the pool lane, and
-    # its second blur waits for the pool lane's first blur, which raises. So
-    # each lane holds one radius when the queue is cleared: the calling
-    # thread finishes its radius and takes no other.
+    # After the zone transform the calling thread starts the pool lane and
+    # blurs; its first blur waits for the pool lane's first blur, which
+    # raises. So each lane holds one radius when the queue is cleared: the
+    # calling thread finishes its radius and takes no other.
     failed, lock = threading.Event(), threading.Lock()
     radii: dict[str, list[float]] = {"caller": [], "pool": []}
     finished = []
@@ -480,8 +505,7 @@ def test_a_lane_that_raises_clears_the_queue():
                 if thread == "pool":
                     failed.set()
                     raise ValueError("blur failed on a pool lane")
-                if len(radii["caller"]) > 1:
-                    assert failed.wait(30)
+                assert failed.wait(30)
                 return blur(scene, psf)
             finally:
                 with lock:
@@ -495,9 +519,8 @@ def test_a_lane_that_raises_clears_the_queue():
     _drain_pool()
     assert len(radii["caller"]) + len(radii["pool"]) == started  # none queued
     largest = sorted(SWEEP_RADII, reverse=True)
-    assert radii["caller"][0] == largest[0]
-    assert len(radii["caller"]) == 2 and len(radii["pool"]) == 1
-    assert sorted(radii["caller"][1:] + radii["pool"], reverse=True) == largest[1:3]
+    assert len(radii["caller"]) == 1 and len(radii["pool"]) == 1
+    assert sorted(radii["caller"] + radii["pool"], reverse=True) == largest[:2]
 
 
 def test_concurrent_callers_blurring_on_lanes_each_get_their_serial_result():
@@ -581,6 +604,7 @@ def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
     noise, paths = NoiseSpec(sigma, seed), [(i,) for i in range(len(zs))]
     built, blurred = [], []
     with _lanes(cpus) as patch:
+        transforms = _transform_spy(patch)
         build, blur = focuslab.metric.make_pillbox_psf, focuslab.metric.convolve
         patch.setattr(focuslab.metric, "make_pillbox_psf",
                       lambda radius: built.append(radius) or build(radius))
@@ -589,6 +613,15 @@ def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
         with Camera(SCENE, CFG, ws, noise, paths, 2) as camera:
             readings = [trials for call in calls for trials in camera.readings(call, kind)]
     assert sorted(built) == sorted(blurred) == sorted(set(radii))
+    # Each call transforms at the new shapes of its new radii's plan, from
+    # the last shape the calls before it transformed at.
+    planned, seen = [], set()
+    for call in calls:
+        new = {blur_radius(CFG, LensState(z)).px for z in call} - seen
+        seen |= new
+        last = planned[-1] if planned else None
+        planned += naive_transforms(height, width, sorted(new, reverse=True), last)
+    assert sorted(transforms) == sorted(planned)  # lanes may start two transforms in either order
     for z, path, trials in zip(zs, paths, readings):
         for t, values in enumerate(trials):
             whole = capture(SCENE, CFG, LensState(z), noise.derived(*path, t))
