@@ -24,7 +24,7 @@ import numpy as np
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, add_noise, draw_noise, refuse_bool, require_int
 from .optics import LensState, OpticalConfig, ZoneSpectrum, blur_radius, check_kernel_fits
-from .optics import _plan, _zone_spectrum, convolve, make_pillbox_psf
+from .optics import _plan, convolve, make_pillbox_psf
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -120,17 +120,18 @@ class Camera:
 
     Blur lanes. Before it captures, a call plans its new radii, largest
     first (``optics._plan``): from the camera's spectrum, each radius gets
-    the FFT shape it runs at, and each new shape is one zone spectrum. The
-    calling thread builds the first, unless the camera's serves, and only
-    then does the call start min(radii, usable CPUs) - 1 pool tasks. The
-    calling thread and each of them pop one radius at a time from one queue
-    until it is empty, the largest included, and blur it through its
-    planned spectrum; the first lane to pop a radius of a later spectrum
-    builds it, and a lane that pops another radius of it meanwhile waits.
-    So a call's transforms depend on its radii and the camera's spectrum
-    alone, not on the lanes. With sigma = 0 a lane also measures each zone
-    it blurs, through every window by the call's kind; with sigma > 0 it
-    only blurs. A lane task not yet started when the calling thread finds
+    the zone spectrum it blurs through, and each new spectrum is one zone
+    transform, made on its first use. The camera keeps the plan's last
+    spectrum, and the calling thread transforms the first, unless the
+    camera's serves; only then does the call start min(radii, usable CPUs)
+    minus 1 pool tasks. The calling thread and each of them pop one radius
+    at a time from one queue until it is empty, the largest included, and
+    blur it through its planned spectrum; the first lane to blur through a
+    later spectrum transforms it, and a lane that pops another radius of it
+    meanwhile waits. So a call's transforms depend on its radii and the
+    camera's spectrum alone, not on the lanes. With sigma = 0 a lane also
+    measures each zone it blurs, through every window by the call's kind;
+    with sigma > 0 it only blurs. A lane task not yet started when the calling thread finds
     the queue empty is cancelled, having nothing left to take, so lanes
     queued behind draws cost no wait. A lane that raises clears the queue,
     so the others stop after the radius they hold. The lane tasks end with
@@ -240,15 +241,16 @@ class Camera:
 
         With ``kind`` set, the lanes also measure each blurred zone by that kind.
         """
-        queue = self._planned(sorted(radii, reverse=True))
+        radii = sorted(radii, reverse=True)
+        queue = deque(zip(radii, _plan(self._zone, radii, self._spectrum)))
         if not queue:
             return
-        final = next((spectrum for _, spectrum in reversed(queue) if spectrum), None)
-        if final is not None:
-            # The plan holds the camera's spectrum if it serves; if not, it
-            # is freed before the transform that replaces it.
-            self._spectrum = None
-            queue[0][1].get()  # the first zone transform, on the calling thread
+        # The camera keeps the plan's last spectrum. Its old one, unless the
+        # plan reuses it, is freed before the transform that replaces it.
+        self._spectrum = next((spectrum for _, spectrum in reversed(queue) if spectrum),
+                              self._spectrum)
+        if queue[0][1]:
+            queue[0][1].transform()  # the first zone transform, on the calling thread
         blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
         futures: list[Future] = []
         try:
@@ -262,24 +264,6 @@ class Camera:
         finally:
             _settle(futures)
         self._blurred.update(blurred)
-        if final is not None:
-            self._spectrum = final.get()
-
-    def _planned(self, radii: Sequence[float]) -> deque[tuple[float, _Planned | None]]:
-        """Each radius, in order, with the planned spectrum it blurs through (``optics._plan``).
-
-        The identity kernel's radii, the smallest, get None. The camera's
-        spectrum serves the first radii if their shape is its own.
-        """
-        last, zone = self._spectrum, self._zone
-        spectrum = last and _Planned(zone, last.shape, last)
-        shapes = _plan(zone.height, zone.width, radii, last and last.shape)
-        queue: deque[tuple[float, _Planned | None]] = deque()
-        for radius, shape in zip(radii, shapes):
-            if shape is not None and (spectrum is None or spectrum.shape != shape):
-                spectrum = _Planned(zone, shape, None)
-            queue.append((radius, None if shape is None else spectrum))
-        return queue
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
@@ -287,22 +271,8 @@ class Camera:
             self._draws.append(_capture_pool().submit(draw_noise, spec, self._zone))
 
 
-class _Planned:
-    """One zone spectrum of a call's plan: built once, by the first lane that needs it."""
-
-    def __init__(self, zone: Image, shape: tuple[int, int], spectrum: ZoneSpectrum | None):
-        self.shape, self._zone, self._spectrum = shape, zone, spectrum
-        self._lock = threading.Lock()
-
-    def get(self) -> ZoneSpectrum:
-        with self._lock:
-            if self._spectrum is None:
-                self._spectrum = _zone_spectrum(self._zone, self.shape)
-            return self._spectrum
-
-
 def _blur_lane(
-    zone: Image, queue: deque[tuple[float, _Planned | None]], windows: Sequence[WindowSpec],
+    zone: Image, queue: deque[tuple[float, ZoneSpectrum | None]], windows: Sequence[WindowSpec],
     kind: MetricKind | None,
 ) -> dict[float, tuple[Image, dict[MetricKind, list[int]]]]:
     """Blur ``zone`` at each radius it pops from ``queue``, through its planned spectrum.
@@ -318,7 +288,7 @@ def _blur_lane(
                 radius, spectrum = queue.popleft()
             except IndexError:
                 return blurred
-            image = convolve(spectrum.get() if spectrum else zone, make_pillbox_psf(radius))
+            image = convolve(spectrum or zone, make_pillbox_psf(radius))
             readings = {kind: [resolution(image, w, kind) for w in windows]} if kind else {}
             blurred[radius] = image, readings
     finally:

@@ -39,17 +39,19 @@ whole-frame capture cropped to it:
   threads spin after a product and take CPU from them, so ``_product`` cuts
   each product into tiles small enough that OpenBLAS runs them on the
   calling thread, whatever thread count the process set.
-- Planned zone spectra. A zone transform is a value, ``ZoneSpectrum``: the
-  shape, the spectrum and the cosine bases, built by ``_zone_spectrum`` and
-  never written after. ``convolve`` given one runs at its shape, with its
-  halo, when that shape is at least the kernel's own on both axes and under
-  twice its area (``_REUSE_AREA``), and costs one kernel spectrum and one
-  inverse there; given an image, it transforms at the kernel's own shape
-  and keeps nothing. ``_plan`` replays that rule over a call's radii,
-  largest first, from their kernels' sides alone: each radius gets the
-  shape it runs at, and each new shape is one transform. So a call serves
-  every radius down to half its largest shape's area from one zone
-  transform, and ``metric.Camera`` builds each planned spectrum once.
+- Planned zone spectra. A zone transform belongs to a ``ZoneSpectrum``, a
+  scene and an FFT shape whose spectrum and cosine bases are made by
+  ``_zone_spectrum`` on its first use and never written after. ``convolve``
+  given one runs at its shape, with its halo, which must hold the kernel,
+  and costs one kernel spectrum and one inverse there; given an image, it
+  blurs through a fresh spectrum at the kernel's own shape and keeps
+  nothing. ``_plan`` is the one reuse rule: over a call's radii, largest
+  first, it hands each radius the current spectrum while that one's shape
+  is at least the kernel's own on both axes and under twice its area
+  (``_REUSE_AREA``), and a new spectrum at the kernel's own shape
+  otherwise, from their kernels' sides alone. So a call serves every
+  radius down to half its largest shape's area from one zone transform,
+  and each spectrum ``metric.Camera`` plans is transformed once.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -88,6 +90,7 @@ whole-frame capture cropped to it:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
@@ -308,33 +311,31 @@ def _fft_shape(height: int, width: int, kernel_size: int) -> tuple[int, int]:
 _REUSE_AREA = 2
 
 
-def _reuses(shape: tuple[int, int], own: tuple[int, int]) -> bool:
-    """Whether a blur whose own FFT shape is ``own`` runs at a spectrum's ``shape`` instead."""
-    (my, mx), (oy, ox) = shape, own
-    return my >= oy and mx >= ox and my * mx < _REUSE_AREA * oy * ox
-
-
 def _plan(
-    height: int, width: int, radii: Iterable[float], shape: tuple[int, int] | None,
-) -> list[tuple[int, int] | None]:
-    """The FFT shape each radius's blur of a height x width box runs at, blurred in order.
+    scene: Image, radii: Iterable[float], last: ZoneSpectrum | None,
+) -> list[ZoneSpectrum | None]:
+    """The zone spectrum each radius's blur of ``scene`` runs through, blurred in order.
 
-    ``shape`` is the zone spectrum's at the start, or None. A blur runs at
-    the current shape when ``_reuses`` allows it, and otherwise at its own,
-    which becomes the current one: a new zone transform. The identity kernel
-    runs at none. Each kernel's side comes from ``pillbox_size``, so no
-    kernel is built.
+    ``last`` is the spectrum before the first radius, or None. A blur runs
+    through the current spectrum when its shape is at least the blur's own
+    FFT shape on both axes and under ``_REUSE_AREA`` times its area, and
+    otherwise through a new spectrum at its own shape, which becomes the
+    current one: a zone transform, made on the spectrum's first use. So a
+    run of radii at one shape shares one spectrum, ``last`` included. The
+    identity kernel runs through none. Each kernel's side comes from
+    ``pillbox_size``, so no kernel is built and nothing is transformed.
     """
-    shapes = []
+    plan, spectrum = [], last
     for radius in radii:
         if (size := pillbox_size(radius)) == 1:
-            shapes.append(None)
+            plan.append(None)
             continue
-        own = _fft_shape(height, width, size)
-        if shape is None or not _reuses(shape, own):
-            shape = own
-        shapes.append(shape)
-    return shapes
+        oy, ox = _fft_shape(scene.height, scene.width, size)
+        my, mx = spectrum.shape if spectrum else (0, 0)
+        if not (my >= oy and mx >= ox and my * mx < _REUSE_AREA * oy * ox):
+            spectrum = ZoneSpectrum(scene, (oy, ox))
+        plan.append(spectrum)
+    return plan
 
 
 def _halo_patch(scene: Image, hy: int, hx: int) -> np.ndarray:
@@ -406,27 +407,33 @@ def _kernel_spectrum(quarter: np.ndarray, bases: tuple[np.ndarray, np.ndarray]) 
     return _product(_product(rows, quarter), cols.T)
 
 
-@dataclass(frozen=True, eq=False)
 class ZoneSpectrum:
-    """A scene's zone transform at one FFT shape, which ``convolve`` takes in place of the scene.
+    """A scene's zone spectrum at one FFT shape, which ``convolve`` takes in place of the scene.
 
-    ``values`` is the (L_y, L_x // 2 + 1) spectrum of the scene's box plus a
-    halo of (L - n) // 2 per axis, and ``bases`` the cosine bases of
-    ``_bases`` over the smaller halo. ``values`` is read-only and
-    ``convolve`` only reads ``bases``, so any number of threads may blur
-    through one spectrum at once. ``pixels`` are the
-    scene's, so what reads a blur's input as an image, such as perfbench's
-    tracer, reads its scene.
+    ``transform()`` returns (values, bases): ``values`` is the read-only
+    (L_y, L_x // 2 + 1) spectrum of the scene's box plus a halo of
+    (L - n) // 2 per axis, and ``bases`` the cosine bases of ``_bases`` over
+    the smaller halo. Its first call makes the zone transform, under the
+    spectrum's own lock, and every later call, on any thread, shares that
+    result, which ``convolve`` only reads. So any number of threads may blur
+    through one spectrum at once. ``pixels`` are the scene's, so what reads
+    a blur's input as an image, such as perfbench's tracer, reads its scene.
     """
 
-    scene: Image
-    shape: tuple[int, int]
-    values: np.ndarray = field(repr=False)
-    bases: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    def __init__(self, scene: Image, shape: tuple[int, int]):
+        self.scene, self.shape = scene, shape
+        self._lock = threading.Lock()
+        self._transform: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def pixels(self) -> np.ndarray:
         return self.scene.pixels
+
+    def transform(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        with self._lock:
+            if self._transform is None:
+                self._transform = _zone_spectrum(self.scene, self.shape)
+            return self._transform
 
 
 def _halos(scene: Image, shape: tuple[int, int]) -> tuple[int, int]:
@@ -434,11 +441,14 @@ def _halos(scene: Image, shape: tuple[int, int]) -> tuple[int, int]:
     return (shape[0] - scene.height) // 2, (shape[1] - scene.width) // 2
 
 
-def _zone_spectrum(scene: Image, shape: tuple[int, int]) -> ZoneSpectrum:
+def _zone_spectrum(
+    scene: Image, shape: tuple[int, int],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Transform the scene's box plus the halo that fills FFT ``shape``: one zone transform.
 
-    The patch's row pass fills the zero-padded spectrum, and its column pass
-    runs there in place.
+    Returns ``ZoneSpectrum.transform``'s (values, bases). The patch's row
+    pass fills the zero-padded spectrum, and its column pass runs there in
+    place.
     """
     hy, hx = _halos(scene, shape)
     values = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
@@ -446,7 +456,7 @@ def _zone_spectrum(scene: Image, shape: tuple[int, int]) -> ZoneSpectrum:
     np.fft.rfft(_halo_patch(scene, hy, hx), n=shape[1], axis=1, out=patch_rows)
     np.fft.fft(values, axis=0, out=values)
     values.setflags(write=False)
-    return ZoneSpectrum(scene, shape, values, _bases(shape, min(hy, hx)))
+    return values, _bases(shape, min(hy, hx))
 
 
 def convolve(scene: Image | ZoneSpectrum, psf: PsfKernel) -> Image:
@@ -458,17 +468,17 @@ def convolve(scene: Image | ZoneSpectrum, psf: PsfKernel) -> Image:
     (see the module docstring). Constant images map to themselves exactly
     and the 1x1 identity kernel is a no-op. A crop cut by ``Image.crop`` blurs to
     the same pixels as the whole frame's blur cropped to its box; a crop
-    without its surround can only take the identity kernel. An image is
-    transformed at the kernel's own FFT shape, and nothing is kept. A
-    ``ZoneSpectrum`` of an image blurs that image: at the spectrum's shape,
-    skipping the zone transform, when that shape covers the kernel's own
-    within twice the area, and as the image otherwise. The kernel's spectrum
+    without its surround can only take the identity kernel. A
+    ``ZoneSpectrum`` of an image blurs that image at the spectrum's shape,
+    skipping the zone transform once the spectrum has made it; a spectrum
+    whose halo is narrower than the kernel's half-width on either axis is
+    refused with a ValueError. An image blurs through a fresh spectrum at
+    the kernel's own FFT shape, and nothing is kept. The kernel's spectrum
     is two cosine products over its quadrant, each on the calling thread,
     with the zone transform's cosine bases (see the module docstring).
     """
-    spectrum = None
-    if isinstance(scene, ZoneSpectrum):
-        spectrum, scene = scene, scene.scene
+    spectrum = scene if isinstance(scene, ZoneSpectrum) else None
+    scene = spectrum.scene if spectrum else scene
     check_kernel_fits(psf.radius_px, scene.frame_size, "the PSF has")
     if psf.size == 1:
         return scene
@@ -477,11 +487,13 @@ def convolve(scene: Image | ZoneSpectrum, psf: PsfKernel) -> Image:
     # Circular convolution at a 5-smooth length >= box plus kernel per axis,
     # the kernel's own or the spectrum's, with a halo H >= h that fills it.
     # The kernel is centred on index 0, so the box's outputs are [H, H + n).
-    own = _fft_shape(scene.height, scene.width, psf.size)
-    if spectrum is None or not _reuses(spectrum.shape, own):
-        spectrum = _zone_spectrum(scene, own)
-    shape, zone = spectrum.shape, spectrum.values
+    spectrum = spectrum or ZoneSpectrum(scene, _fft_shape(scene.height, scene.width, psf.size))
+    shape = spectrum.shape
     hy, hx = _halos(scene, shape)
+    if min(hy, hx) < psf.size // 2:
+        raise ValueError(f"a zone spectrum at FFT shape {shape[0]}x{shape[1]} has a {hy}x{hx} "
+                         f"halo, too narrow for a {psf.size}x{psf.size} kernel")
+    zone, bases = spectrum.transform()
     # The kernel's spectrum is real and even in the row frequency: its rows
     # past L_y // 2 mirror rows 1..(L_y - 1) // 2, so two slice multiplies
     # fill the product from the half. Building the half with FFT passes in
@@ -490,7 +502,7 @@ def convolve(scene: Image | ZoneSpectrum, psf: PsfKernel) -> Image:
     # layout took 400-440. Over 20 fresh sweep-256 processes at
     # seed 11 with OPENBLAS_NUM_THREADS=1 on a 2-vCPU host (40 ops each after
     # 3 warm-ups), an op now takes 405-494 faults in 14 and 802-935 in 6.
-    half = _kernel_spectrum(psf.quarter, spectrum.bases)
+    half = _kernel_spectrum(psf.quarter, bases)
     mid = half.shape[0]
     product = np.empty_like(zone)
     np.multiply(zone[:mid], half, out=product[:mid])

@@ -40,7 +40,8 @@ from focuslab import (
     stability_study,
     sweep,
 )
-from focuslab.optics import DEFAULT_SUPERSAMPLE, _fft_shape, _plan, _zone_spectrum, pillbox_size
+from focuslab.optics import DEFAULT_SUPERSAMPLE, ZoneSpectrum, _fft_shape, _plan, _zone_spectrum
+from focuslab.optics import pillbox_size
 
 from _oracles import exact_blur, naive_pillbox_counts, naive_plan, naive_transforms
 from test_parallel_capture import _lanes
@@ -232,15 +233,12 @@ def _reuse_model(height: int, width: int, radii) -> tuple[list, list]:
 
 
 def _planned_blurs(crop, radii):
-    """Blur ``crop`` at each radius in order, as a camera does: through a new
-    ``ZoneSpectrum`` at each new shape that ``optics._plan`` gives, from no
-    spectrum. Yields each radius's blurred crop and the shape it ran at.
+    """Blur ``crop`` at each radius in order, as a camera does: through the
+    spectrum ``optics._plan`` gives it, from no spectrum. Yields each
+    radius's blurred crop and the shape it ran at.
     """
-    spectrum = None
-    for radius, shape in zip(radii, _plan(crop.height, crop.width, radii, None)):
-        if shape is not None and (spectrum is None or spectrum.shape != shape):
-            spectrum = _zone_spectrum(crop, shape)
-        yield convolve(crop if shape is None else spectrum, make_pillbox_psf(radius)), shape
+    for radius, spectrum in zip(radii, _plan(crop, radii, None)):
+        yield convolve(spectrum or crop, make_pillbox_psf(radius)), spectrum and spectrum.shape
 
 
 def _blur_by_the_rule(frame, box, radii, transforms) -> list[tuple[int, int]]:
@@ -664,20 +662,22 @@ def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):
 
 
 def test_threads_sharing_one_frame_and_one_spectrum_blur_correctly():
-    # Threads blurring one image through one read-only spectrum, or through
-    # the image alone, each get the exact blur.
+    # Threads blurring one image through one spectrum, which the first of
+    # them to blur through it transforms, or through the image alone, each
+    # get the exact blur and share one transform.
     scene = make_texture(64, 48, 9)
-    # Four FFT shapes; the largest is over twice the others' area, so only
-    # radius 20 blurs at the spectrum's and the others transform at their own.
+    # The 20 px kernel's shape is over twice the others' area, but its halo
+    # holds every kernel here: all four radii blur at its shape through the
+    # spectrum, and at their own through the image, with the same bytes.
     radii = (1.0, 3.0, 6.0, 20.0)
     expected = {
         r: exact_blur(scene.pixels, naive_pillbox_counts(r, DEFAULT_SUPERSAMPLE), (0, 0, 64, 48))
         for r in radii
     }
     psfs = {r: make_pillbox_psf(r) for r in radii}
-    spectrum = _zone_spectrum(scene, _fft_shape(48, 64, psfs[20.0].size))
-    values = spectrum.values.copy()
-    wrong = []
+    shape = _fft_shape(48, 64, psfs[20.0].size)
+    spectrum = ZoneSpectrum(scene, shape)
+    wrong, transforms = [], set()
 
     def work(offset):
         for i in range(200):
@@ -688,6 +688,7 @@ def test_threads_sharing_one_frame_and_one_spectrum_blur_correctly():
                     wrong.append(r)
             except ValueError as exc:  # e.g. spectra of two shapes multiplied
                 wrong.append(exc)
+        transforms.add(id(spectrum.transform()))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
@@ -701,4 +702,18 @@ def test_threads_sharing_one_frame_and_one_spectrum_blur_correctly():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert np.array_equal(spectrum.values, values) and not spectrum.values.flags.writeable
+    values, _ = spectrum.transform()
+    assert transforms == {id(spectrum.transform())}
+    assert np.array_equal(values, _zone_spectrum(scene, shape)[0]) and not values.flags.writeable
+
+
+@pytest.mark.parametrize("shape, halo", [((54, 72), "3x4"), ((200, 72), "76x4")])
+def test_a_spectrum_whose_halo_cannot_hold_the_kernel_is_refused(monkeypatch, shape, halo):
+    # A 64 x 48 frame: a 13 px kernel needs a halo of 6 on both axes.
+    transforms = _zone_transforms(monkeypatch)
+    spectrum = ZoneSpectrum(make_texture(64, 48, 9), shape)
+    message = (f"^a zone spectrum at FFT shape {shape[0]}x{shape[1]} has a {halo} halo, "
+               "too narrow for a 13x13 kernel$")
+    with pytest.raises(ValueError, match=message):
+        convolve(spectrum, make_pillbox_psf(6.0))
+    assert transforms == []

@@ -84,8 +84,9 @@ COMMANDS = {
 def runs(draw, command):
     """(scene pixels, flags) for ``command``: up to two bad flags, the rest good or left out.
 
-    The z flags are always given: the CLI's default z ranges suit a 256 px
-    scene, and would fail every run on these small ones. Each flag is joined
+    The z flags are always given: the CLI's default z ranges need larger
+    scenes than these (97 px for sweep's and compare's +-1 mm, 477 px for
+    autofocus's +-5 mm), and would fail every run here. Each flag is joined
     to its value with "=" or passed before it as a separate token.
     """
     table = COMMANDS[command]

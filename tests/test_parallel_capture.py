@@ -275,6 +275,36 @@ def test_a_noisy_sweep_never_holds_more_draws_than_its_bound(monkeypatch):
     assert 1 <= log.held <= bound
 
 
+def test_an_autofocus_512_op_queues_all_its_draws_before_its_first_blur(texture_512,
+                                                                        bench_config):
+    # An op shaped like the autofocus-512 workload's, as in
+    # test_spectrum_plan.py: 25 probes of 5 trials through a 31 px window at
+    # the centre. Each draw makes the 272 rows of 512 samples through the
+    # window's last row, so two workers may hold 2 * 139,264 // 961 = 289
+    # draws, more than the op's 125 captures: its first call queues them all.
+    params = SearchParams(z_min=-4.9, z_max=5.1, coarse_steps=11, refine_iterations=12,
+                          trials_per_eval=5)
+    queued, caps, at_blurs = [], set(), []
+    with _lanes(2) as patch:
+        submit, blur = Camera._submit, focuslab.metric.convolve
+
+        def submitting(camera):
+            submit(camera)
+            queued.append(len(camera._draws))
+            caps.add(camera._max_draws)
+
+        def blurring(scene, psf):
+            at_blurs.append(list(queued))
+            return blur(scene, psf)
+
+        patch.setattr(Camera, "_submit", submitting)
+        patch.setattr(focuslab.metric, "convolve", blurring)
+        result = autofocus(texture_512, bench_config, WindowSpec(256, 256, 31),
+                           NoiseSpec(2.0, 11), params)
+    assert len(result.trace) == 25 and caps == {289}
+    assert at_blurs[0] == [125]
+
+
 @contextmanager
 def _lanes(count: int):
     """Patch the usable CPU count, and with it the most blur lanes, once the pool is built."""
@@ -322,15 +352,14 @@ def _transforms(radii) -> int:
 
 
 def _transform_spy(patch) -> list[tuple[int, int]]:
-    """Wrap the zone-transform builder, the camera's binding and ``convolve``'s; list each shape."""
+    """Wrap the zone-transform builder; list each shape it transforms at."""
     shapes, build = [], focuslab.optics._zone_spectrum
 
     def building(scene, shape):
         shapes.append(shape)
         return build(scene, shape)
 
-    for module in (focuslab.metric, focuslab.optics):
-        patch.setattr(module, "_zone_spectrum", building)
+    patch.setattr(focuslab.optics, "_zone_spectrum", building)
     return shapes
 
 
@@ -443,8 +472,8 @@ def test_the_zone_transform_ends_on_the_calling_thread_before_any_lane_blurs(cpu
                         events.append((name, "end", thread))
             return logging
 
-        for name in ("_zone_spectrum", "convolve"):
-            patch.setattr(focuslab.metric, name, logged(name, getattr(focuslab.metric, name)))
+        for module, name in ((focuslab.optics, "_zone_spectrum"), (focuslab.metric, "convolve")):
+            patch.setattr(module, name, logged(name, getattr(module, name)))
         sweep(SCENE, CFG, WINDOW, MetricKind.SQUARED, SWEEP_ZS, NoiseSpec(sigma, 5), 1)
     transform = [("_zone_spectrum", "start", "caller"), ("_zone_spectrum", "end", "caller")]
     assert events[:2] == transform

@@ -1,19 +1,24 @@
 """The zone spectra a camera plans: the shape each blur runs at, and the transforms it takes.
 
-``optics._plan`` gives each radius of a call, largest first, the FFT shape
-its blur runs at, from the camera's last spectrum; each new shape is one
-zone transform. It must replay the reuse rule one blur at a time
-(``_oracles.naive_plan``) for any radii and any shape before them, and a
-camera must make the transforms it plans whatever its lane count. (A
+``optics._plan`` gives each radius of a call, largest first, the zone
+spectrum its blur runs through, from the camera's last spectrum; each new
+spectrum is one zone transform, made on its first use. Its shapes must
+replay the reuse rule one blur at a time (``_oracles.naive_plan``) for any
+radii and any spectrum before them, one spectrum must serve each run of
+equal shapes, and a camera must make the transforms it plans whatever its
+lane count. (A
 sweep-256-shaped call's one transform at 1, 2 and 4 lanes is
 ``test_blur_passes.py::test_a_sweep_call_builds_its_cosines_once_per_zone_transform``.)
 """
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import focuslab.optics
 from focuslab import (
+    Image,
     LensState,
     NoiseSpec,
     SearchParams,
@@ -21,7 +26,7 @@ from focuslab import (
     autofocus,
     blur_radius,
 )
-from focuslab.optics import _plan
+from focuslab.optics import ZoneSpectrum, _plan
 
 from _oracles import naive_plan, naive_transforms
 from test_parallel_capture import _lanes, _transform_spy
@@ -32,7 +37,25 @@ _SHAPES = st.tuples(st.integers(1, 1500), st.integers(1, 1500))
 @given(height=st.integers(1, 600), width=st.integers(1, 600),
        radii=st.lists(st.floats(0.0, 300.0), max_size=8), shape=st.none() | _SHAPES)
 def test_the_plan_replays_the_reuse_rule_blur_by_blur(height, width, radii, shape):
-    assert _plan(height, width, radii, shape) == naive_plan(height, width, radii, shape)
+    scene = Image(np.zeros((height, width), dtype=np.uint8))
+    last = shape and ZoneSpectrum(scene, shape)
+    with pytest.MonkeyPatch.context() as patch:
+        built = []
+        patch.setattr(focuslab.optics, "_zone_spectrum", lambda *args: built.append(args) or args)
+        plan = _plan(scene, radii, last)
+        assert built == []  # nothing is transformed until a blur needs it
+        assert [spectrum and spectrum.shape for spectrum in plan] == naive_plan(
+            height, width, radii, shape)
+        # One spectrum per run of equal shapes, the last one if its shape comes first.
+        spectra = [spectrum for spectrum in plan if spectrum]
+        for before, after in zip([last, *spectra], spectra):
+            assert (after is before) == (before is not None and after.shape == before.shape)
+        new = [spectrum for spectrum in dict.fromkeys(spectra) if spectrum is not last]
+        for spectrum in new:
+            assert spectrum.transform() is spectrum.transform()
+        assert built == [(scene, spectrum.shape) for spectrum in new]
+        transforms = naive_transforms(height, width, radii, shape)
+        assert [spectrum.shape for spectrum in new] == transforms
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 4))
