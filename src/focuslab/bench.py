@@ -17,7 +17,7 @@ import numpy as np
 
 from ._csvio import fmt_num, write_rows
 from .image import Image, NoiseSpec, WindowSpec, require_int
-from .metric import Camera, MetricKind, best_probe, resolution, z_list
+from .metric import Camera, MetricKind, resolution, sweep, z_list
 from .optics import LensState, OpticalConfig
 
 __all__ = [
@@ -141,8 +141,8 @@ def compare_metrics(
 
     Timing runs sequentially (one kind and window size at a time) to avoid
     contention skew; wall times are reported, never asserted, since they are
-    host-dependent. Each kind's argmax comes from a noiseless sweep through
-    ``window`` over ``z_values``; both read one camera, which blurs a radius once.
+    host-dependent. Each kind's argmax comes from its own noiseless sweep
+    through ``window`` over ``z_values``.
     """
     repeats_for_timing = require_int(repeats_for_timing, "repeats_for_timing", 10)
     if not sizes:
@@ -163,6 +163,6 @@ def compare_metrics(
                 MetricTimingRow(kind=kind, n=w.n, mean_ns_per_eval=elapsed / repeats_for_timing)
             )
 
-    with Camera(scene, cfg, [window], NoiseSpec(0.0), [()] * (len(kinds) * len(zs)), 1) as camera:
-        argmax = {kind: best_probe(camera.probes(zs, kind)).z_mm for kind in kinds}
+    argmax = {kind: sweep(scene, cfg, window, kind, zs, NoiseSpec(0.0), 1).argmax_z()
+              for kind in kinds}
     return MetricBenchReport(tuple(timings), argmax)

@@ -42,7 +42,11 @@ class PgmFormatError(ValueError):
 
 
 def require_int(value, what: str, minimum: int | None = None) -> int:
-    """``value`` as an int no less than ``minimum``; a ValueError naming ``what`` if not."""
+    """``value`` as an int no less than ``minimum``; a ValueError naming ``what`` if not.
+
+    A bool, Python's or numpy's, is refused as ``refuse_bool`` words it.
+    """
+    refuse_bool(value, what)
     try:
         value = operator.index(value)
     except TypeError:

@@ -87,19 +87,15 @@ class Camera:
     left (ValueError) or for more readings than memory holds (MemoryError) raises
     before any blur. A call that raises ends the plan.
 
-    Cache. The camera keeps one entry per blur radius for its life: the
-    blurred zone and the noiseless readings of that zone by kind. Captures
-    that share a radius, such as the +-z halves of a sweep, build one kernel
-    and blur once; only the noise is drawn per capture. A ``readings`` call
-    checks that the kernel of every z, in call order, fits the frame before
-    it builds any kernel. Every noiseless capture is the
-    blurred zone itself, so a radius is measured once per kind however many
-    probes and trials read it: by the call's kind on the lane that blurs it,
-    and by any other kind on the calling thread when a later call reads it
-    by that kind. The camera also keeps the zone spectrum its last transform
-    made (``optics.ZoneSpectrum``), so a later call, such as a search's
-    refine probe, blurs through it where its plan allows. Both end with the
-    camera; ``optics.convolve`` keeps nothing.
+    Cache. Within a ``readings`` call, captures that share a radius, such
+    as the +-z halves of a sweep, build one kernel and blur once; only the
+    noise is drawn per capture. A call checks that the kernel of every z, in
+    call order, fits the frame before it builds any kernel. Every noiseless
+    capture is the blurred zone itself, so a radius is measured once per
+    call however many probes and trials read it, on the lane that blurs it.
+    Nothing else is kept: the blurred zones, their readings and the zone
+    spectra end with the call, and the noise plan is all a camera carries
+    from one call to the next.
 
     Pool. One module-wide thread pool, sized to the usable CPUs, runs two
     kinds of task; numpy releases the GIL while it draws and transforms.
@@ -107,33 +103,30 @@ class Camera:
     plan's draws are queued in plan order, one ``draw_noise(spec,
     zone)`` task per capture: before a call's blurs, and again after each
     draw is applied. For a zone of h x w at row y0 of a frame W wide, the
-    draws submitted and not yet applied are capped at ``workers * (y0 + h) *
-    W`` samples of fields: at least one field per worker, because
-    (y0 + h) * W >= h * w. A running draw holds under 64 Ki samples plus
-    its zone's h rows (see ``image.draw_noise``), not that prefix, but the
-    cap stays a whole prefix per worker: it sets how far the
-    draws run ahead of the captures, and so the draw schedule and the draws
-    made per op, which this keeps as they were when each draw held its prefix.
+    fields drawn and not yet applied are capped at ``workers * (y0 + h) *
+    W`` samples, so that is all the noise a camera holds; it is at least one
+    field per worker, because (y0 + h) * W >= h * w. A running draw holds
+    under 64 Ki samples plus its zone's h rows besides (see
+    ``image.draw_noise``).
     The cap never binds on the benchmark's autofocus-512 op: its 125
     captures are under the 289 draws two workers may hold, so all of them
     are queued at its first call.
 
-    Blur lanes. Before it captures, a call plans its new radii, largest
-    first (``optics._plan``): from the camera's spectrum, each radius gets
-    the zone spectrum it blurs through, and each new spectrum is one zone
-    transform, made on its first use. The camera keeps the plan's last
-    spectrum, and the calling thread transforms the first, unless the
-    camera's serves; only then does the call start min(radii, usable CPUs)
-    minus 1 pool tasks. The calling thread and each of them pop one radius
-    at a time from one queue until it is empty, the largest included, and
-    blur it through its planned spectrum; the first lane to blur through a
-    later spectrum transforms it, and a lane that pops another radius of it
-    meanwhile waits. So a call's transforms depend on its radii and the
-    camera's spectrum alone, not on the lanes. With sigma = 0 a lane also
-    measures each zone it blurs, through every window by the call's kind;
-    with sigma > 0 it only blurs. A lane task not yet started when the calling thread finds
-    the queue empty is cancelled, having nothing left to take, so lanes
-    queued behind draws cost no wait. A lane that raises clears the queue,
+    Blur lanes. Before it captures, a call plans its radii, largest first
+    (``optics._plan``): from no spectrum, each radius gets the zone spectrum
+    it blurs through, and each spectrum is one zone transform, made on its
+    first use. The calling thread transforms the first; only then does the
+    call start min(radii, usable CPUs) minus 1 pool tasks. The calling
+    thread and each of them pop one radius at a time from one queue until it
+    is empty, the largest included, and blur it through its planned
+    spectrum; the first lane to blur through a later spectrum transforms
+    it, and a lane that pops another radius of it meanwhile waits. So a
+    call's transforms depend on its radii alone, not on the lanes or the
+    calls before it. With sigma = 0 a lane also measures each zone it
+    blurs, through every window by the call's kind; with sigma > 0 it only
+    blurs. A lane task not yet started when the calling thread finds the
+    queue empty is cancelled, having nothing left to take, so lanes queued
+    behind draws cost no wait. A lane that raises clears the queue,
     so the others stop after the radius they hold. The lane tasks end with
     the call: it cancels or awaits them before it returns or raises, and an
     error on any lane reaches the caller. The calling thread then applies
@@ -168,8 +161,6 @@ class Camera:
         self._noise, self._rows_left = noise, len(paths)
         self._identity = noise.derived(*paths[0], 0) if paths and not noise.sigma else None
         self._owner = threading.current_thread()
-        self._blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
-        self._spectrum: ZoneSpectrum | None = None
         self._unsubmitted = (noise.derived(*path, t) for path in paths
                              for t in range(self._trials)) if noise.sigma else iter(())
         self._draws: deque[Future] = deque()
@@ -206,25 +197,22 @@ class Camera:
         radii = [blur_radius(self._cfg, LensState(z)).px for z in zs]
         for z, radius in zip(zs, radii):
             check_kernel_fits(radius, self._zone.frame_size, f"z={z} mm reaches")
-        new = set(radii).difference(self._blurred)
         try:
             values = np.empty((len(zs), self._trials, len(self._windows)), dtype=np.int64)
         except ValueError:  # numpy's "array is too big": its byte count overflows
             raise MemoryError("the readings do not fit in memory") from None
         self._submit()
-        self._blur(new, None if self._noise.sigma else kind)
+        blurred = self._blur(set(radii), None if self._noise.sigma else kind)
         for row, radius in zip(values, radii):
-            zone, noiseless = self._blurred[radius]
+            zone, noiseless = blurred[radius]
             if self._noise.sigma:
                 for trial in row:
                     capture = add_noise(zone, self._draws.popleft().result())
                     trial[:] = [resolution(capture, w, kind) for w in self._windows]
                     self._submit()
-            else:  # every spec is the identity: one per camera, each (radius, kind) measured once
-                capture = add_noise(zone, self._identity)
-                if kind not in noiseless:
-                    noiseless[kind] = [resolution(capture, w, kind) for w in self._windows]
-                row[:] = noiseless[kind]
+            else:  # the identity spec: the capture is the zone its lane measured, noised once
+                add_noise(zone, self._identity)
+                row[:] = noiseless
         self._rows_left = rows_left
         return values
 
@@ -236,23 +224,21 @@ class Camera:
         means, stds = np.mean(values, axis=1).tolist(), np.std(values, axis=1).tolist()
         return [FocusSample(z, mean, std, self._trials) for z, mean, std in zip(zs, means, stds)]
 
-    def _blur(self, radii: Iterable[float], kind: MetricKind | None) -> None:
-        """Cache the zone blurred at each radius, on the blur lanes of the class docstring.
+    def _blur(
+        self, radii: set[float], kind: MetricKind | None,
+    ) -> dict[float, tuple[Image, list[int] | None]]:
+        """The zone blurred at each radius, on the blur lanes of the class docstring.
 
-        With ``kind`` set, the lanes also measure each blurred zone by that kind.
+        Each radius maps to its blurred zone and, with ``kind`` set, that
+        zone's readings by that kind, which the lanes measure.
         """
         radii = sorted(radii, reverse=True)
-        queue = deque(zip(radii, _plan(self._zone, radii, self._spectrum)))
+        queue = deque(zip(radii, _plan(self._zone, radii)))
         if not queue:
-            return
-        # The camera keeps the plan's last spectrum. Its old one, unless the
-        # plan reuses it, is freed before the transform that replaces it.
-        self._spectrum = next((spectrum for _, spectrum in reversed(queue) if spectrum),
-                              self._spectrum)
+            return {}
         if queue[0][1]:
             queue[0][1].transform()  # the first zone transform, on the calling thread
-        blurred: dict[float, tuple[Image, dict[MetricKind, list[int]]]] = {}
-        futures: list[Future] = []
+        blurred, futures = {}, []
         try:
             for _ in range(min(len(queue), _usable_cpus()) - 1):
                 futures.append(_capture_pool().submit(
@@ -263,7 +249,7 @@ class Camera:
                     blurred.update(future.result())
         finally:
             _settle(futures)
-        self._blurred.update(blurred)
+        return blurred
 
     def _submit(self) -> None:
         """Submit the plan's next draws, in plan order, while fewer than the cap are held."""
@@ -274,12 +260,12 @@ class Camera:
 def _blur_lane(
     zone: Image, queue: deque[tuple[float, ZoneSpectrum | None]], windows: Sequence[WindowSpec],
     kind: MetricKind | None,
-) -> dict[float, tuple[Image, dict[MetricKind, list[int]]]]:
+) -> dict[float, tuple[Image, list[int] | None]]:
     """Blur ``zone`` at each radius it pops from ``queue``, through its planned spectrum.
 
     Each radius maps to its blurred zone and, with ``kind`` set, that zone's
-    readings through ``windows`` by kind. An error clears the queue, so the
-    other lanes take no further radius.
+    readings through ``windows`` by that kind, or None. An error clears the
+    queue, so the other lanes take no further radius.
     """
     blurred = {}
     try:
@@ -289,7 +275,7 @@ def _blur_lane(
             except IndexError:
                 return blurred
             image = convolve(spectrum or zone, make_pillbox_psf(radius))
-            readings = {kind: [resolution(image, w, kind) for w in windows]} if kind else {}
+            readings = [resolution(image, w, kind) for w in windows] if kind else None
             blurred[radius] = image, readings
     finally:
         queue.clear()

@@ -46,12 +46,13 @@ whole-frame capture cropped to it:
   and costs one kernel spectrum and one inverse there; given an image, it
   blurs through a fresh spectrum at the kernel's own shape and keeps
   nothing. ``_plan`` is the one reuse rule: over a call's radii, largest
-  first, it hands each radius the current spectrum while that one's shape
-  is at least the kernel's own on both axes and under twice its area
-  (``_REUSE_AREA``), and a new spectrum at the kernel's own shape
-  otherwise, from their kernels' sides alone. So a call serves every
+  first and from no spectrum, it hands each radius the current spectrum
+  while that one's shape is at least the kernel's own on both axes and
+  under twice its area (``_REUSE_AREA``), and a new spectrum at the
+  kernel's own shape otherwise, from their kernels' sides alone. So a call serves every
   radius down to half its largest shape's area from one zone transform,
-  and each spectrum ``metric.Camera`` plans is transformed once.
+  and each spectrum ``metric.Camera`` plans is transformed once and ends
+  with the call.
 - Tie rule. Blurred values are rounded half down, ``floor(v + 0.5 - 1e-9)``,
   not half to even. Exact values are multiples of 1/``counts.sum()``, at
   least ~8e-8 apart even at R = 250 px, and FFT round-off stays below 1e-11,
@@ -78,9 +79,9 @@ whole-frame capture cropped to it:
   1.6 MiB traced peak at R = 247); a capture's noise draws the whole
   64 Ki-sample chunks of the frame's rows above its zone into one reused
   buffer (see ``image.draw_noise``); a zone transform runs both passes
-  within its own spectrum, and a camera drops its last spectrum before it
-  transforms at another shape; and a blur multiplies the zone's spectrum
-  by the kernel's real half spectrum into one new array, its mirrored rows
+  within its own spectrum, and a camera keeps no spectrum past the call
+  that planned it; and a blur multiplies the zone's spectrum by the
+  kernel's real half spectrum into one new array, its mirrored rows
   included, inverts within that array and runs the inverse's last pass on
   the box's rows, which it casts to bytes directly.
 - Noise prefix. A crop gets the whole frame's draws; see ``image.draw_noise``.
@@ -311,21 +312,19 @@ def _fft_shape(height: int, width: int, kernel_size: int) -> tuple[int, int]:
 _REUSE_AREA = 2
 
 
-def _plan(
-    scene: Image, radii: Iterable[float], last: ZoneSpectrum | None,
-) -> list[ZoneSpectrum | None]:
+def _plan(scene: Image, radii: Iterable[float]) -> list[ZoneSpectrum | None]:
     """The zone spectrum each radius's blur of ``scene`` runs through, blurred in order.
 
-    ``last`` is the spectrum before the first radius, or None. A blur runs
-    through the current spectrum when its shape is at least the blur's own
-    FFT shape on both axes and under ``_REUSE_AREA`` times its area, and
-    otherwise through a new spectrum at its own shape, which becomes the
-    current one: a zone transform, made on the spectrum's first use. So a
-    run of radii at one shape shares one spectrum, ``last`` included. The
-    identity kernel runs through none. Each kernel's side comes from
-    ``pillbox_size``, so no kernel is built and nothing is transformed.
+    The plan starts from no spectrum. A blur runs through the current
+    spectrum when its shape is at least the blur's own FFT shape on both
+    axes and under ``_REUSE_AREA`` times its area, and otherwise through a
+    new spectrum at its own shape, which becomes the current one: a zone
+    transform, made on the spectrum's first use. So a run of radii at one
+    shape shares one spectrum. The identity kernel runs through none. Each
+    kernel's side comes from ``pillbox_size``, so no kernel is built and
+    nothing is transformed.
     """
-    plan, spectrum = [], last
+    plan, spectrum = [], None
     for radius in radii:
         if (size := pillbox_size(radius)) == 1:
             plan.append(None)

@@ -150,18 +150,18 @@ def exact_blur(pixels: np.ndarray, counts: np.ndarray, box) -> np.ndarray:
     return np.clip(-((t - 2 * total) // (2 * t)), 0, 255).astype(np.uint8)
 
 
-def naive_plan(height: int, width: int, radii, shape):
+def naive_plan(height: int, width: int, radii):
     """The FFT shape each blur of a height x width box runs at, replaying the reuse rule in order.
 
-    ``shape`` is the zone spectrum's (rows, columns) at the start, or None.
-    A kernel of radius r is 1 px wide below r = 0.5, and 2 ceil(r) + 1 px
-    otherwise; the 1 px one runs at no shape and leaves the spectrum alone.
+    The replay starts from no zone spectrum. A kernel of radius r is 1 px
+    wide below r = 0.5, and 2 ceil(r) + 1 px otherwise; the 1 px one runs at
+    no shape and leaves the spectrum alone.
     A blur's own length per axis is the least number 2^a 3^b 5^c that is at
     least box plus kernel minus 1. It runs at the spectrum's shape when that
     is at least its own on both axes and under twice its own area; otherwise
     its own shape becomes the spectrum's.
     """
-    shapes = []
+    shapes, shape = [], None
     for radius in radii:
         kernel = 1 if radius < 0.5 else 2 * math.ceil(radius) + 1
         if kernel == 1:
@@ -175,10 +175,10 @@ def naive_plan(height: int, width: int, radii, shape):
     return shapes
 
 
-def naive_transforms(height: int, width: int, radii, shape) -> list:
+def naive_transforms(height: int, width: int, radii) -> list:
     """The shapes ``naive_plan`` transforms the zone at, in order: each shape new to the replay."""
-    transforms = []
-    for planned in naive_plan(height, width, radii, shape):
+    transforms, shape = [], None
+    for planned in naive_plan(height, width, radii):
         if planned is not None and planned != shape:
             transforms.append(shape := planned)
     return transforms

@@ -6,11 +6,13 @@ as the whole frame's blur and noise cropped to it, for any window, radius
 and seed.
 """
 
+import gc
 import re
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -227,8 +229,8 @@ def _reuse_model(height: int, width: int, radii) -> tuple[list, list]:
     blurring a height x width box at these radii in order takes, from no
     spectrum: the replay of ``naive_plan``. The identity kernel takes neither.
     """
-    shapes = [shape for shape in naive_plan(height, width, radii, None) if shape is not None]
-    transforms = naive_transforms(height, width, radii, None)
+    shapes = [shape for shape in naive_plan(height, width, radii) if shape is not None]
+    transforms = naive_transforms(height, width, radii)
     return [((ly - height) // 2, (lx - width) // 2) for ly, lx in transforms], shapes
 
 
@@ -237,7 +239,7 @@ def _planned_blurs(crop, radii):
     spectrum ``optics._plan`` gives it, from no spectrum. Yields each
     radius's blurred crop and the shape it ran at.
     """
-    for radius, spectrum in zip(radii, _plan(crop, radii, None)):
+    for radius, spectrum in zip(radii, _plan(crop, radii)):
         yield convolve(spectrum or crop, make_pillbox_psf(radius)), spectrum and spectrum.shape
 
 
@@ -325,10 +327,9 @@ def test_the_reuse_rule_at_twice_the_area_and_at_every_parity(monkeypatch):
 PERSISTENT = make_texture(120, 104, 7)
 
 
-def test_a_blur_keeps_nothing_on_its_image_and_a_camera_keeps_its_last_spectrum(monkeypatch):
-    # 3.0 and 3.4 px share the 120 x 128 FFT shape (halo 8 x 4) and 9.0 px
-    # needs 125 x 144 (halo 10 x 12), which 2.5 px then reuses: it is 1.17
-    # times that one's own area. The identity kernel leaves the spectrum alone.
+def test_a_blur_keeps_nothing_on_its_image_and_a_camera_transforms_once_per_call(monkeypatch):
+    # 3.0, 3.4 and 2.5 px each blur at the 120 x 128 FFT shape (halo 8 x 4)
+    # and 9.0 px at 125 x 144 (halo 10 x 12). The identity kernel takes none.
     zs = [radius / PX_PER_MM for radius in (3.0, 3.4, 9.0, 0.0, 2.5)]
     radii = [blur_radius(CFG, LensState(z)).px for z in zs]
     expected = {
@@ -346,7 +347,7 @@ def test_a_blur_keeps_nothing_on_its_image_and_a_camera_keeps_its_last_spectrum(
     assert all(vars(PERSISTENT)[name] is value for name, value in attributes.items())
 
     # Two windows whose box is the whole frame: one call per radius, each
-    # blurring through the spectrum the last call left.
+    # planning from no spectrum, as the image alone does.
     transforms.clear()
     windows = [WindowSpec(51, 51, 104), WindowSpec(67, 51, 104)]
     paths = [(i,) for i in range(len(zs))]
@@ -356,7 +357,7 @@ def test_a_blur_keeps_nothing_on_its_image_and_a_camera_keeps_its_last_spectrum(
             blurred = Image(expected[radius])
             assert values.tolist() == [[[resolution(blurred, w, MetricKind.SQUARED)
                                          for w in windows]]], radius
-    assert transforms == [(8, 4), (10, 12)]
+    assert transforms == [(8, 4), (8, 4), (10, 12), (8, 4)]
 
 
 def _sweep_zs(z_max: float, half_count: int = 16) -> list[float]:
@@ -442,16 +443,62 @@ def test_stability_reads_every_window_size_from_the_same_captures(monkeypatch):
     assert all(sorted(sizes) == [5, 9, 17, 31] for sizes in sizes_read.values())
 
 
-def test_noiseless_readings_are_cached_by_radius_and_kind(monkeypatch, texture_256):
+@pytest.mark.parametrize("kind", MetricKind)
+def test_a_noiseless_call_measures_a_pm_z_pair_once(monkeypatch, texture_256, kind):
     windows = (WindowSpec(100, 100, 31), WindowSpec(150, 140, 9))
+    zs = [0.1, -0.1, 0.0, 0.2]
     camera = Camera(texture_256, CFG, windows, NoiseSpec(0.0), [()] * 8, 2)
     metric_calls = _count_calls(monkeypatch, focuslab.metric, "resolution")
-    for z in (0.1, -0.1, 0.0, 0.2):
+    expected = []
+    for z in zs:
         whole = capture(texture_256, CFG, LensState(z), NoiseSpec(0.0))
-        for kind in MetricKind:
-            expected = [resolution(whole, window, kind) for window in windows]
-            assert camera.readings([z], kind).tolist() == [[expected] * 2], (z, kind)
-    assert len(metric_calls) == 3 * 2 * 2  # radii x kinds x windows
+        expected.append([[resolution(whole, window, kind) for window in windows]] * 2)
+    for _ in range(2):  # the second call measures again: nothing is kept between calls
+        metric_calls.clear()
+        assert camera.readings(zs, kind).tolist() == expected
+        assert len(metric_calls) == 3 * 2  # radii x windows
+
+
+@pytest.mark.parametrize("sigma", (0.0, 2.0))
+def test_a_camera_keeps_nothing_after_a_call(monkeypatch, sigma):
+    # Every zone a call blurs, and every zone spectrum it transforms, is gone
+    # once the call returns: only the noise plan outlives it.
+    held = []
+    blur, transform = focuslab.metric.convolve, ZoneSpectrum.transform
+
+    def blurring(scene, psf):
+        image = blur(scene, psf)
+        held.append(weakref.ref(image))
+        return image
+
+    def transforming(spectrum):
+        held.append(weakref.ref(spectrum))
+        return transform(spectrum)
+
+    monkeypatch.setattr(focuslab.metric, "convolve", blurring)
+    monkeypatch.setattr(ZoneSpectrum, "transform", transforming)
+    zs = [radius / PX_PER_MM for radius in (-9.0, -3.0, 2.5, 3.0, 9.0)]  # no identity kernel
+    windows = [WindowSpec(30, 24, 21), WindowSpec(40, 20, 9)]
+    paths = [(i,) for i in range(2 * len(zs))]
+    with Camera(SMALL, CFG, windows, NoiseSpec(sigma, 3), paths, 2) as camera:
+        for _ in range(2):
+            held.clear()
+            camera.readings(zs, MetricKind.SQUARED)
+            gc.collect()
+            assert len(held) > len(set(np.abs(zs)))
+            assert [ref() for ref in held] == [None] * len(held)
+
+
+@pytest.mark.parametrize("sigma", (0.0, 2.0))
+def test_an_empty_call_reads_an_empty_array(monkeypatch, sigma):
+    blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
+    windows = [WindowSpec(20, 20, 9), WindowSpec(40, 20, 5)]
+    with Camera(SMALL, CFG, windows, NoiseSpec(sigma, 3), [(0,)], 3) as camera:
+        readings = camera.readings([], MetricKind.SQUARED)
+        assert readings.dtype == np.int64 and readings.shape == (0, 3, 2)
+        assert blurs == []
+        assert camera.readings([0.1], MetricKind.SQUARED).shape == (1, 3, 2)  # its row is left
+    assert len(blurs) == 1
 
 
 @pytest.mark.parametrize("trials", (0, 2.5))
@@ -647,7 +694,7 @@ def test_an_autofocus_derives_each_planned_spec_once(monkeypatch, z_min, at_boun
     assert (len(paths) < len(planned)) == at_boundary
 
 
-def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):
+def test_compare_metrics_blurs_each_radius_once_per_kind(monkeypatch, texture_256):
     window = WindowSpec(128, 128, 31)
     zs = [-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4]
     argmax = {
@@ -657,7 +704,7 @@ def test_compare_metrics_blurs_each_radius_once(monkeypatch, texture_256):
     blurs = _count_calls(monkeypatch, focuslab.metric, "convolve")
     report = compare_metrics(texture_256, CFG, window, zs, repeats_for_timing=10, sizes=(5,))
     assert len({blur_radius(CFG, LensState(z)).px for z in zs}) == 5
-    assert len(blurs) == 5
+    assert len(blurs) == 5 * 2
     assert report.argmax_z_mm == argmax
 
 

@@ -434,6 +434,22 @@ def test_non_integer_counts_and_seeds_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("build, name", [
+    (lambda flag: WindowSpec(flag, 5, 5), "window center_x"),
+    (lambda flag: WindowSpec(5, flag, 5), "window center_y"),
+    (lambda flag: WindowSpec(5, 5, flag), "window n"),
+    (lambda flag: NoiseSpec(2.0, flag), "noise seed"),
+    (lambda flag: SearchParams(-1.0, 1.0, coarse_steps=flag), "coarse_steps"),
+    (lambda flag: SearchParams(-1.0, 1.0, refine_iterations=flag), "refine_iterations"),
+    (lambda flag: SearchParams(-1.0, 1.0, trials_per_eval=flag), "trials_per_eval"),
+], ids=["window-x", "window-y", "window-n", "noise-seed", "coarse-steps", "refine-iterations",
+        "trials-per-eval"])
+def test_a_bool_integer_field_is_refused(build, name, flag):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool, got "):
+        build(flag)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: make_texture(8, 8, 1.5), "seed must be an integer"),
     (lambda: make_texture(8.5, 8, 1), "width must be an integer"),

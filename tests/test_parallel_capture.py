@@ -2,15 +2,15 @@
 
 ``metric.Camera`` draws the noise of each noisy capture of a sweep, search
 or stability study as one task on a module-wide thread pool, queued ahead of
-the blur, and blurs a call's new radii largest first on lanes that read the
+the blur, and blurs a call's radii largest first on lanes that read the
 zone spectra the camera plans: the calling thread makes the first zone
 transform, and only then starts a pool lane per further radius up to one
 lane per CPU, each lane, the calling thread's included, taking one radius
 at a time from one shared queue. In a noiseless call a lane also measures each zone it blurs; in a
 noisy one the calling thread applies each draw and measures the capture in
 capture order. Results must not depend on the pool: every study equals the
-serial oracle, each radius is blurred and measured once whichever lane
-takes it, concurrent callers each get their own result, errors reach the
+serial oracle, each radius is blurred and measured once per call whichever
+lane takes it, concurrent callers each get their own result, errors reach the
 caller and a lane that raises stops the others, a camera refuses every
 thread but the one that built it, no draw or blur lane outlives its call
 and no draw exceeds the camera's bound, a forked child builds its own pool,
@@ -348,7 +348,7 @@ class _BlurLog:
 
 def _transforms(radii) -> int:
     """The zone transforms a call that blurs ``radii`` of a fresh ``WINDOW`` zone takes."""
-    return len(naive_transforms(WINDOW.n, WINDOW.n, sorted(radii, reverse=True), None))
+    return len(naive_transforms(WINDOW.n, WINDOW.n, sorted(radii, reverse=True)))
 
 
 def _transform_spy(patch) -> list[tuple[int, int]]:
@@ -369,7 +369,7 @@ def _kernels(radii) -> set[float]:
 
 
 def test_the_sweep_radii_fill_two_lanes():
-    # The lane tests below rely on ZS having more new radii to blur than two lanes.
+    # The lane tests below rely on ZS having more radii to blur than two lanes.
     assert len(_kernels(blur_radius(CFG, LensState(z)).px for z in ZS)) > 2
 
 
@@ -496,14 +496,28 @@ def test_a_noiseless_sweep_blurs_and_measures_each_radius_once_on_its_lanes(cpus
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 4))
-def test_compare_metrics_measures_its_second_kind_on_the_calling_thread(cpus):
+def test_compare_metrics_measures_each_kind_on_its_lanes(cpus):
+    # Each kind's sweep measures every zone it blurs on the lane that blurred it.
+    blurred = {"caller": [], "pool": []}
     with _lanes(cpus) as patch:
+        blur, caller = focuslab.metric.convolve, threading.current_thread()
+
+        def blurring(scene, psf):
+            thread = "caller" if threading.current_thread() is caller else "pool"
+            blurred[thread].append(image := blur(scene, psf))
+            return image
+
+        patch.setattr(focuslab.metric, "convolve", blurring)
         readings = _calls(patch, "resolution")
         compare_metrics(SCENE, CFG, WINDOW, SWEEP_ZS, repeats_for_timing=10, sizes=(5,))
-    first = [thread for thread, (_, _, kind) in readings if kind is MetricKind.SQUARED]
-    second = [thread for thread, (_, _, kind) in readings if kind is MetricKind.ABSOLUTE]
-    assert len(first) == len(SWEEP_RADII)
-    assert second == ["caller"] * len(SWEEP_RADII)
+    for kind in MetricKind:
+        measured = [(thread, image) for thread, (image, _, k) in readings if k is kind]
+        assert len(measured) == len(SWEEP_RADII)
+        for thread, image in measured:
+            assert any(image is zone for zone in blurred[thread])
+    assert len(blurred["caller"]) + len(blurred["pool"]) == 2 * len(SWEEP_RADII)
+    if cpus == 1:
+        assert blurred["pool"] == []
 
 
 @pytest.mark.parametrize("cpus", (1, 2, 4))
@@ -641,15 +655,15 @@ def test_lanes_equal_the_whole_frame_capture_and_blur_each_radius_once(
                       lambda scene, psf: blurred.append(psf.radius_px) or blur(scene, psf))
         with Camera(SCENE, CFG, ws, noise, paths, 2) as camera:
             readings = [trials for call in calls for trials in camera.readings(call, kind)]
-    assert sorted(built) == sorted(blurred) == sorted(set(radii))
-    # Each call transforms at the new shapes of its new radii's plan, from
-    # the last shape the calls before it transformed at.
-    planned, seen = [], set()
+    # Each call builds and blurs each of its radii once, and transforms at
+    # the shapes of its radii's plan from no spectrum: nothing is kept for
+    # the next call.
+    planned, per_call = [], []
     for call in calls:
-        new = {blur_radius(CFG, LensState(z)).px for z in call} - seen
-        seen |= new
-        last = planned[-1] if planned else None
-        planned += naive_transforms(height, width, sorted(new, reverse=True), last)
+        call_radii = {blur_radius(CFG, LensState(z)).px for z in call}
+        per_call += call_radii
+        planned += naive_transforms(height, width, sorted(call_radii, reverse=True))
+    assert sorted(built) == sorted(blurred) == sorted(per_call)
     assert sorted(transforms) == sorted(planned)  # lanes may start two transforms in either order
     for z, path, trials in zip(zs, paths, readings):
         for t, values in enumerate(trials):
